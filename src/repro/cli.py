@@ -414,21 +414,6 @@ def run_serve(argv):
                         help="background job worker threads")
     parser.add_argument("--job-lease", type=float, default=30.0,
                         help="job claim lease / heartbeat horizon [s]")
-    parser.add_argument("--peer", action="append", default=[],
-                        metavar="URL",
-                        help="another serve replica (repeatable); peers "
-                             "turn on consistent-hash result sharding, "
-                             "store replication and /v1/fleet (see "
-                             "docs/FLEET.md)")
-    parser.add_argument("--self-url", default=None, metavar="URL",
-                        help="URL peers reach this replica at "
-                             "(default: http://HOST:PORT)")
-    parser.add_argument("--probe-interval", type=float, default=3.0,
-                        help="peer health probe cadence [s]")
-    parser.add_argument("--proxy-retries", type=int, default=1,
-                        help="extra shard-proxy attempts against later "
-                             "healthy ring preferences before local "
-                             "failover (0 = single attempt)")
     args = parser.parse_args(argv)
     executor = args.executor
     if executor == "auto":
@@ -464,9 +449,6 @@ def run_serve(argv):
         cache_path=args.cache, voltage_mode=args.voltage_mode,
         jobs_path=args.jobs, store_path=args.store,
         job_workers=args.job_workers, job_lease_seconds=args.job_lease,
-        peers=tuple(args.peer), self_url=args.self_url,
-        probe_interval_s=args.probe_interval,
-        proxy_retries=args.proxy_retries,
     )
     asyncio.run(serve_forever(config))
     return 0
@@ -524,14 +506,6 @@ def run_jobs(argv):
     parser.add_argument("--arena", default=None, metavar="NAME",
                         help="work: attach the named shared-memory "
                              "session arena (zero-copy warm start)")
-    parser.add_argument("--server", default=None, metavar="URL",
-                        help="work: claim jobs from this serve instance "
-                             "over HTTP instead of a local queue file "
-                             "(see docs/FLEET.md)")
-    parser.add_argument("--replicate", action="append", default=[],
-                        metavar="URL",
-                        help="work: replicate store checkpoints to this "
-                             "serve replica (repeatable)")
     # Intermixed parsing so `jobs watch --queue x <job-id>` works (plain
     # parse_args cannot match an optional positional after options).
     args = parser.parse_intermixed_args(argv)
@@ -539,15 +513,9 @@ def run_jobs(argv):
     if args.action == "work":
         from .jobs.worker import main as worker_main
 
-        worker_argv = ["--cache", args.cache]
-        if args.server:
-            worker_argv += ["--server", args.server]
-        else:
-            worker_argv += ["--queue", args.queue]
+        worker_argv = ["--queue", args.queue, "--cache", args.cache]
         if args.store:
             worker_argv += ["--store", args.store]
-        for url in args.replicate:
-            worker_argv += ["--replicate", url]
         if args.once:
             worker_argv += ["--once"]
         if args.max_jobs is not None:
@@ -706,50 +674,6 @@ def run_store(argv):
     return 0
 
 
-def run_fleet(argv):
-    """The ``fleet`` subcommand: multi-host topology tooling."""
-    import json as json_module
-
-    parser = argparse.ArgumentParser(
-        prog="repro fleet",
-        description="Stand up, inspect and smoke-test a multi-host "
-                    "serve/worker fleet (see docs/FLEET.md).",
-    )
-    parser.add_argument("action", choices=("smoke", "status"))
-    parser.add_argument("--server", default="http://127.0.0.1:8787",
-                        metavar="URL",
-                        help="status: a replica to ask for /v1/fleet")
-    parser.add_argument("--cache", default=".repro_cache.json",
-                        help="smoke: characterization cache path")
-    parser.add_argument("--hosts", type=int, default=2,
-                        help="smoke: serve replica count (>= 2)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="smoke: remote worker subprocess count")
-    parser.add_argument("--throttle", type=float, default=0.4,
-                        help="smoke: per-cell pacing (kill window)")
-    parser.add_argument("--timeout", type=float, default=300.0)
-    args = parser.parse_intermixed_args(argv)
-
-    if args.action == "smoke":
-        from .fleet.smoke import main as smoke_main
-
-        return smoke_main(["--cache", args.cache,
-                           "--hosts", str(args.hosts),
-                           "--workers", str(args.workers),
-                           "--throttle", str(args.throttle),
-                           "--timeout", str(args.timeout)])
-    # status
-    from .fleet.topology import parse_peer_url
-    from .service.client import ServiceClient
-
-    host, port = parse_peer_url(args.server)
-    with ServiceClient(host=host, port=port, timeout=10.0) as client:
-        payload = {"fleet": client.fleet(),
-                   "metrics": client.fleet_metrics()["totals"]}
-    print(json_module.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -764,8 +688,6 @@ def main(argv=None):
             return run_jobs(argv[1:])
         if argv and argv[0] == "store":
             return run_store(argv[1:])
-        if argv and argv[0] == "fleet":
-            return run_fleet(argv[1:])
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; not an error.
         os.close(sys.stdout.fileno())

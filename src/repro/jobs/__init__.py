@@ -23,7 +23,6 @@ inspect results with ``repro store ls|show``.  See ``docs/JOBS.md``.
 """
 
 from .queue import Job, JobQueue, JOB_STATES
-from .remote import RemoteJobQueue, make_lease_token, parse_lease_token
 from .worker import (
     WorkerStats,
     execute_study_job,
@@ -37,10 +36,7 @@ __all__ = [
     "JOB_STATES",
     "Job",
     "JobQueue",
-    "RemoteJobQueue",
     "WorkerStats",
-    "make_lease_token",
-    "parse_lease_token",
     "execute_study_job",
     "load_sweep_results",
     "normalize_study_spec",

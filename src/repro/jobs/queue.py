@@ -176,18 +176,28 @@ class JobQueue:
 
     def submit(self, kind, spec, priority=0, max_attempts=3):
         """Enqueue one job; returns its id."""
-        job_id = new_job_id()
+        return self.enqueue(kind, spec, priority, max_attempts).id
+
+    def enqueue(self, kind, spec, priority=0, max_attempts=3):
+        """:meth:`submit`, returning the :class:`Job` as inserted.
+
+        A worker may claim the job as soon as the insert commits, so a
+        caller that reports the new job must not read it back.
+        """
         now = time.time()
+        job = Job(id=new_job_id(), kind=kind, spec=spec, state="queued",
+                  priority=int(priority), max_attempts=int(max_attempts),
+                  created_at=now, updated_at=now)
         with self._txn() as conn:
             conn.execute(
                 "INSERT INTO jobs (id, kind, spec, state, priority, "
                 "max_attempts, created_at, updated_at) "
                 "VALUES (?, ?, ?, 'queued', ?, ?, ?, ?)",
-                (job_id, kind, json.dumps(spec), int(priority),
-                 int(max_attempts), now, now),
+                (job.id, kind, json.dumps(spec), job.priority,
+                 job.max_attempts, now, now),
             )
         perf.count("jobs.submitted")
-        return job_id
+        return job
 
     def cancel(self, job_id):
         """Cancel a queued or running job.
@@ -248,8 +258,8 @@ class JobQueue:
     def claim(self, worker, lease_seconds=30.0):
         """Atomically claim the best queued job; ``None`` when idle.
 
-        Also re-queues any expired leases first, so a fleet of plain
-        workers is self-healing without a supervisor.
+        Also re-queues any expired leases first, so independent workers
+        sharing the queue file are self-healing without a supervisor.
         """
         now = time.time()
         with self._txn() as conn:
@@ -274,16 +284,12 @@ class JobQueue:
         return Job.from_row(claimed)
 
     def heartbeat(self, job_id, worker, lease_seconds=30.0,
-                  progress=None, attempt=None):
+                  progress=None):
         """Extend the lease (and optionally record progress).
 
         Returns False when the job is no longer this worker's — it was
         cancelled, or the lease expired and another worker took over —
-        in which case the worker must abandon the job.  ``attempt``
-        (when given) additionally fences against the worker's *own*
-        stale claim: a lease that expired and was re-claimed bumped the
-        attempt counter, so updates carrying the old attempt number are
-        rejected even if the same worker holds the new claim.
+        in which case the worker must abandon the job.
         """
         now = time.time()
         sets = ["lease_expires_at = ?", "updated_at = ?"]
@@ -292,60 +298,40 @@ class JobQueue:
             sets.append("progress = ?")
             args.append(json.dumps(progress))
         args += [job_id, worker]
-        clause = ""
-        if attempt is not None:
-            clause = " AND attempts = ?"
-            args.append(int(attempt))
         with self._txn() as conn:
             cursor = conn.execute(
                 "UPDATE jobs SET %s WHERE id = ? AND worker = ? "
-                "AND state = 'running'%s" % (", ".join(sets), clause),
+                "AND state = 'running'" % ", ".join(sets),
                 args,
             )
         return cursor.rowcount == 1
 
-    def complete(self, job_id, worker, result_key=None, attempt=None):
-        """Mark a running job done; False when ownership was lost.
-
-        ``attempt`` fences stale claims exactly as in
-        :meth:`heartbeat` — the remote-claim protocol always passes it.
-        """
+    def complete(self, job_id, worker, result_key=None):
+        """Mark a running job done; False when ownership was lost."""
         now = time.time()
-        args = [now, now, result_key, job_id, worker]
-        clause = ""
-        if attempt is not None:
-            clause = " AND attempts = ?"
-            args.append(int(attempt))
         with self._txn() as conn:
             cursor = conn.execute(
                 "UPDATE jobs SET state = 'done', updated_at = ?, "
                 "finished_at = ?, lease_expires_at = NULL, error = NULL, "
                 "result_key = ? "
-                "WHERE id = ? AND worker = ? AND state = 'running'"
-                + clause,
-                args,
+                "WHERE id = ? AND worker = ? AND state = 'running'",
+                (now, now, result_key, job_id, worker),
             )
         if cursor.rowcount == 1:
             perf.count("jobs.completed")
             return True
         return False
 
-    def fail(self, job_id, worker, error, attempt=None):
+    def fail(self, job_id, worker, error):
         """Record a failure: re-queue while attempts remain, else park
         the job in ``failed``.  Returns the resulting state (or None
         when ownership was lost)."""
         now = time.time()
-        args = [job_id, worker]
-        clause = ""
-        if attempt is not None:
-            clause = " AND attempts = ?"
-            args.append(int(attempt))
         with self._txn() as conn:
             row = conn.execute(
                 "SELECT attempts, max_attempts FROM jobs "
-                "WHERE id = ? AND worker = ? AND state = 'running'"
-                + clause,
-                args,
+                "WHERE id = ? AND worker = ? AND state = 'running'",
+                (job_id, worker),
             ).fetchone()
             if row is None:
                 return None

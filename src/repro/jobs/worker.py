@@ -20,8 +20,8 @@ Run one from the shell::
 
     python -m repro.jobs.worker --queue jobs.db --once
 
-or keep a fleet draining the queue (each worker is independent; the
-lease protocol needs no coordinator)::
+or keep several draining one queue file (each worker is independent;
+the lease protocol needs no coordinator)::
 
     python -m repro.jobs.worker --queue jobs.db --lease 60
 
@@ -247,12 +247,6 @@ def execute_study_job(job, queue, store, worker_id, sessions,
     or ``"stopped"`` (graceful worker shutdown; the lease will expire
     and the job will be re-queued)."""
     spec = normalize_study_spec(job.spec)
-    # Fleet plumbing (both hooks are optional on plain local stacks):
-    # thread the claim's correlation id into the store's sync traffic so
-    # one sweep's id survives the host hops.
-    request_id_for = getattr(queue, "request_id_for", None)
-    if request_id_for is not None and hasattr(store, "set_request_id"):
-        store.set_request_id(request_id_for(job.id))
     session = sessions.for_spec(spec)
     space = DesignSpace()
     cells = study_cell_keys(session, spec, space)
@@ -295,11 +289,6 @@ def execute_study_job(job, queue, store, worker_id, sessions,
               make_provenance(inputs={"job": job.id, "spec": {
                   k: v for k, v in spec.items() if k != "cache_path"}},
                   worker=worker_id))
-    if hasattr(store, "flush"):
-        # Replicated store: settle any write-back backlog before the
-        # queue marks the job done, so "done" implies every replica
-        # that is reachable holds every cell.
-        store.flush()
     return "done" if queue.complete(job.id, worker_id,
                                     result_key=key) else "lost"
 
@@ -321,11 +310,11 @@ class WorkerStats:
     outcomes: list = field(default_factory=list)   # (job_id, outcome)
 
 
-def run_worker(queue_path=None, store_path=None, worker_id=None,
+def run_worker(queue_path, store_path=None, worker_id=None,
                lease_seconds=30.0, poll_interval=0.5, max_jobs=None,
                once=False, stop=None, sessions=None,
                default_cache_path=None, throttle=0.0, log=None,
-               arena_name=None, queue=None, store=None):
+               arena_name=None, store=None):
     """The worker loop: claim -> execute -> repeat.
 
     ``once`` waits (polling) for the first claimable job, runs it, and
@@ -334,21 +323,12 @@ def run_worker(queue_path=None, store_path=None, worker_id=None,
     path — both subsystems happily share one SQLite file.
     ``arena_name`` points the default :class:`SessionProvider` at a
     published shared-memory session arena (zero-copy warm start).
-
-    ``queue``/``store`` accept pre-built queue- and store-like objects
-    instead of paths — that is how a fleet worker drains a **remote**
-    queue (:class:`~repro.jobs.remote.RemoteJobQueue`) and replicates
-    its checkpoints (:class:`~repro.store.ReplicatedStore`); the loop
-    itself is identical either way.
+    ``store`` takes an open :class:`~repro.store.ExperimentStore` in
+    place of ``store_path``; the service's background workers share the
+    server's store that way.
     """
-    if queue is None:
-        if queue_path is None:
-            raise JobError("run_worker needs queue_path or queue")
-        queue = JobQueue(queue_path)
+    queue = JobQueue(queue_path)
     if store is None:
-        if store_path is None and queue_path is None:
-            raise JobError("run_worker needs store_path or store when "
-                           "the queue is remote")
         store = ExperimentStore(store_path or queue_path)
     worker_id = worker_id or new_worker_id()
     sessions = sessions or SessionProvider(default_cache_path,
@@ -425,20 +405,11 @@ def main(argv=None):
         description="Claim and execute durable study jobs "
                     "(see docs/JOBS.md).",
     )
-    parser.add_argument("--queue", default=None,
-                        help="job queue SQLite path (local mode)")
-    parser.add_argument("--server", default=None, metavar="URL",
-                        help="claim jobs from this repro serve instance "
-                             "over HTTP instead of a local queue file "
-                             "(fleet mode; see docs/FLEET.md)")
+    parser.add_argument("--queue", required=True,
+                        help="job queue SQLite path")
     parser.add_argument("--store", default=None,
                         help="experiment store path (default: the "
-                             "queue file; required with --server)")
-    parser.add_argument("--replicate", action="append", default=[],
-                        metavar="URL",
-                        help="replicate store checkpoints to this serve "
-                             "replica (repeatable; read-through on "
-                             "miss, write-back on put)")
+                             "queue file)")
     parser.add_argument("--once", action="store_true",
                         help="wait for one job, run it, exit")
     parser.add_argument("--max-jobs", type=int, default=None,
@@ -459,25 +430,6 @@ def main(argv=None):
                              "arena (zero-copy warm start; falls back "
                              "to the cache when unavailable)")
     args = parser.parse_args(argv)
-    if bool(args.queue) == bool(args.server):
-        parser.error("exactly one of --queue (local) or --server "
-                     "(remote) is required")
-    if args.server and not args.store:
-        parser.error("--server needs --store (the worker's local "
-                     "checkpoint store)")
-
-    queue = store = None
-    if args.server:
-        from ..store.replicated import ReplicatedStore
-        from .remote import RemoteJobQueue
-
-        queue = RemoteJobQueue(args.server)
-        store = ReplicatedStore(args.store, replicas=args.replicate)
-    elif args.replicate:
-        from ..store.replicated import ReplicatedStore
-
-        store = ReplicatedStore(args.store or args.queue,
-                                replicas=args.replicate)
 
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -487,7 +439,6 @@ def main(argv=None):
             pass    # not the main thread
     stats = run_worker(
         queue_path=args.queue, store_path=args.store,
-        queue=queue, store=store,
         worker_id=args.worker_id, lease_seconds=args.lease,
         poll_interval=args.poll, max_jobs=args.max_jobs,
         once=args.once, stop=stop,

@@ -44,7 +44,10 @@ def _require(body, field, kind, default=None):
     if value is None:
         raise BadRequest("missing required field %r" % field)
     if kind is float and isinstance(value, int):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf        # rejected as non-finite below
     if kind is int and isinstance(value, bool):
         raise BadRequest("field %r must be an integer" % field)
     if not isinstance(value, kind):
@@ -52,6 +55,11 @@ def _require(body, field, kind, default=None):
             "field %r must be %s, got %r"
             % (field, kind.__name__, type(value).__name__)
         )
+    # Python's json parses NaN and Infinity; no engine input may be
+    # either.
+    if kind is float and not math.isfinite(value):
+        raise BadRequest("field %r must be finite, got %r"
+                         % (field, value))
     return value
 
 
@@ -137,7 +145,7 @@ class ParetoRequest:
 
         def exponent(field):
             value = _require(body, field, float, default=1.0)
-            if not math.isfinite(value) or value <= 0.0:
+            if value <= 0.0:
                 raise BadRequest(
                     "field %r must be a finite positive number, got %r"
                     % (field, value)
@@ -337,10 +345,13 @@ class MonteCarloRequest:
         include = body.get("include_samples", False)
         if not isinstance(include, bool):
             raise BadRequest("include_samples must be a boolean")
+        seed = _require(body, "seed", int, default=0)
+        if seed < 0:
+            raise BadRequest("seed must be >= 0, got %d" % seed)
         return cls(
             flavor=_choice(body, "flavor", FLAVORS, "hvt"),
             n=n,
-            seed=_require(body, "seed", int, default=0),
+            seed=seed,
             metrics=metrics,
             engine=_choice(body, "engine", CELL_ENGINES, "batched"),
             include_samples=include,

@@ -36,23 +36,17 @@ class ServiceClient:
     """
 
     def __init__(self, host="127.0.0.1", port=8787, timeout=300.0,
-                 max_retries=2, backoff_base=0.05, backoff_cap=5.0,
-                 connect_timeout=None):
+                 max_retries=2, backoff_base=0.05, backoff_cap=5.0):
         self.host = host
         self.port = port
-        self.timeout = timeout                  # read timeout [s]
-        #: TCP connect budget [s]; defaults to the read timeout.  Fleet
-        #: callers set it low so a dead peer fails fast while slow
-        #: searches may still stream back under the longer read budget.
-        self.connect_timeout = (timeout if connect_timeout is None
-                                else connect_timeout)
+        self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         #: Sockets opened over this client's lifetime.  Sequential
         #: requests ride one keep-alive connection, so this stays at 1
-        #: until the server closes it (asserted in the tests — the
-        #: fleet's heartbeat traffic depends on the reuse).
+        #: until the server closes it (asserted in the tests — load
+        #: generators depend on the reuse).
         self.connections_opened = 0
         self._conn = None
 
@@ -61,7 +55,7 @@ class ServiceClient:
     def _connection(self):
         if self._conn is None:
             self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.connect_timeout
+                self.host, self.port, timeout=self.timeout
             )
             self.connections_opened += 1
         return self._conn
@@ -79,7 +73,7 @@ class ServiceClient:
         return False
 
     def request(self, method, path, body=None, check=True,
-                request_id=None, extra_headers=None):
+                request_id=None):
         """One logical round trip; returns ``(status, payload, headers)``.
 
         ``check=True`` raises :class:`ServiceError` on any non-2xx
@@ -91,7 +85,7 @@ class ServiceClient:
         budget = self.max_retries if check else 0
         for backoff_attempt in range(budget + 1):
             status, payload, response_headers = self._roundtrip(
-                method, path, body, request_id, extra_headers)
+                method, path, body, request_id)
             if status != 429 or backoff_attempt >= budget:
                 break
             retry_after = response_headers.get("retry-after")
@@ -112,14 +106,11 @@ class ServiceClient:
             )
         return status, payload, response_headers
 
-    def _roundtrip(self, method, path, body, request_id,
-                   extra_headers=None):
+    def _roundtrip(self, method, path, body, request_id):
         """One wire round trip (no status policy, no 429 retries)."""
         encoded = None
         headers = {"X-Request-Id": request_id or
                    "cli-%s" % uuid.uuid4().hex[:12]}
-        if extra_headers:
-            headers.update(extra_headers)
         if body is not None:
             encoded = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -127,11 +118,6 @@ class ServiceClient:
             conn = self._connection()
             try:
                 conn.request(method, path, body=encoded, headers=headers)
-                # HTTPConnection's timeout governed the connect; once
-                # the socket exists, widen it to the read budget.
-                if (conn.sock is not None
-                        and self.timeout != self.connect_timeout):
-                    conn.sock.settimeout(self.timeout)
                 response = conn.getresponse()
                 raw = response.read()
                 break
@@ -248,36 +234,6 @@ class ServiceClient:
                     "job %s still %r after %.0f s"
                     % (job_id, payload["state"], timeout), status=504)
             time.sleep(interval)
-
-    def store_get(self, key, request_id=None):
-        """One replicated-store blob ``{key, payload, provenance}``, or
-        ``None`` when the replica does not hold it."""
-        status, payload, _ = self.request(
-            "GET", "/v1/store/%s" % key, check=False,
-            request_id=request_id)
-        if status == 404:
-            return None
-        if not 200 <= status < 300:
-            raise ServiceError(
-                "GET /v1/store/%s failed: HTTP %d: %s"
-                % (key, status, payload.get("error", "(no error body)")),
-                status=status)
-        return payload
-
-    def store_put(self, key, payload, provenance=None, request_id=None):
-        """Sync one blob to the replica (idempotent write-back)."""
-        return self.request("PUT", "/v1/store/%s" % key,
-                            {"payload": payload,
-                             "provenance": provenance or {}},
-                            request_id=request_id)[1]
-
-    def fleet(self):
-        """Topology + peer health of the replica (``GET /v1/fleet``)."""
-        return self.request("GET", "/v1/fleet")[1]
-
-    def fleet_metrics(self):
-        """Fleet-wide metrics aggregated across reachable replicas."""
-        return self.request("GET", "/v1/fleet/metrics")[1]
 
     def montecarlo(self, n, flavor="hvt", seed=0, metrics=("hsnm", "rsnm"),
                    engine="batched", include_samples=False):

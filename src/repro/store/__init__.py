@@ -20,11 +20,8 @@ traced back to the code and configuration that produced it.
   (bit-identical) round trip of an
   :class:`~repro.opt.results.OptimizationResult`
 * :class:`ExperimentStore` — the SQLite-backed store itself
-* :class:`ReplicatedStore` — the same surface fronted by read-through /
-  write-back replication across fleet peers (:mod:`repro.fleet`)
 """
 
-from .replicated import ReplicatedStore, StoreReplica
 from .store import (
     ENGINE_VERSION,
     STORE_SCHEMA,
@@ -45,8 +42,6 @@ __all__ = [
     "ENGINE_VERSION",
     "STORE_SCHEMA",
     "ExperimentStore",
-    "ReplicatedStore",
-    "StoreReplica",
     "canonical_key",
     "cell_key",
     "make_provenance",

@@ -142,6 +142,46 @@ def test_jobs_disabled_server_answers_404(paper_session):
             assert "jobs" in payload["error"]
 
 
+def test_submit_answers_queued_when_claimed_before_the_answer(
+        paper_session, tmp_path):
+    """A worker may claim a job the moment its insert commits; the 202
+    still describes the job as submitted."""
+    config = ServiceConfig(port=0, executor="thread", workers=1,
+                           cache_path=CACHE_PATH,
+                           jobs_path=str(tmp_path / "race-jobs.db"),
+                           job_workers=0)
+    with ServerThread(config, session=paper_session) as running:
+        queue = running.server.jobs
+        enqueue = queue.enqueue
+
+        def enqueue_then_claim(*args, **kwargs):
+            job = enqueue(*args, **kwargs)
+            assert queue.claim("other-worker", 30.0).id == job.id
+            return job
+
+        queue.enqueue = enqueue_then_claim
+        with ServiceClient(port=running.port) as c:
+            accepted = c.submit_job(SPEC)
+            assert accepted["state"] == "queued"
+            assert accepted["attempts"] == 0
+            assert c.job(accepted["id"])["state"] == "running"
+
+
+def test_metrics_exposes_queue_depth_gauges(paper_session, tmp_path):
+    config = ServiceConfig(port=0, executor="thread", workers=2,
+                           cache_path=CACHE_PATH,
+                           jobs_path=str(tmp_path / "gauge-jobs.db"),
+                           job_workers=0)
+    with ServerThread(config, session=paper_session) as service:
+        with ServiceClient(port=service.port) as client:
+            client.submit_job({"capacities": [128], "flavors": ["lvt"],
+                               "methods": ["M1"]})
+            gauges = client.metrics()["gauges"]
+    assert gauges["jobs.queued"] == 1
+    for state in ("running", "done", "failed", "cancelled"):
+        assert gauges["jobs.%s" % state] == 0
+
+
 # ---------------------------------------------------------------------------
 # Request-id correlation
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ from repro.cell.montecarlo import run_cell_montecarlo
 from repro.cell.sram6t import SRAM6TCell
 from repro.errors import ServiceError
 from repro.service import ServerThread, ServiceClient, ServiceConfig
+from repro.service.server import ROUTES
+
+from .conftest import CACHE_PATH
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,84 @@ def test_wrong_method_is_405(client):
                                         check=False)
     assert status == 405
     assert headers.get("allow") == "GET"
+
+
+#: Every endpoint and exactly the methods it serves (``{job_id}`` is
+#: filled with an unknown id).
+ENDPOINT_METHODS = {
+    "/healthz": {"GET"},
+    "/metrics": {"GET"},
+    "/v1/optimize": {"POST"},
+    "/v1/pareto": {"POST"},
+    "/v1/yield": {"POST"},
+    "/v1/evaluate": {"POST"},
+    "/v1/montecarlo": {"POST"},
+    "/v1/jobs": {"GET", "POST"},
+    "/v1/jobs/{job_id}": {"GET", "DELETE"},
+}
+
+
+def test_route_table(paper_session, tmp_path):
+    assert {route.template for route in ROUTES} == set(ENDPOINT_METHODS)
+    config = ServiceConfig(port=0, executor="thread", workers=1,
+                           cache_path=CACHE_PATH,
+                           jobs_path=str(tmp_path / "routes.db"),
+                           job_workers=0)
+    with ServerThread(config, session=paper_session) as running:
+        with ServiceClient(port=running.port) as c:
+            for template, methods in ENDPOINT_METHODS.items():
+                path = template.replace("{job_id}", "job-nope")
+                for method in {"GET", "POST", "PUT", "DELETE",
+                               "PATCH"} - methods:
+                    status, _, headers = c.request(method, path,
+                                                   check=False)
+                    assert status == 405, (method, path)
+                    assert set(headers["allow"].split(", ")) == methods
+            status, payload, _ = c.request("GET", "/v1/nope",
+                                           check=False)
+            assert status == 404
+            assert "unknown path" in payload["error"]
+            for method, path in (("GET", "/v1/fleet"),
+                                 ("GET", "/v1/fleet/metrics"),
+                                 ("GET", "/v1/store/cell-0123abcd"),
+                                 ("PUT", "/v1/store/cell-0123abcd"),
+                                 ("POST", "/v1/jobs/claim"),
+                                 ("POST", "/v1/jobs/job-nope/heartbeat")):
+                status, _, _ = c.request(method, path, body={},
+                                         check=False)
+                assert status in (404, 405), (method, path)
+
+            # Every POST answers 503 while draining; GETs still answer.
+            running.server._draining = True
+            try:
+                for path in ("/v1/optimize", "/v1/jobs"):
+                    status, payload, _ = c.request("POST", path, body={},
+                                                   check=False)
+                    assert status == 503, path
+                    assert "draining" in payload["error"]
+                assert c.healthz()["status"] == "draining"
+            finally:
+                running.server._draining = False
+
+        # A body shorter than its Content-Length, then EOF: 400, and
+        # the server keeps serving new connections.
+        with socket.create_connection(("127.0.0.1", running.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"POST /v1/optimize HTTP/1.1\r\n"
+                         b"Content-Length: 100\r\n\r\n"
+                         b'{"capacity_bytes": 1')
+            sock.shutdown(socket.SHUT_WR)
+            response = sock.recv(65536).decode("latin-1")
+        assert response.startswith("HTTP/1.1 400 ")
+        with ServiceClient(port=running.port) as c:
+            assert c.healthz()["status"] == "ok"
+
+
+def test_sequential_requests_reuse_one_connection(service):
+    with ServiceClient(port=service.port) as client:
+        for _ in range(5):
+            client.healthz()
+        assert client.connections_opened == 1
 
 
 def test_invalid_body_is_400(client):
@@ -342,6 +423,47 @@ def test_concurrent_identical_optimize_runs_engine_once(service):
     # At least one of the two answers was computed (not a cache hit),
     # and neither triggered a second search.
     assert any(not r["meta"]["cached"] for r in results)
+
+
+# ---------------------------------------------------------------------------
+# Bad input is refused before it can join (and fail) a batch
+# ---------------------------------------------------------------------------
+
+EVALUATE_DESIGN = {"n_r": 64, "n_c": 32, "n_pre": 2, "n_wr": 2,
+                   "v_ddc": 0.60, "v_ssc": 0.0, "v_wl": 0.55, "v_bl": 0.0}
+
+
+@pytest.mark.parametrize("route, bad, good", [
+    ("/v1/montecarlo",
+     {"n": 4, "seed": -1, "flavor": "hvt", "metrics": ["hsnm"]},
+     {"n": 4, "seed": 1, "flavor": "hvt", "metrics": ["hsnm"]}),
+    ("/v1/evaluate",
+     {"flavor": "lvt", "design": dict(EVALUATE_DESIGN, v_ddc=float("nan"))},
+     {"flavor": "lvt", "design": EVALUATE_DESIGN}),
+    ("/v1/evaluate",
+     {"flavor": "lvt", "design": dict(EVALUATE_DESIGN, v_bl=float("inf"))},
+     {"flavor": "lvt", "design": EVALUATE_DESIGN}),
+    ("/v1/evaluate",
+     {"flavor": "lvt", "design": dict(EVALUATE_DESIGN, v_ssc=10 ** 400)},
+     {"flavor": "lvt", "design": EVALUATE_DESIGN}),
+], ids=["negative-seed", "nan-float", "infinite-float", "float-overflow"])
+def test_bad_input_is_400_and_spares_its_batch_mates(paper_session, route,
+                                                     bad, good):
+    # A wide batch window, so a bad body that got past validation would
+    # share one dispatch with the good one.
+    config = ServiceConfig(port=0, executor="thread", workers=1,
+                           max_wait_ms=200.0)
+    with ServerThread(config, session=paper_session) as running:
+        def post(body):
+            with ServiceClient(port=running.port) as c:
+                return c.request("POST", route, body, check=False)[:2]
+
+        status, payload = post(bad)
+        assert status == 400, payload
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            bad_answer, good_answer = pool.map(post, (bad, good))
+    assert bad_answer[0] == 400
+    assert good_answer[0] == 200, good_answer[1]
 
 
 # ---------------------------------------------------------------------------
