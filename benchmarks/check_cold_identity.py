@@ -1,0 +1,113 @@
+"""CI gate: a cold characterization must reproduce the committed cache
+bit for bit.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/check_cold_identity.py
+
+Both flavors are characterized with the full default grids (the NAND2-5
+gate library included) into one empty temporary cache, and every entry
+of the fresh cache under the current ``VERSION`` prefix is compared
+with the same key of the committed ``.repro_cache.json``.  The
+comparison is JSON equality with no tolerance: a float that moved by one
+ulp fails.  On a mismatch the gate names the key and the first differing
+field.
+
+This is the only check that runs the simulator end to end against the
+committed answers: the tier-1 suite reads the committed cache instead of
+characterizing, and the benchmark's cold workload covers one flavor's
+INV+NAND2 slice.
+
+Exit codes: 0 = every entry equal, 1 = a mismatch or a missing entry.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import tempfile
+import time
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+TRACKED_CACHE = os.path.join(_HERE, "..", ".repro_cache.json")
+
+#: Both device flavors the committed cache holds.
+FLAVORS = ("hvt", "lvt")
+
+
+def first_difference(fresh, tracked, path=""):
+    """Path of the first field where two JSON values differ, or None."""
+    if isinstance(fresh, dict) and isinstance(tracked, dict):
+        for key in sorted(set(fresh) | set(tracked)):
+            where = "%s.%s" % (path, key) if path else key
+            if key not in fresh or key not in tracked:
+                return where + " (missing on one side)"
+            found = first_difference(fresh[key], tracked[key], where)
+            if found is not None:
+                return found
+        return None
+    if isinstance(fresh, list) and isinstance(tracked, list):
+        if len(fresh) != len(tracked):
+            return "%s (length %d vs %d)" % (path, len(fresh), len(tracked))
+        for k, (a, b) in enumerate(zip(fresh, tracked)):
+            found = first_difference(a, b, "%s[%d]" % (path, k))
+            if found is not None:
+                return found
+        return None
+    if fresh != tracked or type(fresh) is not type(tracked):
+        return "%s (%r vs committed %r)" % (path, fresh, tracked)
+    return None
+
+
+def cold_cache(flavors, path):
+    """Characterize ``flavors`` into an empty cache at ``path``."""
+    from repro.devices.library import DeviceLibrary
+    from repro.lut.cache import CharacterizationCache
+    from repro.periphery.characterize import characterize
+
+    library = DeviceLibrary.default_7nm()
+    cache = CharacterizationCache(path)
+    for flavor in flavors:
+        start = time.perf_counter()
+        characterize(library, flavor, cache=cache)
+        print("%s: characterized cold in %.1f s"
+              % (flavor, time.perf_counter() - start))
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def compare(fresh, tracked, version):
+    """Failures of the fresh ``version`` entries against ``tracked``."""
+    keys = sorted(k for k in fresh if k.startswith(version + ":"))
+    if not keys:
+        return ["the fresh cache holds no %s entries" % version]
+    failures = []
+    for key in keys:
+        if key not in tracked:
+            failures.append("%s: not in the committed cache" % key)
+            continue
+        where = first_difference(fresh[key], tracked[key])
+        if where is not None:
+            failures.append("%s: differs at %s" % (key, where))
+        else:
+            print("equal: %s" % key)
+    return failures
+
+
+def main():
+    from repro.periphery.characterize import VERSION
+
+    with open(TRACKED_CACHE) as handle:
+        tracked = json.load(handle)
+    with tempfile.TemporaryDirectory() as scratch:
+        fresh = cold_cache(FLAVORS, os.path.join(scratch, "cold.json"))
+    failures = compare(fresh, tracked, VERSION)
+    for failure in failures:
+        print("MISMATCH " + failure)
+    print("cold-identity gate: %s" % ("FAIL" if failures else "PASS"))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

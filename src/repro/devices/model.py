@@ -18,25 +18,41 @@ width-quantization property the paper highlights.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from ..units import PHI_T
 from .params import FinFETParams
-from .smooth import power, safe_exp, sigmoid, softplus, tanh_sat
+from .smooth import power, safe_exp, softplus, softplus_with_slope, tanh_sat
 
-__all__ = ["FinFET", "ids_core", "ids_core_with_derivatives"]
+__all__ = [
+    "FinFET",
+    "ids_core",
+    "ids_core_with_derivatives",
+    "parameter_columns",
+    "terminal_current",
+    "terminal_current_and_derivatives",
+]
 
 
 def ids_core(vgs, vds, params):
     """Forward-mode drain current per fin for ``vds >= 0`` [A].
 
     See :class:`repro.devices.params.FinFETParams` for the equations.
-    Accepts scalars or numpy arrays.
+    Accepts scalars or numpy arrays.  The expressions are exactly those
+    :func:`ids_core_with_derivatives` evaluates for its current, minus
+    the partials, so the two agree bit for bit.
     """
-    current, _unused_dvgs, _unused_dvds = ids_core_with_derivatives(
-        vgs, vds, params
-    )
-    return current
+    p = params
+    veff = softplus(vgs - p.vt, p.gamma_s)
+    pref = p.b * power(veff, p.alpha)
+    vdsat = p.kappa_sat * veff + p.vdsat0
+    sat = np.tanh(vds / vdsat)
+    clm = 1.0 + p.lambda_ * vds
+    i_channel = pref * sat * clm
+    i_floor = p.i_floor * (1.0 - safe_exp(-vds / PHI_T))
+    return i_channel + i_floor
 
 
 def ids_core_with_derivatives(vgs, vds, params):
@@ -48,8 +64,7 @@ def ids_core_with_derivatives(vgs, vds, params):
     p = params
 
     # Channel branch (covers subthreshold and strong inversion).
-    veff = softplus(vgs - p.vt, p.gamma_s)
-    dveff = sigmoid(vgs - p.vt, p.gamma_s)
+    veff, dveff = softplus_with_slope(vgs - p.vt, p.gamma_s)
     pref = p.b * power(veff, p.alpha)
     dpref_dvgs = p.b * p.alpha * power(veff, p.alpha - 1.0) * dveff
     vdsat = p.kappa_sat * veff + p.vdsat0
@@ -61,16 +76,92 @@ def ids_core_with_derivatives(vgs, vds, params):
     di_channel_dvds = pref * (dsat_dvds * clm + sat * p.lambda_)
 
     # Gate-independent leakage floor (junction/GIDL).
-    drain_dep = 1.0 - safe_exp(-vds / PHI_T)
-    ddrain_dvds = safe_exp(-vds / PHI_T) / PHI_T
-    i_floor = p.i_floor * drain_dep
-    di_floor_dvds = p.i_floor * ddrain_dvds
+    decay = safe_exp(-vds / PHI_T)
+    i_floor = p.i_floor * (1.0 - decay)
+    di_floor_dvds = p.i_floor * (decay / PHI_T)
 
     return (
         i_channel + i_floor,
         di_channel_dvgs,
         di_channel_dvds + di_floor_dvds,
     )
+
+
+def _mirror_and_orient(vg, vd, vs, polarity):
+    """Core-model coordinates ``(fwd, vgs, vds, sign)`` of a terminal bias.
+
+    A PFET (``polarity`` -1.0) is mirrored onto the NFET equations by
+    negating its terminal voltages; then the higher of drain and source
+    acts as the drain (``fwd`` marks the forward orientation and
+    ``sign`` is +1.0 there, -1.0 reversed).
+    """
+    vg = polarity * np.asarray(vg, dtype=float)
+    vd = polarity * np.asarray(vd, dtype=float)
+    vs = polarity * np.asarray(vs, dtype=float)
+    fwd = vd >= vs
+    # Forward: (vgs, vds) = (vg-vs, vd-vs); reverse swaps d and s.
+    low = np.where(fwd, vs, vd)
+    vgs = vg - low
+    vds = np.where(fwd, vd, vs) - low
+    return fwd, vgs, vds, np.where(fwd, 1.0, -1.0)
+
+
+def terminal_current(vg, vd, vs, params, polarity=1.0):
+    """Drain-terminal current per fin [A] (no partials).
+
+    The current-only path of :func:`terminal_current_and_derivatives`:
+    the same operations minus the partials, so it returns the same bits.
+    """
+    _fwd, vgs, vds, sign = _mirror_and_orient(vg, vd, vs, polarity)
+    return polarity * (sign * ids_core(vgs, vds, params))
+
+
+def terminal_current_and_derivatives(vg, vd, vs, params, polarity=1.0):
+    """Drain-terminal current per fin [A] and its partials (vg, vd, vs).
+
+    The one device kernel every caller shares: :class:`FinFET` evaluates
+    a single device through it, and the simulator's compiled stamp plan
+    evaluates all of a circuit's transistors in one call, with
+    ``params`` holding per-transistor parameter columns and
+    ``polarity`` a matching column of +1.0 (NFET) / -1.0 (PFET).
+
+    A PFET runs through the NFET equations on negated terminal
+    voltages, ``I_p(vg, vd, vs) = -I_n(-vg, -vd, -vs)``: negation and
+    multiplication by +-1.0 are exact, and the partials pick up the
+    sign twice, so they need no correction.
+
+    Returns ``(i, di/dvg, di/dvd, di/dvs)``.
+    """
+    fwd, vgs, vds, sign = _mirror_and_orient(vg, vd, vs, polarity)
+    i, di_dvgs, di_dvds = ids_core_with_derivatives(vgs, vds, params)
+    d_vg = sign * di_dvgs
+    d_high = sign * di_dvds  # partial w.r.t. the higher terminal
+    d_low = -(d_vg + d_high)
+    # Forward: d/dvd = di_dvds, d/dvs = -(di_dvgs + di_dvds).
+    # Reverse: the roles of vd and vs exchange.
+    d_vd = np.where(fwd, d_high, d_low)
+    d_vs = np.where(fwd, d_low, d_high)
+    return polarity * (sign * i), d_vg, d_vd, d_vs
+
+
+#: Every compact-model parameter the kernel reads from ``params``.
+_KERNEL_PARAMS = ("vt", "b", "alpha", "gamma_s", "i_floor", "lambda_",
+                  "kappa_sat", "vdsat0")
+
+
+def parameter_columns(param_sets):
+    """Kernel parameters of ``k`` devices as ``(k, 1)`` float columns.
+
+    The result stands in for ``params`` when
+    :func:`terminal_current_and_derivatives` evaluates the ``k`` devices
+    in one call: row ``j`` holds ``param_sets[j]``'s values and
+    broadcasts against ``(k, lanes)`` terminal voltages.
+    """
+    return SimpleNamespace(**{
+        name: np.array([getattr(p, name) for p in param_sets],
+                       dtype=float).reshape(-1, 1)
+        for name in _KERNEL_PARAMS
+    })
 
 
 class FinFET:
@@ -107,68 +198,35 @@ class FinFET:
 
     # -- raw current --------------------------------------------------------
 
+    @property
+    def polarity_sign(self):
+        """+1.0 for an NFET, -1.0 for a PFET (the kernel's mirroring)."""
+        return 1.0 if self.params.polarity == "n" else -1.0
+
     def current(self, vg, vd, vs):
-        """Drain-terminal current [A] at the given node voltages."""
-        i, _dg, _dd, _dsrc = self.current_and_derivatives(vg, vd, vs)
-        return i
+        """Drain-terminal current [A] at the given node voltages.
+
+        Skips the partials; bitwise equal to
+        ``current_and_derivatives(vg, vd, vs)[0]``.
+        """
+        return self._scaled(terminal_current(
+            vg, vd, vs, self.params, self.polarity_sign))
 
     def current_and_derivatives(self, vg, vd, vs):
         """Drain current and partials w.r.t. (vg, vd, vs).
 
         Vectorizes over numpy arrays of node voltages.
         """
-        vg = np.asarray(vg, dtype=float)
-        vd = np.asarray(vd, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        if self.params.polarity == "n":
-            fwd = vd >= vs
-            # Forward: (vgs, vds) = (vg-vs, vd-vs); reverse swaps d and s.
-            vgs = np.where(fwd, vg - vs, vg - vd)
-            vds = np.where(fwd, vd - vs, vs - vd)
-            i, di_dvgs, di_dvds = ids_core_with_derivatives(
-                vgs, vds, self.params
-            )
-            sign = np.where(fwd, 1.0, -1.0)
-            current = sign * i
-            d_vg = sign * di_dvgs
-            d_high = sign * di_dvds  # partial w.r.t. the higher terminal
-            # Forward: d/dvd = di_dvds, d/dvs = -(di_dvgs + di_dvds).
-            # Reverse: the roles of vd and vs exchange.
-            d_vd = np.where(fwd, d_high, -(d_vg + d_high))
-            d_vs = np.where(fwd, -(d_vg + d_high), d_high)
-        else:
-            fwd = vs >= vd
-            vgs = np.where(fwd, vs - vg, vd - vg)
-            vds = np.where(fwd, vs - vd, vd - vs)
-            i, di_dvgs, di_dvds = ids_core_with_derivatives(
-                vgs, vds, self.params
-            )
-            sign = np.where(fwd, -1.0, 1.0)
-            current = sign * i
-            # d(vgs)/dvg = -1 in both orientations.
-            d_vg = -sign * di_dvgs
-            # Forward (vs >= vd): vgs = vs-vg, vds = vs-vd, I = -i:
-            #   d/dvd = +di_dvds,  d/dvs = -(di_dvgs + di_dvds).
-            # Reverse (vd > vs): vgs = vd-vg, vds = vd-vs, I = +i:
-            #   d/dvd = di_dvgs + di_dvds,  d/dvs = -di_dvds.
-            d_vd = np.where(fwd, di_dvds, di_dvgs + di_dvds)
-            d_vs = np.where(fwd, -(di_dvgs + di_dvds), -di_dvds)
-        # Single return path for scalars and arrays: scale by the fin
-        # count, then demote 0-d results to Python floats.  Multiplying
-        # before vs after the float() conversion is bitwise-equivalent
-        # (both are one float64 multiply), so scalar callers see exactly
-        # the values the old special case produced.
-        scale = float(self.nfin)
-        outputs = tuple(
-            np.asarray(term) * scale for term in (current, d_vg, d_vd, d_vs)
-        )
-        for term in outputs:
-            assert term.dtype == np.float64, (
-                "current_and_derivatives produced dtype %s" % term.dtype
-            )
-        if outputs[0].ndim == 0:
-            return tuple(term.item() for term in outputs)
-        return outputs
+        return tuple(self._scaled(term) for term in
+                     terminal_current_and_derivatives(
+                         vg, vd, vs, self.params, self.polarity_sign))
+
+    def _scaled(self, term):
+        # Scale by the fin count, then demote a 0-d result to a Python
+        # float.  Multiplying before vs after the float() conversion is
+        # bitwise-equivalent (both are one float64 multiply).
+        term = np.asarray(term) * float(self.nfin)
+        return term.item() if term.ndim == 0 else term
 
     # -- figures of merit -----------------------------------------------------
 

@@ -15,14 +15,20 @@ class ReproError(Exception):
 class ConvergenceError(ReproError):
     """A nonlinear or transient solve failed to converge.
 
-    Carries enough context (iteration count, worst residual, node name)
-    to diagnose the failure without re-running the solve.
+    Carries enough context to diagnose the failure without re-running
+    the solve: ``iterations`` and the worst ``residual`` [A] of the
+    failed Newton loop, the transient ``time`` point it was solving
+    (None for DC), and ``voltages``, a node name -> volts dict of its
+    last iterate.
     """
 
-    def __init__(self, message, iterations=None, residual=None):
+    def __init__(self, message, iterations=None, residual=None, time=None,
+                 voltages=None):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
+        self.time = time
+        self.voltages = voltages
 
 
 class NetlistError(ReproError):

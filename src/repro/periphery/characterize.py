@@ -63,6 +63,15 @@ class CharacterizationGrids:
     v_bl: tuple = (-0.20, -0.15, -0.10, -0.05, 0.0)
     nand_fan_ins: tuple = (2, 3, 4, 5)
 
+    def __post_init__(self):
+        # The 0.0 lane of the negative-BL flip sweep doubles as the
+        # no-assist flip voltage (see _characterize_cold).
+        if len(self.v_bl) == 0 or self.v_bl[-1] != 0.0:
+            raise ValueError(
+                "v_bl must end at 0.0 (the no-assist level); got %r"
+                % (self.v_bl,)
+            )
+
     def signature(self):
         return "ddc%d_ssc%d_wl%d_%g_bl%d" % (
             len(self.v_ddc), len(self.v_ssc), self.v_wl_points,
@@ -226,7 +235,23 @@ def _characterize_cold(library, flavor, cache, grids, key, engine="batched"):
     i_read = LUT2D(v_ddc_axis, v_ssc_axis, i_read_grid, name="i_read")
     p_leak = cell_leakage_power(cell, vdd)
 
-    v_flip = flip_wordline_voltage(cell, vdd=vdd, resolution=0.002)
+    # Negative-BL write assist: the flip voltage across the assist
+    # levels.  The axis ends at 0.0, so its last lane is the no-assist
+    # flip voltage (bit-equal to a scalar bisection at v_bl_low = 0).
+    v_bl_axis = np.asarray(grids.v_bl)
+    with perf.timed("characterize.v_flip.%s" % engine):
+        if engine == "batched":
+            flips = list(flip_wordline_voltage_batch(
+                cell, len(v_bl_axis), vdd=vdd,
+                v_bl_low=v_bl_axis.reshape(-1, 1), resolution=0.002,
+            ))
+        else:
+            flips = [
+                flip_wordline_voltage(cell, vdd=vdd, v_bl_low=float(v_bl),
+                                      resolution=0.002)
+                for v_bl in v_bl_axis
+            ]
+    v_flip = float(flips[-1])
     v_wl_lo = min(v_flip + 0.03, vdd)
     v_wl_axis = np.linspace(v_wl_lo, grids.v_wl_max, grids.v_wl_points)
     with perf.timed("characterize.d_write.%s" % engine):
@@ -250,26 +275,14 @@ def _characterize_cold(library, flavor, cache, grids, key, engine="batched"):
                     name="d_write_sram")
     e_write_lut = LUT1D(v_wl_axis, e_write, name="e_write_sram")
 
-    # Negative-BL write assist: flip voltage and write delay/energy at
-    # nominal WL across the assist levels.
-    v_bl_axis = np.asarray(grids.v_bl)
+    # Negative-BL write delay/energy at nominal WL across the levels.
     with perf.timed("characterize.negbl.%s" % engine):
         if engine == "batched":
-            lanes = len(v_bl_axis)
-            flips = list(flip_wordline_voltage_batch(
-                cell, lanes, vdd=vdd, v_bl_low=v_bl_axis.reshape(-1, 1),
-                resolution=0.002,
-            ))
             negbl_events = cell_write_event_batch(
-                cell, np.full(lanes, float(vdd)), vdd=vdd,
+                cell, np.full(len(v_bl_axis), float(vdd)), vdd=vdd,
                 v_bl_low=v_bl_axis,
             )
         else:
-            flips = [
-                flip_wordline_voltage(cell, vdd=vdd, v_bl_low=float(v_bl),
-                                      resolution=0.002)
-                for v_bl in v_bl_axis
-            ]
             negbl_events = [
                 cell_write_event(cell, v_wl=vdd, vdd=vdd,
                                  v_bl_low=float(v_bl))

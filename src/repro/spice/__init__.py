@@ -2,7 +2,8 @@
 
 Public API:
 
-* :class:`Circuit` — netlist construction.
+* :class:`Circuit` — netlist construction; ``compile()`` builds the
+  vectorized stamp plan (:mod:`repro.spice.plan`) every solver runs.
 * :func:`operating_point`, :func:`dc_sweep` — Newton-Raphson DC analysis
   with gmin/source stepping.
 * :func:`transient` — backward-Euler transient analysis.

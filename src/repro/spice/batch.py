@@ -3,12 +3,13 @@
 Batches *independent operating points of the same topology* — e.g. the
 write-delay characterization's per-wordline transients — through one set
 of numpy solves.  The unknown vector becomes an ``(n_unknowns, lanes)``
-matrix; because every element stamp is elementwise in the unknowns, the
-existing :mod:`repro.spice.elements` stamping code assembles the batched
-residual ``(n, lanes)`` and Jacobian ``(n, n, lanes)`` unchanged.  Lane
-differences ride in through **array-valued source values**: a voltage
-source whose value (or stimulus callable) yields a ``(lanes,)`` row
-drives each lane at its own level.
+matrix, and the circuit's compiled stamp plan
+(:meth:`repro.spice.plan.StampPlan.assemble`, the same routine the
+scalar solvers run as its one-lane case) assembles the batched residual
+``(n, lanes)`` and Jacobian ``(n, n, lanes)``.  Lane differences ride
+in through **array-valued source values**: a voltage source whose value
+(or stimulus callable) yields a ``(lanes,)`` row drives each lane at its
+own level.
 
 Bit-identity with the scalar solvers is a hard requirement (the LUT
 characterization must not change with the engine), maintained by:
@@ -42,7 +43,7 @@ from .dc import (
     solve_from,
 )
 from .elements import SolverState
-from .transient import transient
+from .transient import check_time_window, transient
 from .waveform import TransientResult
 
 __all__ = [
@@ -95,15 +96,6 @@ def lane_circuit(circuit, lane):
             src.value = value
 
 
-def _assemble_batch(circuit, state, lanes):
-    n = circuit.n_unknowns
-    residual = np.zeros((n, lanes))
-    jacobian = np.zeros((n, n, lanes))
-    for element in circuit.elements:
-        element.stamp(state, residual, jacobian)
-    return residual, jacobian
-
-
 def _solve_lanes(jacobian, residual):
     """Per-lane Newton updates ``dx`` with the scalar path's fallback.
 
@@ -149,7 +141,7 @@ def _newton_batch(circuit, x0, time=None, dt=None, x_prev=None,
     iterations = np.zeros(lanes, dtype=int)
     for iteration in range(1, max_iterations + 1):
         state = SolverState(x, time=time, dt=dt, x_prev=x_prev)
-        residual, jacobian = _assemble_batch(circuit, state, lanes)
+        residual, jacobian = circuit.plan.assemble(state)
         res_max = np.max(np.abs(residual), axis=0)
         dx = _solve_lanes(jacobian, residual)
         v_step = dx[:n_nodes]
@@ -229,8 +221,7 @@ def transient_batch(circuit, lanes, t_stop, dt, initial_guess=None,
 
     Returns a list of ``lanes`` :class:`TransientResult` objects.
     """
-    if t_stop <= 0 or dt <= 0:
-        raise ValueError("t_stop and dt must be positive")
+    check_time_window(t_stop, dt)
     if not circuit.compiled:
         circuit.compile()
     try:

@@ -1,7 +1,8 @@
 """DC operating-point and sweep analysis (Newton-Raphson).
 
 The solver assembles the full nonlinear KCL residual and its analytic
-Jacobian from the element stamps, then iterates Newton with a per-step
+Jacobian through the circuit's compiled stamp plan
+(:mod:`repro.spice.plan`), then iterates Newton with a per-step
 voltage limiter.  Two convergence aids mirror the classic SPICE
 strategies:
 
@@ -61,15 +62,6 @@ class Solution:
         return voltage * self.source_current(source_name)
 
 
-def _assemble(circuit, state):
-    n = circuit.n_unknowns
-    residual = np.zeros(n)
-    jacobian = np.zeros((n, n))
-    for element in circuit.elements:
-        element.stamp(state, residual, jacobian)
-    return residual, jacobian
-
-
 def _newton(circuit, x0, time=None, dt=None, x_prev=None, gmin=0.0,
             max_iterations=MAX_ITERATIONS, integrator="be",
             cap_currents=None):
@@ -81,7 +73,7 @@ def _newton(circuit, x0, time=None, dt=None, x_prev=None, gmin=0.0,
         state = SolverState(x, time=time, dt=dt, x_prev=x_prev, gmin=gmin,
                             integrator=integrator,
                             cap_currents=cap_currents)
-        residual, jacobian = _assemble(circuit, state)
+        residual, jacobian = circuit.plan.assemble(state)
         last_residual = float(np.max(np.abs(residual)))
         try:
             dx = np.linalg.solve(jacobian, -residual)
@@ -102,6 +94,8 @@ def _newton(circuit, x0, time=None, dt=None, x_prev=None, gmin=0.0,
         % (max_iterations, last_residual),
         iterations=max_iterations,
         residual=last_residual,
+        time=time,
+        voltages=_node_voltages(circuit, x),
     )
 
 
@@ -115,14 +109,17 @@ def _initial_vector(circuit, initial_guess):
     return x0
 
 
+def _node_voltages(circuit, x):
+    """Node name -> volts of an unknown vector."""
+    return {name: float(x[idx]) for idx, name in enumerate(circuit.node_names)}
+
+
 def _solution_from_vector(circuit, x, iterations):
-    voltages = {
-        name: float(x[idx]) for idx, name in enumerate(circuit.node_names)
-    }
     branch_currents = {
         src.name: float(x[src.branch_index]) for src in circuit.vsources
     }
-    return Solution(voltages, branch_currents, iterations, x)
+    return Solution(_node_voltages(circuit, x), branch_currents, iterations,
+                    x)
 
 
 def operating_point(circuit, initial_guess=None):

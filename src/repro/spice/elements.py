@@ -1,7 +1,7 @@
 """Circuit elements for the built-in simulator.
 
-Every element implements the residual-stamping interface used by the
-Newton-Raphson solver in :mod:`repro.spice.dc`:
+Every element defines its contribution to the Newton-Raphson system of
+:mod:`repro.spice.dc` through the residual-stamping interface
 
 ``stamp(state, residual, jacobian)``
 
@@ -11,6 +11,12 @@ companion-model history.  The residual convention is nodal KCL: for each
 non-ground node, the sum of currents flowing *out of the node into
 elements* must be zero.  Voltage sources add one branch-current unknown
 and one constraint row each (modified nodal analysis).
+
+The solvers do not call ``stamp``: they run the compiled
+:class:`repro.spice.plan.StampPlan`, which evaluates every element of a
+kind at once and must reproduce these stamps bit for bit.  ``stamp``
+is the executable specification that ``tests/test_spice_plan.py``
+checks the plan against.
 """
 
 from __future__ import annotations

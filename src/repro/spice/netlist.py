@@ -3,7 +3,9 @@
 A :class:`Circuit` collects named nodes and elements, then compiles to
 the unknown-vector layout used by the DC and transient solvers: node
 voltages first (in declaration order), followed by one branch current
-per voltage source.
+per voltage source.  Compiling also builds the circuit's
+:class:`repro.spice.plan.StampPlan`, the vectorized residual/Jacobian
+assembly every solver runs.
 
 Node ``"0"`` (aliases ``"gnd"``, ``"GND"``) is ground and carries no
 unknown.
@@ -21,6 +23,7 @@ from .elements import (
     Transistor,
     VoltageSource,
 )
+from .plan import StampPlan
 
 GROUND_NAMES = ("0", "gnd", "GND", "vss!", "ground")
 
@@ -36,6 +39,8 @@ class Circuit:
         self._element_names = set()
         self._vsources = []
         self._compiled = False
+        #: The :class:`StampPlan` built by :meth:`compile`.
+        self.plan = None
 
     # -- node bookkeeping ---------------------------------------------------
 
@@ -134,7 +139,8 @@ class Circuit:
 
         Also validates that every non-ground node has at least two element
         connections or a voltage-source connection (a heuristic floating
-        node check).
+        node check), and builds the stamp plan (which rejects transistors
+        holding batched per-sample parameters).
         """
         if not self.elements:
             raise NetlistError("circuit %r has no elements" % self.title)
@@ -160,6 +166,7 @@ class Circuit:
                     "node %r has a single connection and no source; "
                     "it would float in DC" % self._node_names[idx]
                 )
+        self.plan = StampPlan(self)
         self._compiled = True
         return self
 

@@ -14,6 +14,8 @@ discontinuous stimuli.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConvergenceError
@@ -46,8 +48,7 @@ def transient(circuit, t_stop, dt, initial_guess=None, record_every=1,
 
     Returns a :class:`repro.spice.waveform.TransientResult`.
     """
-    if t_stop <= 0 or dt <= 0:
-        raise ValueError("t_stop and dt must be positive")
+    check_time_window(t_stop, dt)
     if method not in _METHODS:
         raise ValueError("method must be one of %r" % (_METHODS,))
     if not circuit.compiled:
@@ -100,21 +101,41 @@ def transient(circuit, t_stop, dt, initial_guess=None, record_every=1,
     return _package(circuit, times, states, record_every)
 
 
+def check_time_window(t_stop, dt):
+    """Reject a transient window that is not positive and finite."""
+    if not (0.0 < t_stop < math.inf and 0.0 < dt < math.inf):
+        raise ValueError(
+            "t_stop and dt must be positive and finite; got t_stop=%r, "
+            "dt=%r" % (t_stop, dt)
+        )
+
+
 def _advance(circuit, x, t, step, method="be", cap_currents=None):
-    """One accepted time step, halving on Newton failure."""
+    """One accepted time step, halving on Newton failure.
+
+    When even the smallest step fails, the raised error carries the
+    last attempt's time point, iteration count, residual and node
+    voltages, and chains it as ``__cause__``.
+    """
     for _attempt in range(MAX_STEP_HALVINGS + 1):
+        time = t + step
         try:
             x_next, _iters = solve_from(
-                circuit, x, time=t + step, dt=step, x_prev=x,
+                circuit, x, time=time, dt=step, x_prev=x,
                 integrator=method, cap_currents=cap_currents,
             )
             return x_next, step
-        except ConvergenceError:
+        except ConvergenceError as err:
+            last = err
             step *= 0.5
     raise ConvergenceError(
-        "transient step at t=%.4g s failed after %d halvings"
-        % (t, MAX_STEP_HALVINGS)
-    )
+        "transient step at t=%.4g s failed after %d halvings (last "
+        "attempt at t=%.4g s: %s)" % (t, MAX_STEP_HALVINGS, time, last),
+        iterations=last.iterations,
+        residual=last.residual,
+        time=time,
+        voltages=last.voltages,
+    ) from last
 
 
 def _package(circuit, times, states, record_every):

@@ -79,3 +79,11 @@ def test_grids_signature_changes_with_resolution():
     a = CharacterizationGrids()
     b = CharacterizationGrids(v_wl_points=5)
     assert a.signature() != b.signature()
+
+
+@pytest.mark.parametrize("v_bl", [(), (-0.1,), (0.0, -0.1), (-0.1, 0.05)])
+def test_grids_reject_v_bl_axis_not_ending_at_zero(v_bl):
+    """The 0.0 lane of the negative-BL flip sweep is the no-assist flip
+    voltage, so the axis must end there."""
+    with pytest.raises(ValueError, match="end at 0.0"):
+        CharacterizationGrids(v_bl=v_bl)

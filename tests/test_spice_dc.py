@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices import DeviceLibrary, FinFET
+from repro.errors import ConvergenceError
 from repro.spice import Circuit, dc_sweep, operating_point
+from repro.spice.dc import _initial_vector, _newton
 
 LIB = DeviceLibrary.default_7nm()
 VDD = LIB.vdd
@@ -132,3 +134,24 @@ def test_solution_getitem():
     sol = operating_point(divider())
     assert sol["m"] == sol.voltages["m"]
     assert sol.iterations >= 1
+
+
+def test_convergence_error_carries_operating_point():
+    """A failed Newton loop reports its iterations, residual, time point
+    and the node voltages of its last iterate."""
+    c = Circuit("inverter")
+    c.add_vsource("vdd", "vdd", "0", VDD)
+    c.add_vsource("vin", "in", "0", 0.0)
+    c.add_fet("mp", FinFET(LIB.pfet_lvt), "in", "out", "vdd")
+    c.add_fet("mn", FinFET(LIB.nfet_lvt), "in", "out", "0")
+    c.compile()
+    with pytest.raises(ConvergenceError) as info:
+        _newton(c, _initial_vector(c, {"out": 0.0}), max_iterations=1)
+    err = info.value
+    assert err.iterations == 1
+    assert err.residual > 0
+    assert err.time is None
+    assert set(err.voltages) == set(c.node_names)
+    # One limited Newton step from out = 0 toward the high output.
+    assert 0.0 < err.voltages["out"] <= 0.12
+    assert all(isinstance(v, float) for v in err.voltages.values())

@@ -1,11 +1,19 @@
 """Transient analysis: RC analytics, energy bookkeeping, early stop."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from repro.errors import ConvergenceError
 from repro.spice import Circuit, step, transient
+from repro.spice.batch import transient_batch
+from repro.spice.transient import MAX_STEP_HALVINGS
+
+# The package re-exports the function ``transient`` under the module's
+# name, so the module itself is fetched by its dotted path.
+transient_module = importlib.import_module("repro.spice.transient")
 
 
 def rc_circuit(r=1e4, c=1e-15, v=1.0, t_step=1e-12):
@@ -47,6 +55,47 @@ def test_transient_argument_validation():
         transient(rc_circuit(), -1.0, 1e-12)
     with pytest.raises(ValueError):
         transient(rc_circuit(), 1e-12, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("argument", ["t_stop", "dt"])
+@pytest.mark.parametrize("engine", ["scalar", "batch"])
+def test_time_window_must_be_positive_and_finite(engine, argument, bad):
+    """A NaN or infinite window once returned a one-point waveform, ran
+    forever, or failed later with a misleading ConvergenceError."""
+    window = {"t_stop": 1e-12, "dt": 1e-13}
+    window[argument] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        if engine == "scalar":
+            transient(rc_circuit(), window["t_stop"], window["dt"])
+        else:
+            transient_batch(rc_circuit(), 2, window["t_stop"], window["dt"])
+
+
+def test_failed_step_reports_last_attempt(monkeypatch):
+    """When every halving fails, the error names the last attempted
+    time point and carries that attempt's Newton context."""
+    attempts = []
+
+    def never_converges(circuit, x_start, time=None, **_kwargs):
+        attempts.append(time)
+        raise ConvergenceError(
+            "no convergence", iterations=len(attempts), residual=1e-3,
+            time=time, voltages={"b": 0.25},
+        )
+
+    monkeypatch.setattr(transient_module, "solve_from", never_converges)
+    with pytest.raises(ConvergenceError) as info:
+        transient(rc_circuit(), 1e-12, 1e-13)
+    err = info.value
+    assert len(attempts) == MAX_STEP_HALVINGS + 1
+    assert attempts[-1] == pytest.approx(1e-13 / 2 ** MAX_STEP_HALVINGS)
+    assert err.time == attempts[-1]
+    assert err.iterations == MAX_STEP_HALVINGS + 1
+    assert err.residual == 1e-3
+    assert err.voltages == {"b": 0.25}
+    assert isinstance(err.__cause__, ConvergenceError)
+    assert err.__cause__.time == attempts[-1]
 
 
 def test_stop_condition_ends_run_early():
