@@ -22,6 +22,11 @@ Two engines extract the margins:
 Both engines consume the *same* shift matrix from the same seeded
 generator and follow the same per-element operation sequence, so their
 sample arrays are bit-identical (``tests/test_montecarlo_parity.py``).
+
+The yield constraints read HSNM/RSNM samples through a
+:class:`MarginSampleMemo`, which draws once and solves each margin once
+per rail pair; a session shares one per flavor and seeded draw
+(:meth:`repro.opt.constraints.YieldConstraint.margin_samples`).
 """
 
 from __future__ import annotations
@@ -126,6 +131,64 @@ def batched_cell(base_cell, shift_matrix):
     """
     batched = apply_shift_matrix(base_cell.all_params(), shift_matrix)
     return base_cell.with_overrides(dict(zip(TRANSISTOR_ROLES, batched)))
+
+
+class MarginSampleMemo:
+    """Per-sample HSNM and RSNM of one seeded draw, each solved once.
+
+    The Vt shift draw (:func:`sample_shift_matrix` with the default
+    variation model) and the batched cell built from it are made once,
+    at construction.  HSNM is solved on first use at
+    ``CellBias.hold(vdd)``, which no read rail moves; RSNM once per
+    rounded ``(v_ddc, v_ssc)`` rail pair, at the first caller's rails.
+    Both use :attr:`points` VTC points.  Every array equals the same
+    metric of ``run_cell_montecarlo(base_cell, n_samples, seed=seed,
+    vdd=vdd, read_bias=CellBias.read(vdd=vdd, v_ddc=v_ddc,
+    v_ssc=v_ssc), snm_points=41)`` bit for bit: the same solver runs on
+    the same inputs, only the repeats go.
+
+    The arrays are deterministic, so concurrent fills are idempotent:
+    threads racing on one key solve equal arrays, and the first one
+    stored is what every read returns from then on.
+    """
+
+    #: VTC points per half-circuit sweep (the yield constraints' 41).
+    points = 41
+
+    def __init__(self, base_cell, vdd, n_samples, seed):
+        self.vdd = vdd
+        self.shift_matrix = sample_shift_matrix(n_samples, seed=seed)
+        self.cell = batched_cell(base_cell, self.shift_matrix)
+        self._solved = {}
+
+    def hsnm(self):
+        """(n,) hold SNM samples [V]."""
+        return self._solve("hsnm", CellBias.hold(self.vdd), access_on=False)
+
+    def rsnm(self, v_ddc, v_ssc):
+        """(n,) read SNM samples at one rail pair [V]."""
+        return self._solve(
+            (round(v_ddc, 4), round(v_ssc, 4)),
+            CellBias.read(vdd=self.vdd, v_ddc=v_ddc, v_ssc=v_ssc),
+            access_on=True,
+        )
+
+    def min_margin(self, v_ddc, v_ssc):
+        """(n,) per-sample ``min(HSNM, RSNM)`` at one rail pair [V].
+
+        Samples are shift-aligned across metrics, so the elementwise
+        min is the per-instance worst margin."""
+        return np.minimum(self.hsnm(), self.rsnm(v_ddc, v_ssc))
+
+    def _solve(self, key, bias, access_on):
+        values = self._solved.get(key)
+        if values is None:
+            values = snm_samples(self.cell, bias, access_on=access_on,
+                                 points=self.points)
+            # Read-only: every reader of the memo shares this array.
+            values.setflags(write=False)
+            values = self._solved.setdefault(key, values)
+        return values
 
 
 def sample_cells(base_cell, n_samples, variation=None, seed=0):

@@ -116,9 +116,10 @@ def solve_half_circuit(cell, side, v_in, bias, access_on):
         cell, side, v_in, hi_bound + 0.0 * v_in, bias, access_on
     )
     if np.any(f_lo > 0) or np.any(f_hi < 0):
+        bracket = (float(np.min(lo_bound)), float(np.max(hi_bound)))
         raise CharacterizationError(
             "half-circuit current not bracketed within [%.2f, %.2f] V"
-            % (float(np.min(lo_bound)), float(np.max(hi_bound)))
+            % bracket, side=side, bias=bias, bracket=bracket,
         )
     shape = f_lo.shape
     lo = np.broadcast_to(np.asarray(lo_bound, dtype=float), shape)

@@ -43,8 +43,19 @@ class CharacterizationError(ReproError):
     """A device/circuit characterization produced an unusable result.
 
     Raised e.g. when a butterfly curve has no embedded square (cell is
-    monostable) in a context where bistability is required.
+    monostable) in a context where bistability is required.  A failed
+    half-circuit bisection also says where it failed: the ``side``
+    ("l" or "r"), the :class:`~repro.cell.bias.CellBias` ``bias`` it
+    solved under, and ``bracket``, the ``(lo, hi)`` output voltages [V]
+    across which the net current did not change sign.  The three are
+    None where a raise site has no such context.
     """
+
+    def __init__(self, message, side=None, bias=None, bracket=None):
+        super().__init__(message)
+        self.side = side
+        self.bias = bias
+        self.bracket = bracket
 
 
 class DesignSpaceError(ReproError):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cell.bias import CellBias
+from ..cell.montecarlo import MarginSampleMemo, MetricSamples
 from ..cell.snm import butterfly, hold_snm
 from ..cell.sram6t import SRAM6TCell
 from ..cell.write import flip_wordline_voltage
@@ -48,12 +49,30 @@ class YieldConstraint:
     _hsnm: float = field(default=None, repr=False)
     _v_flip: float = field(default=None, repr=False)
     _rsnm_cache: dict = field(default_factory=dict, repr=False)
+    #: (n_samples, seed) -> MarginSampleMemo of this flavor's cell.
+    _sample_memos: dict = field(default_factory=dict, repr=False)
 
     @property
     def cell(self):
         if self._cell is None:
             self._cell = SRAM6TCell.from_library(self.library, self.flavor)
         return self._cell
+
+    def margin_samples(self, n_samples, seed):
+        """The Monte Carlo HSNM/RSNM sample memo of one seeded draw.
+
+        One :class:`~repro.cell.montecarlo.MarginSampleMemo` per
+        ``(n_samples, seed)``, built on first request: the yield
+        constraints that share this constraint as their ``base`` (every
+        study cell of a session, for this flavor) read one draw and
+        solve each rail pair once between them.
+        """
+        key = (n_samples, seed)
+        memo = self._sample_memos.get(key)
+        if memo is None:
+            memo = self._sample_memos.setdefault(key, MarginSampleMemo(
+                self.cell, self.library.vdd, n_samples, seed))
+        return memo
 
     def hsnm(self):
         """Hold SNM at the nominal supply (independent of assists)."""
@@ -126,7 +145,8 @@ class YieldConstraint:
     # -- memo transport (sharing margins across worker processes) ----------
 
     def export_margin_memo(self):
-        """Picklable snapshot of every memoized margin quantity."""
+        """Picklable snapshot of every memoized deterministic margin
+        (the Monte Carlo sample memos stay in this process)."""
         return {
             "hsnm": self._hsnm,
             "v_flip": self._v_flip,
@@ -167,14 +187,18 @@ class YieldTargetConstraint:
     fixed-delta optimum is reproduced exactly for *any* ``y_target``.
 
     ``sigma`` is the ddof=1 standard deviation of the per-sample
-    ``min(HSNM, RSNM)`` margin from the cell Monte Carlo engine,
-    memoized per (V_DDC, V_SSC) rail pair (it does not depend on V_WL).
-    The Vt shift matrix behind those statistics is drawn *once* and
-    shared by every rail pair (and every margin-floor iteration) — the
-    draw is seed-deterministic, so re-sampling it per point was pure
-    waste.  Deterministic margins delegate to an internal
-    :class:`YieldConstraint`, so all four search engines see one
-    feasibility mask and stay bit-identical.
+    ``min(HSNM, RSNM)`` margin over one seeded Vt draw (it does not
+    depend on V_WL).  The samples come from ``base``'s
+    :meth:`YieldConstraint.margin_samples` memo: one draw and one
+    batched cell per ``(n_samples, seed)``, HSNM solved once, RSNM once
+    per (V_DDC, V_SSC) rail pair.  Pass a session's
+    ``session.constraint(flavor)`` as ``base`` (as
+    :func:`repro.yields.study.compute_yield_cell` does) and those
+    solves are shared by every yield constraint of the session; without
+    one the constraint builds a private ``base`` and memo.  The
+    per-pair statistics are memoized here as well.  Deterministic
+    margins delegate to ``base`` too, so all four search engines see
+    one feasibility mask and stay bit-identical.
 
     ``sampler`` selects how the relaxation is measured:
 
@@ -224,9 +248,6 @@ class YieldTargetConstraint:
     #: per-sample min(HSNM, RSNM) margin.
     _stat_cache: dict = field(default_factory=dict, repr=False)
     delta_z: float = field(default=None, repr=False)
-    #: The one shared Vt shift draw behind every min_margin_stats call.
-    _shift_matrix: object = field(default=None, repr=False)
-    _mc_cell: object = field(default=None, repr=False)
     #: (v_ddc, v_ssc) -> TailSampleBuffer (sampled relaxation mode).
     _buffer_cache: dict = field(default_factory=dict, repr=False)
     #: (v_ddc, v_ssc) -> (relaxation [V], TailEstimate | None).
@@ -267,38 +288,15 @@ class YieldTargetConstraint:
     # -- variation statistics ----------------------------------------------
 
     @property
-    def shift_matrix(self):
-        """The one seed-deterministic Vt shift draw every rail pair
-        (and every margin-floor iteration) shares.  Identical to what
-        each ``run_cell_montecarlo(n_samples, seed)`` call used to
-        re-draw per point — hoisted so it is sampled exactly once."""
-        if self._shift_matrix is None:
-            from ..cell.montecarlo import sample_shift_matrix
-
-            self._shift_matrix = sample_shift_matrix(
-                self.n_samples, seed=self.seed
-            )
-        return self._shift_matrix
+    def margin_samples(self):
+        """The shared HSNM/RSNM sample memo behind the statistics."""
+        return self.base.margin_samples(self.n_samples, self.seed)
 
     def min_margin_stats(self, v_ddc, v_ssc):
         """(mu, sigma, tail_count, n) of per-sample min(HSNM, RSNM)."""
         key = (round(v_ddc, 4), round(v_ssc, 4))
         if key not in self._stat_cache:
-            from ..cell.montecarlo import _margins_batched, batched_cell
-
-            if self._mc_cell is None:
-                self._mc_cell = batched_cell(self.base.cell,
-                                             self.shift_matrix)
-            vdd = self.library.vdd
-            bias = CellBias.read(vdd=vdd, v_ddc=v_ddc, v_ssc=v_ssc)
-            collected = _margins_batched(
-                self._mc_cell, self.n_samples, vdd, bias,
-                CellBias.hold(vdd), ("hsnm", "rsnm"), 0.002, 41,
-            )
-            # Samples are shift-aligned across metrics, so the
-            # elementwise min is the per-instance worst margin.
-            values = np.minimum(np.asarray(collected["hsnm"]),
-                                np.asarray(collected["rsnm"]))
+            values = self.margin_samples.min_margin(v_ddc, v_ssc)
             self._stat_cache[key] = (
                 float(np.mean(values)),
                 float(np.std(values, ddof=1)),
@@ -520,14 +518,18 @@ class MonteCarloYieldConstraint:
     This is the paper's "accurate way to analytically express the
     constraint": ``min over metrics of (mu - k sigma) >= 0`` under
     process variation, with 1 <= k <= 6 by yield target.  Far costlier
-    than the fixed-delta mode — every distinct operating point runs a
-    Monte Carlo over cell instances — which is exactly why the paper
+    than the fixed-delta mode — every distinct rail pair runs a Monte
+    Carlo over cell instances — which is exactly why the paper
     simplifies it to the fixed floor.  Used by the ablation benchmark
     comparing the two formulations.
 
     Drop-in compatible with :class:`ExhaustiveOptimizer` (it provides
     ``flavor``, ``satisfied``, and ``margins``; the reported "margins"
     are the mu - k*sigma values of HSNM and RSNM plus the nominal WM).
+    Its samples come from a private
+    :class:`~repro.cell.montecarlo.MarginSampleMemo` of its own
+    ``(n_samples, seed)`` draw: HSNM is solved once, RSNM once per rail
+    pair, whatever the V_WL (the read bias fixes the wordline at Vdd).
     """
 
     library: object
@@ -537,43 +539,47 @@ class MonteCarloYieldConstraint:
     seed: int = 1234
     #: Optional nominal flip voltage for the WM entry of margins().
     v_wl_flip: float = None
+    _samples: MarginSampleMemo = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def mu_minus_k_sigma(self, v_ddc, v_ssc, v_wl):
-        """(hsnm, rsnm) mu - k*sigma at one operating point [V]."""
-        from ..cell.montecarlo import run_cell_montecarlo
-
-        key = (round(v_ddc, 4), round(v_ssc, 4), round(v_wl, 4))
-        if key not in self._cache:
-            cell = SRAM6TCell.from_library(self.library, self.flavor)
-            read_bias = CellBias.read(vdd=self.library.vdd, v_ddc=v_ddc,
-                                      v_ssc=v_ssc)
-            result = run_cell_montecarlo(
-                cell, n_samples=self.n_samples, seed=self.seed,
-                vdd=self.library.vdd, read_bias=read_bias,
-                metrics=("hsnm", "rsnm"), snm_points=41,
+    @property
+    def margin_samples(self):
+        """The HSNM/RSNM sample memo of this constraint's draw."""
+        if self._samples is None:
+            self._samples = MarginSampleMemo(
+                SRAM6TCell.from_library(self.library, self.flavor),
+                self.library.vdd, self.n_samples, self.seed,
             )
+        return self._samples
+
+    def mu_minus_k_sigma(self, v_ddc, v_ssc):
+        """(hsnm, rsnm) mu - k*sigma at one rail pair [V]."""
+        key = (round(v_ddc, 4), round(v_ssc, 4))
+        if key not in self._cache:
+            samples = self.margin_samples
             self._cache[key] = (
-                result.metric("hsnm").mu_minus_k_sigma(self.k),
-                result.metric("rsnm").mu_minus_k_sigma(self.k),
+                MetricSamples("hsnm", samples.hsnm())
+                .mu_minus_k_sigma(self.k),
+                MetricSamples("rsnm", samples.rsnm(v_ddc, v_ssc))
+                .mu_minus_k_sigma(self.k),
             )
         return self._cache[key]
 
     def margins(self, v_ddc, v_ssc, v_wl, v_bl=0.0):
         """(HSNM, RSNM, WM): the k-sigma margins plus the nominal WM."""
-        hsnm_ks, rsnm_ks = self.mu_minus_k_sigma(v_ddc, v_ssc, v_wl)
+        hsnm_ks, rsnm_ks = self.mu_minus_k_sigma(v_ddc, v_ssc)
         wm = (v_wl - self.v_wl_flip) if self.v_wl_flip is not None else (
             float("inf")
         )
         return hsnm_ks, rsnm_ks, wm
 
     def satisfied(self, v_ddc, v_ssc, v_wl, v_bl=0.0):
-        hsnm_ks, rsnm_ks = self.mu_minus_k_sigma(v_ddc, v_ssc, v_wl)
+        hsnm_ks, rsnm_ks = self.mu_minus_k_sigma(v_ddc, v_ssc)
         return min(hsnm_ks, rsnm_ks) >= 0.0
 
     def margins_grid(self, v_ddc, v_ssc_values, v_wl, v_bl=0.0):
-        """Batch view of :meth:`margins` (each point still runs its own
-        memoized Monte Carlo — the cost the paper's fixed-delta mode
+        """Batch view of :meth:`margins` (each new rail pair still
+        runs an RSNM Monte Carlo — the cost the paper's fixed-delta mode
         avoids)."""
         rows = [self.margins(v_ddc, float(v), v_wl, v_bl)
                 for v in np.asarray(v_ssc_values, dtype=float)]

@@ -241,18 +241,19 @@ def compute_yield_cell(session, capacity_bytes, flavor, method="M2",
     ).optimize(capacity_bits, make_policy(method, base_levels),
                engine=engine)
 
+    # The session's constraint as the base: every deterministic margin
+    # the baseline measured, and the Monte Carlo samples every earlier
+    # yield cell of this flavor solved, are shared, not recomputed.
     constraint = YieldTargetConstraint(
         library=session.library, flavor=flavor, delta=session.delta,
         y_target=y_target, code=code_obj, capacity_bits=capacity_bits,
         word_bits=session.config.word_bits,
         trust_fixed_rails=base_constraint.trust_fixed_rails,
-        flip_lookup=base_constraint.flip_lookup,
         n_samples=n_samples, seed=seed,
         margin_budget_fraction=MARGIN_BUDGET_FRACTION,
         sampler=sampler, ci_target=ci_target, max_samples=max_samples,
+        base=base_constraint,
     )
-    # Share every deterministic margin the baseline already measured.
-    constraint.seed_margin_memo(base_constraint.export_margin_memo())
 
     fallback = False
     if constraint.delta_z == 0.0:

@@ -9,6 +9,7 @@ from repro.cell.snm import (
     half_circuit_output,
     solve_half_circuit,
 )
+from repro.errors import CharacterizationError
 from repro.spice import Circuit, operating_point
 
 VDD = 0.45
@@ -120,3 +121,37 @@ def test_paper_rsnm_ratio_direction(hvt_cell, lvt_cell):
 
 def test_hsnm_scales_with_vdd(hvt_cell):
     assert hold_snm(hvt_cell, 0.30) < hold_snm(hvt_cell, 0.45)
+
+
+class _StuckDevice:
+    """Drives a constant current whatever its terminal voltages."""
+
+    def current(self, vg, vd, vs):
+        return 1e-6 + 0.0 * np.asarray(vd, dtype=float)
+
+
+class _StuckCell:
+    """A half circuit whose net out-current is +1 uA at every output
+    voltage: pull-down + pull-up - access = 1 + 1 - 1 uA."""
+
+    def device(self, role):
+        return _StuckDevice()
+
+
+def test_unbracketed_bisection_error_says_where():
+    bias = CellBias.read(vdd=VDD, v_ddc=0.55, v_ssc=-0.1)
+    with pytest.raises(CharacterizationError,
+                       match="not bracketed") as info:
+        solve_half_circuit(_StuckCell(), "r", np.linspace(-0.1, 0.55, 5),
+                           bias, access_on=True)
+    err = info.value
+    assert err.side == "r"
+    assert err.bias is bias
+    # The bracket spans the lowest and highest boundary voltage +-0.1 V.
+    assert err.bracket == pytest.approx((-0.2, 0.65))
+    assert "[-0.20, 0.65]" in str(err)
+
+
+def test_characterization_error_context_defaults_to_none():
+    err = CharacterizationError("monostable")
+    assert (err.side, err.bias, err.bracket) == (None, None, None)

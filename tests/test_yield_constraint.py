@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.opt import ExhaustiveOptimizer, YieldConstraint, \
-    YieldTargetConstraint
+import repro.cell.montecarlo as mc
+from repro.analysis import Session
+from repro.opt import ExhaustiveOptimizer, MonteCarloYieldConstraint, \
+    YieldConstraint, YieldTargetConstraint
 from repro.opt.methods import make_policy
 from repro.opt.space import DesignSpace
 from repro.yields.ecc import make_code
+from repro.yields.study import compute_yield_cell
+
+from .conftest import CACHE_PATH
 
 ENGINES = ("loop", "vectorized", "fused", "pruned")
 CAPACITY_BITS = 1024 * 8
+#: The HVT/M2 yield cells the shared-memo tests run on one session.
+YIELD_CELLS = (1024, 16384)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +46,50 @@ def _design_tuple(result):
     d = result.design
     return (d.n_r, d.n_c, d.n_pre, d.n_wr,
             d.v_ddc, float(d.v_ssc), d.v_wl)
+
+
+def _record_snm_solves(monkeypatch):
+    """Record every Monte Carlo SNM solve as ``(access_on, v_ddc,
+    v_ssc)``, patched where the margin-sample memo looks the solver
+    up."""
+    calls = []
+    original = mc.snm_samples
+
+    def recording(cell, bias, access_on, points):
+        calls.append((access_on, round(float(bias.v_ddc), 4),
+                      round(float(bias.v_ssc), 4)))
+        return original(cell, bias, access_on, points=points)
+
+    monkeypatch.setattr(mc, "snm_samples", recording)
+    return calls
+
+
+def _run_threads(count, fn, timeout=120.0):
+    """``fn()``'s results from ``count`` threads released together,
+    with a short switch interval so they interleave often."""
+    start = threading.Barrier(count)
+    results, errors = [], []
+
+    def run():
+        start.wait()
+        try:
+            results.append(fn())
+        except Exception as exc:           # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    return results
 
 
 def _target_constraint(session, code, y_target=0.9, flavor="hvt",
@@ -65,6 +119,7 @@ class TestNoneEquivalence:
         assert relaxed.metrics.edp == fixed.metrics.edp
         # And the degenerate path never paid for a Monte Carlo run.
         assert constraint._stat_cache == {}
+        assert constraint.base._sample_memos == {}
 
     def test_requirement_is_exactly_delta(self, paper_session):
         constraint = _target_constraint(paper_session, "none")
@@ -158,18 +213,15 @@ class TestMemoRoundtrip:
                                    n_samples=60)
         fresh.seed_margin_memo(memo)
         assert fresh._stat_cache == constraint._stat_cache
-        # A seeded constraint answers from the memo without rerunning.
-        import repro.cell.montecarlo as mc
-
+        # A seeded constraint answers from the memo without rerunning:
+        # ``fresh`` has its own, empty sample memo, so any solve would
+        # reach the patched solver.
         def _boom(*args, **kwargs):        # pragma: no cover
             raise AssertionError("Monte Carlo re-ran on a seeded memo")
 
-        original = mc.run_cell_montecarlo
-        mc.run_cell_montecarlo = _boom
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "snm_samples", _boom)
             assert fresh.sigma(0.55, 0.0) == sigma
-        finally:
-            mc.run_cell_montecarlo = original
 
     def test_base_margin_memo_still_roundtrips(self, paper_session):
         constraint = _target_constraint(paper_session, "secded",
@@ -184,23 +236,34 @@ class TestMemoRoundtrip:
 
 
 class TestSharedShiftMatrix:
-    """One Vt shift draw feeds every rail pair and every iteration."""
+    """One Vt shift draw feeds every rail pair, every iteration and
+    every constraint sharing a base."""
 
     def test_one_draw_shared_across_rail_pairs(self, paper_session):
         from repro.cell.montecarlo import sample_shift_matrix
 
         constraint = _target_constraint(paper_session, "secded",
                                         n_samples=60)
-        matrix = constraint.shift_matrix
-        assert constraint.shift_matrix is matrix
+        memo = constraint.margin_samples
+        assert constraint.margin_samples is memo
+        matrix, batched = memo.shift_matrix, memo.cell
         assert np.array_equal(matrix, sample_shift_matrix(60, seed=0))
 
         constraint.sigma(0.55, 0.0)
-        batched = constraint._mc_cell
-        assert batched is not None
         constraint.sigma(0.55, -0.05)
-        assert constraint._mc_cell is batched
-        assert constraint._shift_matrix is matrix
+        assert constraint.margin_samples is memo
+        assert memo.shift_matrix is matrix
+        assert memo.cell is batched
+
+        # A second constraint on the same base reads the same draw; one
+        # with another sample count gets a draw of its own.
+        sibling = _target_constraint(paper_session, "secded",
+                                     n_samples=60, base=constraint.base)
+        assert sibling.margin_samples is memo
+        other = _target_constraint(paper_session, "secded",
+                                   n_samples=30, base=constraint.base)
+        assert other.margin_samples is not memo
+        assert other.margin_samples.shift_matrix.shape[0] == 30
 
     def test_stats_bit_identical_to_montecarlo_engine(self,
                                                       paper_session):
@@ -223,6 +286,135 @@ class TestSharedShiftMatrix:
         assert mu == float(np.mean(values))
         assert sigma == float(np.std(values, ddof=1))
         assert tail == int(np.sum(values < 0.0))
+
+
+class TestSharedMarginMemo:
+    """One HSNM/RSNM sample memo per session and flavor: a memo hit
+    equals a fresh solve bitwise, and no sample is solved twice."""
+
+    RAILS = ((0.55, 0.0), (0.55, -0.05), (0.6, -0.12))
+
+    @pytest.fixture(scope="class")
+    def one_session(self):
+        """The yield cells on one fresh session, every Monte Carlo SNM
+        solve recorded."""
+        session = Session.create(cache_path=CACHE_PATH,
+                                 voltage_mode="paper")
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _record_snm_solves(patch)
+            summaries = {
+                capacity: compute_yield_cell(session, capacity, "hvt",
+                                             "M2").summary()
+                for capacity in YIELD_CELLS
+            }
+        return session, summaries, calls
+
+    def test_memo_hit_equals_fresh_solve(self, paper_session,
+                                         monkeypatch):
+        base = YieldConstraint(paper_session.library, "hvt",
+                               paper_session.delta)
+        filler = _target_constraint(paper_session, "secded",
+                                    n_samples=60, base=base)
+        for rails in self.RAILS:
+            filler.min_margin_stats(*rails)
+        reader = _target_constraint(paper_session, "secded",
+                                    n_samples=60, base=base)
+        fresh = _target_constraint(paper_session, "secded",
+                                   n_samples=60)
+        assert fresh.margin_samples is not reader.margin_samples
+
+        calls = _record_snm_solves(monkeypatch)
+        hits = [reader.min_margin_stats(*rails) for rails in self.RAILS]
+        assert calls == []
+        for rails, hit in zip(self.RAILS, hits):
+            assert hit == fresh.min_margin_stats(*rails)
+            assert reader.margin_samples.min_margin(*rails).tobytes() \
+                == fresh.margin_samples.min_margin(*rails).tobytes()
+        # The fresh constraint paid one HSNM and one RSNM per pair.
+        assert len(calls) == 1 + len(self.RAILS)
+
+    def test_cells_on_one_session_equal_fresh_sessions(self, one_session):
+        _, shared, _ = one_session
+        for capacity in YIELD_CELLS:
+            session = Session.create(cache_path=CACHE_PATH,
+                                     voltage_mode="paper")
+            fresh = compute_yield_cell(session, capacity, "hvt", "M2")
+            assert repr(shared[capacity]) == repr(fresh.summary())
+
+    def test_each_sample_solved_once(self, one_session):
+        session, _, calls = one_session
+        rails = {call[1:] for call in calls if call[0]}
+        # One HSNM solve, then one RSNM solve per distinct rail pair the
+        # two cells' searches visited between them.
+        assert [call for call in calls if not call[0]] \
+            == [(False, session.library.vdd, 0.0)]
+        assert len(calls) == 1 + len(rails)
+        assert len(rails) > 1
+
+    def test_concurrent_fills_are_idempotent(self, one_session):
+        _, shared, _ = one_session
+        session = Session.create(cache_path=CACHE_PATH,
+                                 voltage_mode="paper")
+        capacity = YIELD_CELLS[0]
+        summaries = _run_threads(2, lambda: repr(compute_yield_cell(
+            session, capacity, "hvt", "M2").summary()))
+        assert summaries == [repr(shared[capacity])] * 2
+
+    def test_racing_readers_share_one_stored_array(self, paper_session):
+        from repro.cell.montecarlo import MarginSampleMemo
+
+        cell, vdd = paper_session.cells["hvt"], paper_session.library.vdd
+        reference = MarginSampleMemo(cell, vdd, 8, 3)
+        expected = [reference.hsnm().tobytes()] + [
+            reference.rsnm(*rails).tobytes() for rails in self.RAILS]
+        memo = MarginSampleMemo(cell, vdd, 8, 3)
+        reads = _run_threads(8, lambda: [memo.hsnm()] + [
+            memo.rsnm(*rails) for rails in self.RAILS])
+        stored = [memo.hsnm()] + [memo.rsnm(*rails)
+                                  for rails in self.RAILS]
+        # Whoever solved first, every reader got the one array the memo
+        # kept, and it equals a single-threaded solve bitwise.
+        for read in reads:
+            assert all(a is b for a, b in zip(read, stored))
+        assert [values.tobytes() for values in stored] == expected
+        assert not stored[0].flags.writeable
+
+
+class TestMonteCarloYieldConstraint:
+    def test_reads_memo_bit_identical_whatever_v_wl(self, paper_session,
+                                                    monkeypatch):
+        from repro.cell.bias import CellBias
+        from repro.cell.montecarlo import run_cell_montecarlo
+
+        library = paper_session.library
+        vdd = library.vdd
+        constraint = MonteCarloYieldConstraint(library, "hvt", k=3.0,
+                                               n_samples=24, seed=7)
+        rails = ((0.55, 0.0), (0.55, -0.1))
+        for v_ddc, v_ssc in rails:
+            result = run_cell_montecarlo(
+                paper_session.cells["hvt"], n_samples=24, seed=7,
+                vdd=vdd,
+                read_bias=CellBias.read(vdd=vdd, v_ddc=v_ddc,
+                                        v_ssc=v_ssc),
+                metrics=("hsnm", "rsnm"), snm_points=41,
+                engine="batched",
+            )
+            assert constraint.mu_minus_k_sigma(v_ddc, v_ssc) == (
+                result.metric("hsnm").mu_minus_k_sigma(3.0),
+                result.metric("rsnm").mu_minus_k_sigma(3.0),
+            )
+            assert constraint.margins(v_ddc, v_ssc, 0.50)[:2] \
+                == constraint.mu_minus_k_sigma(v_ddc, v_ssc)
+
+        # Neither margin depends on V_WL: another wordline level at the
+        # same rails solves nothing.
+        calls = _record_snm_solves(monkeypatch)
+        for v_ddc, v_ssc in rails:
+            assert constraint.margins(v_ddc, v_ssc, 0.60)[:2] \
+                == constraint.mu_minus_k_sigma(v_ddc, v_ssc)
+            constraint.satisfied(v_ddc, v_ssc, 0.60)
+        assert calls == []
 
 
 class TestSampledRelaxation:
