@@ -6,11 +6,11 @@ parallel study runner, then writes both a human-readable report and the
 machine-readable ``BENCH_search.json`` baseline (repo root) so future
 PRs can track the search-performance trajectory:
 
-* ``single.*`` — one 16KB/HVT/M2 exhaustive search per engine, the
-  configuration the acceptance gate tracks;
-* ``pruning.*`` — the bound-and-prune engine against the fused engine
-  on every study cell: wall time plus the fraction of the space it
-  actually evaluated;
+* ``single.*`` — one 16KB/HVT/M2 search through the production row
+  sweep and through the reference slice loop, the configuration the
+  acceptance gate tracks;
+* ``pruning.*`` — production against reference on every study cell:
+  wall time plus the fraction of the space the row gate evaluated;
 * ``matrix.*`` — the full 20-cell study, serial and parallel;
 * ``arena.*`` — shared-memory session transport: publish once, attach
   zero-copy, versus the warm-cache ``Session.create`` a process worker
@@ -42,50 +42,40 @@ BASELINE_PATH = os.path.join(_HERE, "..", "BENCH_search.json")
 REQUESTED_WORKERS = 4
 
 
-def _time_engine(paper_session, engine, repeats=9):
-    """Best-of-N wall time of one 16KB/HVT/M2 exhaustive search [s]."""
-    optimizer = ExhaustiveOptimizer(
-        paper_session.model("hvt"), DesignSpace(),
-        paper_session.constraint("hvt"),
-    )
-    policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    optimizer.optimize(16384 * 8, policy, engine=engine)  # warm-up
-    best = float("inf")
+def _best_of(searches, repeats):
+    """Best-of-N wall time [s] of each zero-argument search after one
+    warm-up call, and the warm-up results.  The searches run
+    interleaved so a shift in the host's speed reaches all of them
+    alike: the search gate tracks their ratios."""
+    results = [search() for search in searches]
+    best = [float("inf")] * len(searches)
     for _ in range(repeats):
-        start = time.perf_counter()
-        optimizer.optimize(16384 * 8, policy, engine=engine)
-        best = min(best, time.perf_counter() - start)
-    return best
+        for index, search in enumerate(searches):
+            start = time.perf_counter()
+            search()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best, results
 
 
-def _time_many(paper_session, repeats=9):
-    """Best-of-N wall time of the policy-batched 16KB/HVT search [s]:
-    every method's whole space in one ``optimize_many`` dispatch.
-    Returns ``(seconds, n_policies, results)``."""
-    from repro.analysis.experiments import METHODS
-
+def _cell_searches(paper_session, flavor, method, capacity_bytes,
+                   constraint=None):
+    """One cell's (reference, production) searches."""
     optimizer = ExhaustiveOptimizer(
-        paper_session.model("hvt"), DesignSpace(),
-        paper_session.constraint("hvt"),
+        paper_session.model(flavor), DesignSpace(),
+        constraint or paper_session.constraint(flavor),
     )
-    levels = paper_session.yield_levels("hvt")
-    policies = [make_policy(method, levels) for method in METHODS]
-    results = optimizer.optimize_many(16384 * 8, policies)  # warm-up
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        optimizer.optimize_many(16384 * 8, policies)
-        best = min(best, time.perf_counter() - start)
-    return best, len(policies), results
+    policy = make_policy(method, paper_session.yield_levels(flavor))
+    bits = capacity_bytes * 8
+    return (lambda: optimizer.optimize_reference(bits, policy),
+            lambda: optimizer.optimize(bits, policy))
 
 
-def _time_yield_constraint(paper_session, repeats=9):
-    """Best-of-N wall time of the 16KB/HVT/M2 search under the
-    ECC-relaxed yield-target constraint (SECDED at Y >= 0.9) [s].
-
-    The warm-up call pays the Monte Carlo margin statistics once, so
-    the timed repeats measure the constraint's steady-state search
-    cost (memoized sigma lookups) against the plain pruned engine."""
+def _time_single(paper_session, repeats=9):
+    """The gate cell, 16KB/HVT/M2: best-of-N reference, production, and
+    production under the ECC-relaxed yield-target constraint (SECDED at
+    Y >= 0.9) [s].  The warm-up pays the constraint's Monte Carlo
+    statistics once, so its repeats measure the steady-state search
+    cost (memoized sigma lookups)."""
     from repro.opt.constraints import YieldTargetConstraint
 
     base = paper_session.constraint("hvt")
@@ -98,58 +88,34 @@ def _time_yield_constraint(paper_session, repeats=9):
         flip_lookup=base.flip_lookup,
     )
     constraint.seed_margin_memo(base.export_margin_memo())
-    optimizer = ExhaustiveOptimizer(
-        paper_session.model("hvt"), DesignSpace(), constraint,
-    )
-    policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    optimizer.optimize(16384 * 8, policy, engine="pruned")  # warm-up
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        optimizer.optimize(16384 * 8, policy, engine="pruned")
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _time_cell(paper_session, flavor, method, capacity_bytes, engine,
-               repeats=3):
-    """Best-of-N wall time of one study cell's search [s] + its result."""
-    optimizer = ExhaustiveOptimizer(
-        paper_session.model(flavor), DesignSpace(),
-        paper_session.constraint(flavor),
-    )
-    policy = make_policy(method, paper_session.yield_levels(flavor))
-    result = optimizer.optimize(capacity_bytes * 8, policy,
-                                engine=engine)  # warm-up
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        optimizer.optimize(capacity_bytes * 8, policy, engine=engine)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+    searches = _cell_searches(paper_session, "hvt", "M2", 16384)
+    yield_search = _cell_searches(paper_session, "hvt", "M2", 16384,
+                                  constraint)[1]
+    return _best_of(searches + (yield_search,), repeats)[0]
 
 
 def _bench_pruning(paper_session):
-    """Pruned vs fused over every study cell: time, rate, correctness."""
+    """Production vs reference over every study cell: time, evaluated
+    fraction, correctness."""
     cells = {}
     for flavor in FLAVORS:
         for method in METHODS:
             for capacity in CAPACITIES_BYTES:
-                fused_s, fused = _time_cell(paper_session, flavor,
-                                            method, capacity, "fused")
-                pruned_s, pruned = _time_cell(paper_session, flavor,
-                                              method, capacity, "pruned")
-                # The prune must never change the answer.
-                assert pruned.design == fused.design
-                assert pruned.metrics.edp == fused.metrics.edp
+                (reference_s, production_s), (reference, production) = (
+                    _best_of(_cell_searches(paper_session, flavor, method,
+                                            capacity), repeats=3))
+                # The row gate must never change the answer.
+                assert production.design == reference.design
+                assert production.metrics.edp == reference.metrics.edp
                 label = "%s/%s/%s" % (
                     capacity_label(capacity), flavor.upper(), method)
                 cells[label] = {
                     "capacity_bytes": capacity,
-                    "fused_ms": round(fused_s * 1e3, 3),
-                    "pruned_ms": round(pruned_s * 1e3, 3),
+                    "reference_ms": round(reference_s * 1e3, 3),
+                    "production_ms": round(production_s * 1e3, 3),
                     "evaluated_fraction": round(
-                        pruned.n_evaluated / fused.n_evaluated, 4),
+                        production.n_evaluated / reference.n_evaluated,
+                        4),
                 }
     return cells
 
@@ -186,12 +152,8 @@ def bench_parallel_study_matrix(paper_session, report_writer):
     cpus = os.cpu_count() or 1
     workers = min(REQUESTED_WORKERS, max(cpus, 1))
 
-    single_loop = _time_engine(paper_session, "loop")
-    single_vec = _time_engine(paper_session, "vectorized")
-    single_fused = _time_engine(paper_session, "fused")
-    single_pruned = _time_engine(paper_session, "pruned")
-    single_yield = _time_yield_constraint(paper_session)
-    fused_many, many_policies, many_results = _time_many(paper_session)
+    single_loop, single_production, single_yield = _time_single(
+        paper_session)
     pruning_cells = _bench_pruning(paper_session)
     arena_publish, arena_attach, warm_create, arena_nbytes = (
         _time_arena(paper_session))
@@ -211,36 +173,24 @@ def bench_parallel_study_matrix(paper_session, report_writer):
         },
         "single": {
             "config": "16KB/hvt/M2",
+            # The reference slice loop: the gate's machine factor.
             "loop_seconds": single_loop,
-            "vectorized_seconds": single_vec,
-            "fused_seconds": single_fused,
-            "vectorization_speedup": single_loop / single_vec,
-            # Both engines are compute-bound on identical arithmetic, so
-            # this hovers near 1.0 on one core; the fused engine's win
-            # is the single-dispatch call shape, not raw arithmetic.
-            "fused_vs_vectorized": single_vec / single_fused,
-            # All policies of the cell in ONE dispatch, recorded next
-            # to the per-policy fused baseline it amortizes.
-            "fused_many_seconds": fused_many,
-            "fused_many_policies": many_policies,
-            "fused_many_vs_per_policy_fused":
-                (many_policies * single_fused) / fused_many,
-            # Bound-and-prune on the gate cell: the answer is identical,
-            # only a fraction of the space gets scored.
-            "pruned_seconds": single_pruned,
-            "pruned_vs_fused": single_fused / single_pruned,
-            # The same pruned search under the ECC-relaxed yield-target
+            "production_seconds": single_production,
+            "production_vs_reference": single_loop / single_production,
+            # The same search under the ECC-relaxed yield-target
             # constraint, Monte Carlo statistics warm: the steady-state
             # price of yield-aware feasibility.
             "yield_constraint_seconds": single_yield,
-            "yield_constraint_vs_pruned": single_yield / single_pruned,
+            "yield_constraint_vs_production":
+                single_yield / single_production,
         },
         "pruning": {
             "cells": pruning_cells,
-            "total_fused_seconds": sum(
-                c["fused_ms"] for c in pruning_cells.values()) / 1e3,
-            "total_pruned_seconds": sum(
-                c["pruned_ms"] for c in pruning_cells.values()) / 1e3,
+            "total_reference_seconds": sum(
+                c["reference_ms"] for c in pruning_cells.values()) / 1e3,
+            "total_production_seconds": sum(
+                c["production_ms"] for c in pruning_cells.values())
+            / 1e3,
             "min_evaluated_fraction_16kb": min(
                 c["evaluated_fraction"] for c in pruning_cells.values()
                 if c["capacity_bytes"] == 16384),
@@ -271,24 +221,18 @@ def bench_parallel_study_matrix(paper_session, report_writer):
 
     lines = [
         "Search-performance baseline (written to BENCH_search.json)",
-        "single 16KB/HVT/M2: loop %.1f ms, vectorized %.1f ms (%.1fx), "
-        "fused %.1f ms (%.2fx vs vectorized)"
-        % (single_loop * 1e3, single_vec * 1e3, single_loop / single_vec,
-           single_fused * 1e3, single_vec / single_fused),
-        "policy-batched 16KB/HVT (%d policies, one dispatch): %.1f ms "
-        "(%.2fx vs %d per-policy fused searches)"
-        % (many_policies, fused_many * 1e3,
-           (many_policies * single_fused) / fused_many, many_policies),
-        "bound-and-prune 16KB/HVT/M2: %.1f ms (%.2fx vs fused); "
-        "matrix totals: fused %.1f ms, pruned %.1f ms, min 16KB "
+        "single 16KB/HVT/M2: reference %.1f ms, production %.1f ms "
+        "(%.1fx)"
+        % (single_loop * 1e3, single_production * 1e3,
+           single_loop / single_production),
+        "matrix totals: reference %.1f ms, production %.1f ms, min 16KB "
         "evaluated fraction %.2f"
-        % (single_pruned * 1e3, single_fused / single_pruned,
-           baseline["pruning"]["total_fused_seconds"] * 1e3,
-           baseline["pruning"]["total_pruned_seconds"] * 1e3,
+        % (baseline["pruning"]["total_reference_seconds"] * 1e3,
+           baseline["pruning"]["total_production_seconds"] * 1e3,
            baseline["pruning"]["min_evaluated_fraction_16kb"]),
         "yield-target constraint 16KB/HVT/M2 (SECDED, warm MC): "
-        "%.1f ms (%.2fx vs plain pruned)"
-        % (single_yield * 1e3, single_yield / single_pruned),
+        "%.1f ms (%.2fx vs the plain search)"
+        % (single_yield * 1e3, single_yield / single_production),
         "session arena (%.1f KB): publish %.2f ms, attach+rebuild "
         "%.2f ms vs warm Session.create %.1f ms (%.0fx)"
         % (arena_nbytes / 1024.0, arena_publish * 1e3, arena_attach * 1e3,
@@ -306,30 +250,19 @@ def bench_parallel_study_matrix(paper_session, report_writer):
     for key, result in parallel.sweep.results.items():
         assert result.metrics.edp == serial.sweep.results[key].metrics.edp
         assert result.design == serial.sweep.results[key].design
-    # The vectorized engine carries the acceptance gate everywhere; the
+    # The production search carries the acceptance gate everywhere; the
     # parallel-speedup gate only exists where parallel hardware does.
-    assert single_loop / single_vec >= 3.0
-    # The fused engine must never cost meaningfully more than the
-    # vectorized one it subsumes (both are bound by the same arithmetic).
-    assert single_fused <= single_vec * 1.5
-    # One policy-batched dispatch must stay cheaper than paying the
-    # per-policy fused search once per policy, and its per-policy
-    # results must match the study's per-task answers exactly.
-    assert fused_many <= many_policies * single_fused * 1.25
-    for result in many_results:
-        key = (16384, "hvt", result.method)
-        assert result.design == serial.sweep.results[key].design
-        assert result.metrics.edp == serial.sweep.results[key].metrics.edp
-    # Pruning gates: on at least one 16KB cell the pruned engine must
-    # skip >= half the space, and it must win wall-clock over the whole
-    # matrix.  Per cell a loose 2x bound catches pathological slowdowns
-    # while tolerating the few high-survivor cells where the chunked
-    # tile dispatch pays more call overhead than one fused shot.
+    assert single_loop / single_production >= 3.0
+    # Row-gate gates: on at least one 16KB cell it must skip >= half
+    # the space, and production must win over the whole matrix.  Per
+    # cell a loose 2x bound catches pathological slowdowns while
+    # tolerating the one-V_SSC M1 cells, where the reference loop makes
+    # as few model calls as the gated sweep.
     assert baseline["pruning"]["min_evaluated_fraction_16kb"] <= 0.5
     for label, cell in pruning_cells.items():
-        assert cell["pruned_ms"] <= cell["fused_ms"] * 2.0, label
-    assert (baseline["pruning"]["total_pruned_seconds"]
-            <= baseline["pruning"]["total_fused_seconds"])
+        assert cell["production_ms"] <= cell["reference_ms"] * 2.0, label
+    assert (baseline["pruning"]["total_production_seconds"]
+            < baseline["pruning"]["total_reference_seconds"])
     # Attaching the arena must at least keep pace with rebuilding from
     # the on-disk cache (its real win is deduplicating the LUT memory
     # across workers, so a small timing margin is enough here).

@@ -2,7 +2,7 @@
 
 The paper reports its exhaustive search completes "in less than two
 minutes" on a 2011-era Xeon server; these benchmarks time our
-vectorized equivalents with real repetition statistics (these are the
+search and its reference loop with real repetition statistics (these are the
 only benchmarks where pytest-benchmark's multi-round timing is the
 point, rather than a harness around a one-shot experiment).
 """
@@ -35,9 +35,9 @@ def bench_grid_evaluation(benchmark, paper_session):
 
 
 def bench_full_optimization(benchmark, paper_session):
-    """The complete exhaustive search for one 16KB configuration
-    (the paper's
-    Section-5 search: n_r x V_SSC x N_pre x N_wr)."""
+    """The production search for one 16KB configuration (the paper's
+    Section-5 search: n_r x V_SSC x N_pre x N_wr; the row gate scores
+    half of this cell's 100k-point space)."""
     model = paper_session.model("hvt")
     constraint = paper_session.constraint("hvt")
     # Warm the constraint memoization so the benchmark times the search.
@@ -51,16 +51,15 @@ def bench_full_optimization(benchmark, paper_session):
 
 
 def bench_full_optimization_loop_engine(benchmark, paper_session):
-    """The same 16KB search through the reference slice-loop engine —
-    the denominator of the vectorization speedup tracked in
-    ``BENCH_search.json``."""
+    """The same 16KB search through the reference slice loop — the
+    machine factor of the search gate (``single.loop_seconds`` in
+    ``BENCH_search.json``)."""
     model = paper_session.model("hvt")
     constraint = paper_session.constraint("hvt")
     policy = make_policy("M2", paper_session.yield_levels("hvt"))
     optimizer = ExhaustiveOptimizer(model, DesignSpace(), constraint)
-    optimizer.optimize(16384 * 8, policy, engine="loop")
+    optimizer.optimize_reference(16384 * 8, policy)
 
-    result = benchmark(optimizer.optimize, 16384 * 8, policy,
-                       engine="loop")
+    result = benchmark(optimizer.optimize_reference, 16384 * 8, policy)
     assert result.metrics.edp > 0
     assert result.n_evaluated >= 50_000

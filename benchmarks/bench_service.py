@@ -16,14 +16,9 @@ Writes the machine-readable ``BENCH_service.json`` baseline (repo
 root): exact p50/p95/p99 latency from the raw samples, throughput, the
 server's batch-size histogram, and cache hit rates for both scenarios.
 
-A second pair of scenarios drives concurrent *distinct* fused optimize
-requests with request fusion on (widened per-endpoint batch window)
-versus off, recording the optimize batch-size buckets, throughput, and
-how many groups fused into policy-batched ``optimize_many`` dispatches.
-
-A third scenario drives ``/v1/pareto`` against a store-backed server:
-every combo's front is swept exactly once by the bound-and-prune
-engine, repeat requests resolve from the result cache, and requests
+A second scenario drives ``/v1/pareto`` against a store-backed server:
+every combo's front is swept exactly once, repeat requests resolve
+from the result cache, and requests
 differing only in their ``E^a D^b`` exponents dedup through the
 exponent-free store payload.
 """
@@ -148,96 +143,6 @@ def _run_scenario(label, session, sizing, batching, seed_base):
     return report
 
 
-#: The distinct fused-optimize requests of the fusion scenarios: every
-#: (capacity, method) combo shares one ("optimize", "hvt", "fused")
-#: batch group, so concurrent misses can fuse into policy-batched
-#: optimize_many dispatches.
-FUSION_COMBOS = tuple(
-    (capacity, method)
-    for capacity in OPTIMIZE_CAPACITIES
-    for method in ("M1", "M2")
-)
-
-
-def _fusion_worker(port, combo):
-    capacity, method = combo
-    start = time.perf_counter()
-    with ServiceClient(port=port) as client:
-        client.optimize(capacity, flavor="hvt", method=method,
-                        engine="fused")
-    return time.perf_counter() - start
-
-
-def _run_fusion_scenario(label, session, fusion):
-    """All FUSION_COMBOS requested concurrently, once each.
-
-    With fusion on, the optimize endpoint gets a widened batch window
-    (per-endpoint override), so the concurrent distinct misses coalesce
-    and same-capacity policies score through one ``optimize_many``
-    dispatch.  With fusion off every request dispatches alone.
-    """
-    config = ServiceConfig(
-        port=0, executor="thread", workers=2,
-        max_batch=8 if fusion else 1,
-        max_wait_ms=5.0 if fusion else 0.0,
-        endpoint_overrides=(
-            {"optimize": {"max_wait_ms": 100.0}} if fusion else None
-        ),
-        cache_path=CACHE_PATH,
-    )
-    from repro import perf
-
-    def counter(name):
-        # The thread executor records engine perf in this process's
-        # global registry, which outlives each ServerThread — deltas
-        # keep one scenario's counts out of the next one's report.
-        return perf.get_registry().snapshot()["counters"].get(name, 0)
-
-    before_fused = counter("service.engine.optimize_fused_dispatches")
-    before_searches = counter("service.engine.optimize_searches")
-    with ServerThread(config, session=session) as running:
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=len(FUSION_COMBOS)) as pool:
-            latencies = list(pool.map(
-                lambda combo: _fusion_worker(running.port, combo),
-                FUSION_COMBOS,
-            ))
-        elapsed = time.perf_counter() - start
-        with ServiceClient(port=running.port) as client:
-            metrics = client.metrics()
-
-    sizes = metrics["batch_sizes"].get("optimize", {"count": 0})
-    report = {
-        "fusion": fusion,
-        "requests": len(latencies),
-        "seconds": elapsed,
-        "throughput_rps": len(latencies) / elapsed,
-        "latency_ms": {
-            "mean": sum(latencies) / len(latencies) * 1e3,
-            "max": max(latencies) * 1e3,
-        },
-        "optimize_batch_sizes": {
-            "count": sizes["count"],
-            "mean": (sizes["sum"] / sizes["count"]
-                     if sizes.get("count") else 0.0),
-            "max": sizes.get("max", 0),
-            "buckets": sizes.get("buckets", {}),
-        },
-        "fused_dispatches": (
-            counter("service.engine.optimize_fused_dispatches")
-            - before_fused),
-        "searches": (counter("service.engine.optimize_searches")
-                     - before_searches),
-    }
-    print("%-13s %4d req in %6.2f s  %6.1f req/s  "
-          "mean batch=%.1f  fused dispatches=%d"
-          % (label, report["requests"], elapsed,
-             report["throughput_rps"],
-             report["optimize_batch_sizes"]["mean"],
-             report["fused_dispatches"]))
-    return report
-
-
 #: The distinct /v1/pareto requests of the Pareto scenario.
 PARETO_COMBOS = tuple(
     (capacity, method)
@@ -302,7 +207,6 @@ def _run_pareto_scenario(label, session, store_path):
             "%dB/%s" % combo: len(payload["front"])
             for combo, payload in zip(PARETO_COMBOS, payloads[0])
         },
-        "tiles_pruned": sum(p["tiles_pruned"] for p in payloads[0]),
         "cache": {
             "hits": metrics["cache"]["hits"],
             "misses": metrics["cache"]["misses"],
@@ -348,12 +252,6 @@ def main(argv=None):
     unbatched = _run_scenario("batching-off", session, sizing,
                               batching=False, seed_base=2_000_000)
 
-    print("driving %d concurrent fused optimize requests per fusion "
-          "scenario..." % len(FUSION_COMBOS))
-    fusion_on = _run_fusion_scenario("fusion-on", session, fusion=True)
-    fusion_off = _run_fusion_scenario("fusion-off", session,
-                                      fusion=False)
-
     print("driving 3 waves of %d concurrent /v1/pareto requests..."
           % len(PARETO_COMBOS))
     import tempfile
@@ -381,13 +279,6 @@ def main(argv=None):
         "batching_off": unbatched,
         "throughput_ratio": (batched["throughput_rps"]
                              / unbatched["throughput_rps"]),
-        "optimize_fusion": {
-            "combos": ["%dB/%s" % combo for combo in FUSION_COMBOS],
-            "fusion_on": fusion_on,
-            "fusion_off": fusion_off,
-            "throughput_ratio": (fusion_on["throughput_rps"]
-                                 / fusion_off["throughput_rps"]),
-        },
         "pareto": pareto,
     }
     with open(args.output, "w") as handle:
@@ -404,16 +295,6 @@ def main(argv=None):
         "batching-on scenario never coalesced a Monte Carlo batch"
     )
     assert batched["cache"]["hits"] > 0, "cache saw no repeat traffic"
-    # Fusion gates: with fusion on, concurrent distinct optimize
-    # requests must share dispatches (mean batch > 1) and at least one
-    # policy batch must have gone through optimize_many.
-    assert fusion_on["optimize_batch_sizes"]["mean"] > 1, (
-        "fusion-on scenario never shared an optimize dispatch"
-    )
-    assert fusion_on["fused_dispatches"] >= 1, (
-        "fusion-on scenario never policy-batched an optimize group"
-    )
-    assert fusion_off["optimize_batch_sizes"]["mean"] <= 1.0
     return 0
 
 

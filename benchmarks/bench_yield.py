@@ -50,14 +50,14 @@ FULL = {"capacities": (1024, 4096, 16384), "flavors": ("lvt", "hvt")}
 QUICK = {"capacities": (16384,), "flavors": ("hvt",)}
 
 
-def run_sweep(sizing, code, y_target, engine, workers, sampler,
-              ci_target, max_samples):
+def run_sweep(sizing, code, y_target, workers, sampler, ci_target,
+              max_samples):
     start = time.perf_counter()
     run = run_study(
         capacities=sizing["capacities"], flavors=sizing["flavors"],
         methods=("M2",), workers=workers,
         executor="serial" if workers == 1 else "auto",
-        engine=engine, cache_path=CACHE_PATH, voltage_mode="paper",
+        cache_path=CACHE_PATH, voltage_mode="paper",
         objective="yield", code=code, y_target=y_target,
         sampler=sampler, ci_target=ci_target, max_samples=max_samples,
     )
@@ -205,8 +205,6 @@ def main(argv=None):
                         help="single-cell sweep (the strict-win cell)")
     parser.add_argument("--code", default="secded")
     parser.add_argument("--y-target", type=float, default=0.9)
-    parser.add_argument("--engine", default="pruned",
-                        choices=("pruned", "fused", "vectorized", "loop"))
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--sampler", default="gaussian",
                         choices=("gaussian", "naive", "antithetic",
@@ -223,8 +221,8 @@ def main(argv=None):
 
     sizing = QUICK if args.quick else FULL
     run, seconds = run_sweep(sizing, args.code, args.y_target,
-                             args.engine, args.workers, args.sampler,
-                             args.ci_target, args.max_samples)
+                             args.workers, args.sampler, args.ci_target,
+                             args.max_samples)
     sweep = run.sweep
     cells = sweep.summaries()
     wins = [cell for cell in cells if cell["edp_gain"] > 0.0]
@@ -238,7 +236,6 @@ def main(argv=None):
         "y_target": sweep.y_target,
         "sampler": sweep.sampler,
         "samplers": samplers,
-        "engine": args.engine,
         "voltage_mode": sweep.voltage_mode,
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -1,4 +1,4 @@
-"""CI gate: fail when the fused search engine regresses against the
+"""CI gate: fail when the production search regresses against the
 committed ``BENCH_search.json`` baseline.
 
 Usage::
@@ -6,24 +6,24 @@ Usage::
     PYTHONPATH=src python benchmarks/check_search_regression.py
 
 The gate re-times the baseline's tracked configuration (one 16KB/HVT/M2
-exhaustive search) on the current machine, then normalizes the measured
-fused time by the vectorized engine's machine factor — the ratio of
-the vectorized time measured *now* to the vectorized time recorded in
-the baseline.  Because both engines execute the same arithmetic, that
-factor cancels out hardware differences between the committed baseline
-and the CI runner, leaving only genuine code regressions.
+search) on the current machine, then normalizes the measured production
+time by the reference's machine factor — the ratio of the
+:meth:`~repro.opt.ExhaustiveOptimizer.optimize_reference` time measured
+*now* to the reference time recorded in the baseline
+(``single.loop_seconds``).  The reference loop's code does not change
+with the production search, so that factor cancels out hardware
+differences between the committed baseline and the CI runner, leaving
+only genuine code regressions.
 
-The policy-batched (``optimize_many``), bound-and-prune (``pruned``)
-and yield-target-constraint paths ride the same machine factor as
-extra legs; the pruned leg also re-checks that pruning leaves the
-16KB/HVT/M2 argmin bit-identical to the fused engine's before timing
-it, and the yield leg re-checks that a non-correcting code reproduces
-the fixed-delta argmin exactly.  Legs whose baseline fields are
-missing (older baselines) skip gracefully.
+Before timing, the production answer must equal the reference's on the
+gate cell — a wrong answer is a correctness bug, not a perf
+regression.  The yield-target constraint rides the same machine factor
+as an extra leg, after re-checking that a non-correcting code
+reproduces the fixed-delta argmin exactly.  Legs whose baseline fields
+are missing skip gracefully.
 
-Exit codes: 0 = pass (or graceful skip), 1 = fused regression beyond
-the threshold.  Skips cleanly when the baseline is missing or predates
-the fused engine (no ``single.fused_seconds`` field).
+Exit codes: 0 = pass (or graceful skip), 1 = regression beyond the
+threshold or a parity failure.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ import os
 import sys
 import time
 
-#: Fail the gate when the normalized fused time regresses beyond this.
+#: Fail the gate when the normalized production time regresses beyond
+#: this.
 THRESHOLD = 0.25
 
-#: Repetitions per engine; best-of keeps scheduler noise out.
+#: Repetitions per timing; best-of keeps scheduler noise out.
 REPEATS = 5
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -49,39 +50,68 @@ def _skip(message):
     return 0
 
 
-def _time_engine(session, engine):
-    from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
-
-    optimizer = ExhaustiveOptimizer(
-        session.model("hvt"), DesignSpace(), session.constraint("hvt")
-    )
-    policy = make_policy("M2", session.yield_levels("hvt"))
-    optimizer.optimize(16384 * 8, policy, engine=engine)  # warm-up
-    best = float("inf")
+def _best_of(*searches):
+    """Best-of-REPEATS wall time of each zero-argument search, after a
+    warm-up.  The searches run interleaved, so a shift in the host's
+    speed during the measurement reaches all of them alike."""
+    best = [float("inf")] * len(searches)
+    for search in searches:
+        search()
     for _ in range(REPEATS):
-        start = time.perf_counter()
-        optimizer.optimize(16384 * 8, policy, engine=engine)
-        best = min(best, time.perf_counter() - start)
+        for index, search in enumerate(searches):
+            start = time.perf_counter()
+            search()
+            best[index] = min(best[index], time.perf_counter() - start)
     return best
 
 
-def _time_many(session):
-    """Best-of wall time of the policy-batched 16KB/HVT dispatch [s]."""
-    from repro.analysis.experiments import METHODS
-    from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
+def _yield_search(session, policy):
+    """The gate cell's search under the ECC-relaxed yield-target
+    constraint, plus whether a non-correcting code left the
+    fixed-delta argmin intact (a relaxation with ``code="none"`` that
+    moves it is a correctness bug)."""
+    from repro.opt import DesignSpace, ExhaustiveOptimizer
+    from repro.opt.constraints import YieldTargetConstraint
 
-    optimizer = ExhaustiveOptimizer(
-        session.model("hvt"), DesignSpace(), session.constraint("hvt")
-    )
-    levels = session.yield_levels("hvt")
-    policies = [make_policy(method, levels) for method in METHODS]
-    optimizer.optimize_many(16384 * 8, policies)  # warm-up
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        optimizer.optimize_many(16384 * 8, policies)
-        best = min(best, time.perf_counter() - start)
-    return best
+    base_constraint = session.constraint("hvt")
+
+    def search(constraint):
+        optimizer = ExhaustiveOptimizer(session.model("hvt"),
+                                        DesignSpace(), constraint)
+        return lambda: optimizer.optimize(16384 * 8, policy)
+
+    def yield_constraint(code):
+        constraint = YieldTargetConstraint(
+            library=session.library, flavor="hvt",
+            delta=session.delta, y_target=0.9, code=code,
+            capacity_bits=16384 * 8,
+            word_bits=session.config.word_bits,
+            trust_fixed_rails=base_constraint.trust_fixed_rails,
+            flip_lookup=base_constraint.flip_lookup,
+        )
+        constraint.seed_margin_memo(base_constraint.export_margin_memo())
+        return constraint
+
+    fixed_ref = search(base_constraint)()
+    none_ref = search(yield_constraint("none"))()
+    intact = (none_ref.design == fixed_ref.design
+              and none_ref.metrics.edp == fixed_ref.metrics.edp)
+    if not intact:
+        print("  yield-constraint: code='none' DIVERGED from the "
+              "fixed-delta search (design %s vs %s)"
+              % (none_ref.design, fixed_ref.design))
+    return search(yield_constraint("secded")), intact
+
+
+def _leg(label, baseline_seconds, measured_seconds, machine_factor):
+    """Print one normalized leg; returns True when it regressed."""
+    expected = baseline_seconds * machine_factor
+    regression = measured_seconds / expected - 1.0
+    print("  %s: baseline %.2f ms, measured %.2f ms, expected %.2f ms, "
+          "regression %+.1f%% (threshold +%.0f%%)"
+          % (label, baseline_seconds * 1e3, measured_seconds * 1e3,
+             expected * 1e3, regression * 100.0, THRESHOLD * 100.0))
+    return regression > THRESHOLD
 
 
 def main():
@@ -92,142 +122,51 @@ def main():
         return _skip("no readable baseline at %s (%s)"
                      % (BASELINE_PATH, exc))
     single = baseline.get("single", {})
-    base_fused = single.get("fused_seconds")
-    base_vec = single.get("vectorized_seconds")
-    if not base_fused or not base_vec:
-        return _skip("baseline predates the fused engine "
-                     "(no single.fused_seconds)")
+    base_production = single.get("production_seconds")
+    base_reference = single.get("loop_seconds")
+    if not base_production or not base_reference:
+        return _skip("baseline lacks single.production_seconds or "
+                     "single.loop_seconds")
 
     from repro.analysis.experiments import Session
+    from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
 
     session = Session.create(cache_path=CACHE_PATH, voltage_mode="paper")
-    now_vec = _time_engine(session, "vectorized")
-    now_fused = _time_engine(session, "fused")
+    optimizer = ExhaustiveOptimizer(
+        session.model("hvt"), DesignSpace(), session.constraint("hvt"))
+    policy = make_policy("M2", session.yield_levels("hvt"))
 
-    # Hardware normalization: how much faster/slower this machine runs
-    # the identical vectorized arithmetic than the baseline machine did.
-    machine_factor = now_vec / base_vec
-    expected_fused = base_fused * machine_factor
-    regression = now_fused / expected_fused - 1.0
+    failed = False
+    reference = optimizer.optimize_reference(16384 * 8, policy)
+    production = optimizer.optimize(16384 * 8, policy)
+    if (production.design != reference.design
+            or production.metrics.edp != reference.metrics.edp):
+        print("  parity: production DIVERGED from the reference "
+              "(design %s vs %s)" % (production.design, reference.design))
+        failed = True
 
-    print("search-regression gate (%s)" % single.get("config", "?"))
-    print("  baseline : vectorized %.2f ms, fused %.2f ms"
-          % (base_vec * 1e3, base_fused * 1e3))
-    print("  measured : vectorized %.2f ms, fused %.2f ms"
-          % (now_vec * 1e3, now_fused * 1e3))
-    print("  machine factor %.2fx -> expected fused %.2f ms, "
-          "regression %+.1f%% (threshold +%.0f%%)"
-          % (machine_factor, expected_fused * 1e3,
-             regression * 100.0, THRESHOLD * 100.0))
-
-    failed = regression > THRESHOLD
-
-    # The policy-batched path rides the same gate (same machine factor:
-    # identical arithmetic, just more of it per dispatch).  Baselines
-    # predating optimize_many skip this leg only.
-    base_many = single.get("fused_many_seconds")
-    if base_many:
-        now_many = _time_many(session)
-        expected_many = base_many * machine_factor
-        many_regression = now_many / expected_many - 1.0
-        print("  policy-batched: baseline %.2f ms, measured %.2f ms, "
-              "regression %+.1f%% (threshold +%.0f%%)"
-              % (base_many * 1e3, now_many * 1e3,
-                 many_regression * 100.0, THRESHOLD * 100.0))
-        failed = failed or many_regression > THRESHOLD
-    else:
-        print("  policy-batched: baseline predates optimize_many — "
-              "leg skipped")
-
-    # The bound-and-prune engine rides the same machine factor.  Before
-    # timing it, its answer must equal the fused engine's on the gate
-    # cell — a wrong prune is a correctness bug, not a perf regression.
-    base_pruned = single.get("pruned_seconds")
-    if base_pruned:
-        from repro.opt import DesignSpace, ExhaustiveOptimizer, \
-            make_policy
-
-        optimizer = ExhaustiveOptimizer(
-            session.model("hvt"), DesignSpace(),
-            session.constraint("hvt"))
-        policy = make_policy("M2", session.yield_levels("hvt"))
-        fused_ref = optimizer.optimize(16384 * 8, policy, engine="fused")
-        pruned_ref = optimizer.optimize(16384 * 8, policy,
-                                        engine="pruned")
-        if (pruned_ref.design != fused_ref.design
-                or pruned_ref.metrics.edp != fused_ref.metrics.edp):
-            print("  bound-and-prune: argmin DIVERGED from fused "
-                  "(design %s vs %s)"
-                  % (pruned_ref.design, fused_ref.design))
-            failed = True
-        now_pruned = _time_engine(session, "pruned")
-        expected_pruned = base_pruned * machine_factor
-        pruned_regression = now_pruned / expected_pruned - 1.0
-        print("  bound-and-prune: baseline %.2f ms, measured %.2f ms, "
-              "regression %+.1f%% (threshold +%.0f%%)"
-              % (base_pruned * 1e3, now_pruned * 1e3,
-                 pruned_regression * 100.0, THRESHOLD * 100.0))
-        failed = failed or pruned_regression > THRESHOLD
-    else:
-        print("  bound-and-prune: baseline predates the pruned engine — "
-              "leg skipped")
-
-    # The yield-target constraint rides the same machine factor (its
-    # steady-state cost is the pruned search plus memoized sigma
-    # lookups).  Before timing it, the non-correcting code must leave
-    # the gate cell's argmin bit-identical to the fixed-delta search —
-    # a relaxation with code="none" is a correctness bug.
+    searches = [lambda: optimizer.optimize_reference(16384 * 8, policy),
+                lambda: optimizer.optimize(16384 * 8, policy)]
     base_yield = single.get("yield_constraint_seconds")
     if base_yield:
-        from repro.opt import DesignSpace, ExhaustiveOptimizer, \
-            make_policy
-        from repro.opt.constraints import YieldTargetConstraint
+        # Its warm-up inside _best_of pays the Monte Carlo statistics.
+        yield_search, intact = _yield_search(session, policy)
+        searches.append(yield_search)
+        failed = failed or not intact
+    measured = _best_of(*searches)
+    # Hardware normalization: how much faster/slower this machine runs
+    # the unchanged reference loop than the baseline machine did.
+    machine_factor = measured[0] / base_reference
 
-        base_constraint = session.constraint("hvt")
-        policy = make_policy("M2", session.yield_levels("hvt"))
-        fixed_ref = ExhaustiveOptimizer(
-            session.model("hvt"), DesignSpace(), base_constraint
-        ).optimize(16384 * 8, policy, engine="pruned")
-
-        def yield_constraint(code):
-            constraint = YieldTargetConstraint(
-                library=session.library, flavor="hvt",
-                delta=session.delta, y_target=0.9, code=code,
-                capacity_bits=16384 * 8,
-                word_bits=session.config.word_bits,
-                trust_fixed_rails=base_constraint.trust_fixed_rails,
-                flip_lookup=base_constraint.flip_lookup,
-            )
-            constraint.seed_margin_memo(
-                base_constraint.export_margin_memo())
-            return constraint
-
-        none_ref = ExhaustiveOptimizer(
-            session.model("hvt"), DesignSpace(), yield_constraint("none")
-        ).optimize(16384 * 8, policy, engine="pruned")
-        if (none_ref.design != fixed_ref.design
-                or none_ref.metrics.edp != fixed_ref.metrics.edp):
-            print("  yield-constraint: code='none' DIVERGED from the "
-                  "fixed-delta search (design %s vs %s)"
-                  % (none_ref.design, fixed_ref.design))
-            failed = True
-
-        optimizer = ExhaustiveOptimizer(
-            session.model("hvt"), DesignSpace(),
-            yield_constraint("secded"))
-        optimizer.optimize(16384 * 8, policy, engine="pruned")  # warm MC
-        now_yield = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            optimizer.optimize(16384 * 8, policy, engine="pruned")
-            now_yield = min(now_yield, time.perf_counter() - start)
-        expected_yield = base_yield * machine_factor
-        yield_regression = now_yield / expected_yield - 1.0
-        print("  yield-constraint: baseline %.2f ms, measured %.2f ms, "
-              "regression %+.1f%% (threshold +%.0f%%)"
-              % (base_yield * 1e3, now_yield * 1e3,
-                 yield_regression * 100.0, THRESHOLD * 100.0))
-        failed = failed or yield_regression > THRESHOLD
+    print("search-regression gate (%s)" % single.get("config", "?"))
+    print("  reference: baseline %.2f ms, measured %.2f ms -> machine "
+          "factor %.2fx" % (base_reference * 1e3, measured[0] * 1e3,
+                            machine_factor))
+    failed = _leg("production", base_production, measured[1],
+                  machine_factor) or failed
+    if base_yield:
+        failed = _leg("yield-constraint", base_yield, measured[2],
+                      machine_factor) or failed
     else:
         print("  yield-constraint: baseline predates the yield leg — "
               "leg skipped")

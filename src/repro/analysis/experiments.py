@@ -488,7 +488,7 @@ class SweepResult:
 
 
 def optimize_all(session, capacities=CAPACITIES_BYTES,
-                 keep_landscape=False, engine="vectorized"):
+                 keep_landscape=False):
     """Run the exhaustive optimizer over the full evaluation matrix.
 
     Serial reference driver; :func:`repro.analysis.runner.run_study`
@@ -506,7 +506,6 @@ def optimize_all(session, capacities=CAPACITIES_BYTES,
             for capacity in capacities:
                 results[(capacity, flavor, method)] = optimizer.optimize(
                     capacity * 8, policy, keep_landscape=keep_landscape,
-                    engine=engine,
                 )
     return SweepResult(results=results, voltage_mode=session.voltage_mode)
 

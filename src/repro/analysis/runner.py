@@ -4,12 +4,7 @@ over a worker pool.
 A full Table-4 / Figure-7 study is 20 independent exhaustive searches
 (5 capacities x 2 flavors x 2 methods).  They share only *read-only*
 state — the characterization LUTs and the memoized yield margins — so
-the matrix parallelizes embarrassingly.  With ``engine="fused"`` the
-matrix is additionally *policy-batched*: the two methods of each
-``(flavor, capacity)`` cell are scored by one
-:meth:`~repro.opt.ExhaustiveOptimizer.optimize_many` dispatch (a single
-broadcast evaluation over a leading policy axis), halving the number of
-model evaluations while staying bit-identical per task.  The executors:
+the matrix parallelizes embarrassingly.  The executors:
 
 * ``executor="process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
   whose workers map the parent's shared-memory session arena
@@ -127,7 +122,6 @@ class ParetoSweep:
                                       flavor.upper(), method),
                 "front": len(front),
                 "evaluated": res.n_evaluated,
-                "tiles_pruned": res.tiles_pruned,
                 "min delay (ns)": min(p.d_array for p in front) * 1e9,
                 "min energy (fJ)": min(p.e_total for p in front) * 1e15,
             })
@@ -258,28 +252,27 @@ def _worker_init(cache_path, voltage_mode, space, margin_memos,
     _WORKER_STATE["space"] = space
 
 
-def _run_unit_in_worker(unit, engine, keep_landscape, objective="edp"):
+def _run_task_in_worker(task, keep_landscape, objective="edp"):
     session = _WORKER_STATE["session"]
     space = _WORKER_STATE["space"]
-    entries = _execute_unit(session, space, unit, engine, keep_landscape,
-                            objective)
+    result, seconds = _execute_task(session, space, task, keep_landscape,
+                                    objective)
     # Snapshot-and-reset so each returned snapshot is a disjoint delta;
     # the parent merges them all without double counting.
     registry = perf.get_registry()
     snapshot = registry.snapshot()
     registry.reset()
-    return entries, os.getpid(), snapshot
+    return result, seconds, os.getpid(), snapshot
 
 
-def _execute_task(session, space, task, engine, keep_landscape,
-                  objective="edp"):
+def _execute_task(session, space, task, keep_landscape, objective="edp"):
     if _objective_kind(objective) == "yield":
         from ..yields.study import compute_yield_cell_timed
 
         _, code, y_target, sampler, ci_target, max_samples = objective
         return compute_yield_cell_timed(
             session, task.capacity_bytes, task.flavor, task.method,
-            code=code, y_target=y_target, engine=engine, space=space,
+            code=code, y_target=y_target, space=space,
             sampler=sampler, ci_target=ci_target,
             max_samples=max_samples,
         )
@@ -289,74 +282,14 @@ def _execute_task(session, space, task, engine, keep_landscape,
     optimizer = ExhaustiveOptimizer(model, space, constraint)
     policy = make_policy(task.method, session.yield_levels(task.flavor))
     if objective == "pareto":
-        result = optimizer.pareto(
-            task.capacity_bytes * 8, policy, engine=engine,
-        )
+        result = optimizer.pareto(task.capacity_bytes * 8, policy)
     else:
-        result = optimizer.optimize(
-            task.capacity_bytes * 8, policy,
-            keep_landscape=keep_landscape, engine=engine,
-        )
+        result = optimizer.optimize(task.capacity_bytes * 8, policy,
+                                    keep_landscape=keep_landscape)
     return result, time.perf_counter() - start
 
 
-def _study_units(tasks, engine, objective="edp"):
-    """Group the task matrix into dispatch units.
-
-    Every engine but ``"fused"`` dispatches one task per unit.  The
-    fused engine groups the tasks sharing a ``(flavor, capacity)`` cell
-    — i.e. that cell's voltage policies — into one unit, which
-    :func:`_execute_unit` scores in a single policy-batched
-    :meth:`ExhaustiveOptimizer.optimize_many` evaluation.  Unit order
-    (and task order within a unit) follows the canonical matrix order,
-    so results remain deterministic.
-
-    Pareto and yield sweeps always dispatch one task per unit: the
-    pruned front maintenance (pareto) and the per-cell two-arm search
-    (yield) are incumbency-driven, so there is no policy-batched fast
-    path to share.
-    """
-    if engine != "fused" or _objective_kind(objective) != "edp":
-        return [(task,) for task in tasks]
-    groups = {}
-    for task in tasks:
-        groups.setdefault((task.flavor, task.capacity_bytes),
-                          []).append(task)
-    return [tuple(group) for group in groups.values()]
-
-
-def _execute_unit(session, space, unit, engine, keep_landscape,
-                  objective="edp"):
-    """Run one dispatch unit; returns ``[(task, result, seconds), ...]``.
-
-    Multi-task (fused) units share one broadcast evaluation, so the
-    group's wall time is split evenly across its tasks — the per-task
-    ``seconds`` stay meaningful in aggregate (they sum to the unit's
-    wall time) even though the work was not separable.
-    """
-    if len(unit) == 1:
-        task = unit[0]
-        result, seconds = _execute_task(session, space, task, engine,
-                                        keep_landscape, objective)
-        return [(task, result, seconds)]
-    start = time.perf_counter()
-    flavor = unit[0].flavor
-    model = session.model(flavor)
-    constraint = session.constraint(flavor)
-    optimizer = ExhaustiveOptimizer(model, space, constraint)
-    levels = session.yield_levels(flavor)
-    policies = [make_policy(task.method, levels) for task in unit]
-    results = optimizer.optimize_many(
-        unit[0].capacity_bytes * 8, policies,
-        keep_landscape=keep_landscape, engine=engine,
-    )
-    seconds = (time.perf_counter() - start) / len(unit)
-    return [(task, result, seconds)
-            for task, result in zip(unit, results)]
-
-
-def execute_study_task(session, space, task, engine="vectorized",
-                       keep_landscape=False):
+def execute_study_task(session, space, task, keep_landscape=False):
     """Run one study-matrix cell; returns ``(result, seconds)``.
 
     This is the single execution path shared by :func:`run_study` and
@@ -364,7 +297,7 @@ def execute_study_task(session, space, task, engine="vectorized",
     identical :class:`OptimizationResult` values for the same inputs,
     which is what makes checkpointed resume bit-identical.
     """
-    return _execute_task(session, space or DesignSpace(), task, engine,
+    return _execute_task(session, space or DesignSpace(), task,
                          keep_landscape)
 
 
@@ -383,24 +316,6 @@ def _task_failure(task, exc):
     )
 
 
-def _unit_failure(unit, exc):
-    """Attribute a unit failure: the task label for singleton units, a
-    combined ``cap/FLAVOR/M1+M2`` label for fused policy batches (the
-    batch evaluates all policies at once, so the cell is the faulty
-    grain, not one method)."""
-    if len(unit) == 1:
-        return _task_failure(unit[0], exc)
-    label = "%s/%s/%s" % (
-        capacity_label(unit[0].capacity_bytes), unit[0].flavor.upper(),
-        "+".join(task.method for task in unit),
-    )
-    return StudyTaskError(
-        "study unit %s failed: %s: %s"
-        % (label, type(exc).__name__, exc),
-        task_label=label,
-    )
-
-
 def _cancel_pending(futures):
     """Best-effort cancel of not-yet-started futures after a failure, so
     one bad task fails the study promptly instead of running out the
@@ -415,7 +330,7 @@ def _cancel_pending(futures):
 
 def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
               methods=METHODS, workers=None, executor="auto",
-              engine="vectorized", keep_landscape=False, space=None,
+              keep_landscape=False, space=None,
               cache_path=None, voltage_mode="paper", objective="edp",
               code="secded", y_target=0.9, sampler="gaussian",
               ci_target=0.1, max_samples=4096):
@@ -494,8 +409,7 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
     if workers == 1:
         executor = "serial"
     tasks = study_matrix(capacities, flavors, methods)
-    units = _study_units(tasks, engine, objective)
-    workers = min(workers, len(units))
+    workers = min(workers, len(tasks))
 
     # Warm and export the margin memos once, in the parent: feasibility
     # masks over the whole V_SSC axis for every flavor in play.
@@ -517,33 +431,31 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
     results = {}
     timings = {}
     if executor == "serial":
-        for unit in units:
+        for task in tasks:
             try:
-                entries = _execute_unit(session, space, unit, engine,
-                                        keep_landscape, objective)
+                result, seconds = _execute_task(session, space, task,
+                                                keep_landscape, objective)
             except Exception as exc:
-                raise _unit_failure(unit, exc) from exc
-            for task, result, seconds in entries:
-                results[task.key] = result
-                timings[task.key] = TaskTiming(task, seconds,
-                                               result.n_evaluated, 0)
+                raise _task_failure(task, exc) from exc
+            results[task.key] = result
+            timings[task.key] = TaskTiming(task, seconds,
+                                           result.n_evaluated, 0)
     elif executor == "thread":
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(_execute_unit, session, space, unit, engine,
-                            keep_landscape, objective): unit
-                for unit in units
+                pool.submit(_execute_task, session, space, task,
+                            keep_landscape, objective): task
+                for task in tasks
             }
-            for future, unit in futures.items():
+            for future, task in futures.items():
                 try:
-                    entries = future.result()
+                    result, seconds = future.result()
                 except Exception as exc:
                     _cancel_pending(futures)
-                    raise _unit_failure(unit, exc) from exc
-                for task, result, seconds in entries:
-                    results[task.key] = result
-                    timings[task.key] = TaskTiming(task, seconds,
-                                                   result.n_evaluated, 0)
+                    raise _task_failure(task, exc) from exc
+                results[task.key] = result
+                timings[task.key] = TaskTiming(task, seconds,
+                                               result.n_evaluated, 0)
     elif executor == "process":
         # Publish the parent's session once; workers map it zero-copy.
         # Publishing is best-effort — on failure the workers cold-build
@@ -563,21 +475,19 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
                           arena.name if arena is not None else None),
             ) as pool:
                 futures = {
-                    pool.submit(_run_unit_in_worker, unit, engine,
-                                keep_landscape, objective): unit
-                    for unit in units
+                    pool.submit(_run_task_in_worker, task, keep_landscape,
+                                objective): task
+                    for task in tasks
                 }
-                for future, submitted in futures.items():
+                for future, task in futures.items():
                     try:
-                        entries, pid, snapshot = future.result()
+                        result, seconds, pid, snapshot = future.result()
                     except Exception as exc:
                         _cancel_pending(futures)
-                        raise _unit_failure(submitted, exc) from exc
-                    for task, result, seconds in entries:
-                        results[task.key] = result
-                        timings[task.key] = TaskTiming(task, seconds,
-                                                       result.n_evaluated,
-                                                       pid)
+                        raise _task_failure(task, exc) from exc
+                    results[task.key] = result
+                    timings[task.key] = TaskTiming(task, seconds,
+                                                   result.n_evaluated, pid)
                     perf.get_registry().merge(snapshot)
         finally:
             if arena is not None:

@@ -10,14 +10,11 @@ and the fixed driver fin counts (20 for the CVDD/CVSS rail muxes, 27 for
 the WL/COL driver last stage).
 
 ``n_pre`` / ``n_wr`` may be numpy arrays; everything broadcasts.  So may
-``v_ssc``: the vectorized exhaustive search passes the whole feasible
-V_SSC candidate axis with shape ``(S, 1, 1)`` alongside an
-``(N_pre, N_wr)`` fin grid, and every V_SSC-dependent component (CVSS
-rail, BL read discharge) comes back with the full ``(S, P, W)``
-broadcast shape.  The rail voltages ``v_ddc`` / ``v_wl`` / ``v_bl``
-broadcast the same way — the policy-batched search passes them with a
-leading batch axis — with every voltage-swing case split evaluated
-through the scalar path's exact arithmetic, elementwise.
+``v_ssc``: the exhaustive search passes the whole feasible V_SSC
+candidate axis with shape ``(S, 1, 1)`` alongside the fin axes, and
+every V_SSC-dependent component (CVSS rail, BL read discharge) comes
+back with the full ``(S, P, W)`` broadcast shape.  The rail voltages
+``v_ddc`` / ``v_wl`` / ``v_bl`` are scalars.
 """
 
 from __future__ import annotations
@@ -61,23 +58,6 @@ def _neg_part(v):
     return np.abs(np.minimum(v, 0.0))
 
 
-def _pos_part(v):
-    """``max(v, 0)`` for scalars or arrays (the CVDD boost swing when a
-    policy batch carries a V_DDC axis); elementwise identical to the
-    scalar ``max``."""
-    if np.ndim(v) == 0:
-        return max(float(v), 0.0)
-    return np.maximum(v, 0.0)
-
-
-def _min_zero(v):
-    """``min(v, 0)`` for scalars or arrays (the negative-BL swing when a
-    policy batch carries a V_BL axis)."""
-    if np.ndim(v) == 0:
-        return min(float(v), 0.0)
-    return np.minimum(v, 0.0)
-
-
 def _safe_div(numerator, current):
     """C*dV / I with a guard: zero numerator yields zero delay even when
     the drive current is also zero (e.g. V_SSC = 0 disables the CVSS
@@ -100,14 +80,14 @@ def _shared_precursors(char, config, n_pre, n_wr, v_ddc, v_ssc, v_wl,
                        v_bl):
     """The Table-2 inputs that do *not* depend on the organization:
     voltage swings, LUT-interpolated drive currents, and the fin-count
-    current scalings.  The blocked broadcast executor evaluates many
-    organizations of one design point; hoisting these out of the
-    per-organization pass changes no value (they are recomputed from
-    identical inputs otherwise) but skips the repeated LUT
+    current scalings.  The optimizer's row sweep evaluates many
+    organizations of one set of rails and axes; hoisting these out of
+    the per-organization pass changes no value (they are recomputed
+    from identical inputs otherwise) but skips the repeated LUT
     interpolation and scalar derivation work."""
     vdd = char.vdd
     return {
-        "dv_cvdd": _pos_part(v_ddc - vdd),
+        "dv_cvdd": max(float(v_ddc - vdd), 0.0),
         "i_cvdd": COEFF_CVDD * RAIL_DRIVER_FINS * char.i_cvdd(v_ddc),
         "dv_cvss": _neg_part(v_ssc),
         "i_cvss": COEFF_CVSS * RAIL_DRIVER_FINS * char.i_cvss(v_ssc),
@@ -115,7 +95,7 @@ def _shared_precursors(char, config, n_pre, n_wr, v_ddc, v_ssc, v_wl,
         "i_wl_wr": COEFF_WL_WR * WL_DRIVER_FINS * char.i_wl(v_wl),
         "i_col": COEFF_COL * WL_DRIVER_FINS * char.i_on_pfet,
         "i_read": char.i_read(v_ddc, v_ssc),
-        "write_swing": vdd - _min_zero(v_bl),
+        "write_swing": vdd - min(float(v_bl), 0.0),
         "i_bl_wr": COEFF_BL_WR * n_wr * char.i_on_tg,
         "i_pre": COEFF_PRE * n_pre * char.i_on_pfet,
     }

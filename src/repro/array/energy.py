@@ -35,8 +35,8 @@ def read_energy(char, org, config, components):
     organization-only terms, the fin-grid terms, and the V_SSC-rank
     assist-rail term each combine at their own (small) shape before the
     full-rank bitline term joins, so a broadcast search pays only two
-    additions at the full ``(R, S, P, W)`` shape instead of eight.  All
-    three search engines share this summation, so they stay
+    additions at the full ``(S, P, W)`` shape instead of eight.  The
+    search and its reference share this summation, so they stay
     bit-identical to each other.
     """
     assist = config.assist_energy_factor
@@ -83,26 +83,12 @@ def write_energy(char, org, config, components, v_wl, v_bl=0.0):
         pre_mult = org.n_c_phys
     else:
         word_mult, pre_mult = 1.0, 1.0
-    # Per-policy case splits.  On the scalar path these stay Python
-    # branches (the reference arithmetic); with a broadcast rail axis
-    # both case expressions are evaluated elementwise (both LUT domains
-    # cover every policy's rail values) and selected per element, which
-    # yields the same IEEE-754 values as the matching scalar branch.
-    if np.ndim(v_wl) == 0:
-        wl_assist = assist if v_wl > vdd else 1.0
+    wl_assist = assist if v_wl > vdd else 1.0
+    bl_assist = assist if v_bl < 0.0 else 1.0
+    if v_bl < 0.0:
+        e_cell_write = char.e_write_negbl(v_bl)
     else:
-        wl_assist = np.where(v_wl > vdd, assist, 1.0)
-    if np.ndim(v_bl) == 0:
-        bl_assist = assist if v_bl < 0.0 else 1.0
-        if v_bl < 0.0:
-            e_cell_write = char.e_write_negbl(v_bl)
-        else:
-            e_cell_write = char.e_write_sram(v_wl)
-    else:
-        bl_assist = np.where(v_bl < 0.0, assist, 1.0)
-        e_cell_write = np.where(
-            v_bl < 0.0, char.e_write_negbl(v_bl), char.e_write_sram(v_wl)
-        )
+        e_cell_write = char.e_write_sram(v_wl)
     total = (
         char.decoder.energy(org.row_address_bits)
         + char.driver.first_three_energy

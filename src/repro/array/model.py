@@ -7,29 +7,23 @@ and their product) together over one :class:`ArrayCharacterization`.
 ``n_pre`` / ``n_wr`` may be numpy arrays: a single call then evaluates a
 whole fin-count grid.  ``v_ssc`` may also be an array (conventionally
 shaped ``(S, 1, 1)`` so it broadcasts as a leading axis over the
-``(N_pre, N_wr)`` grid): the vectorized exhaustive optimizer evaluates
-an entire policy's feasible ``V_SSC x N_pre x N_wr`` space for one row
-count in a single call, which is how it sweeps its 250k-point design
-space in well under the paper's two minutes.
-
-The axes compose right-aligned, numpy-broadcast style, so outer axes
-stack freely on the left: the fused engine adds a row-count axis
-(``n_r`` / ``n_c`` shaped ``(R, 1, 1, 1)``), and the policy-batched
-search adds a leading *policy* axis ``B`` by shaping the rail voltages
-``(B, 1, 1, 1, 1)`` and ``v_ssc`` ``(B, 1, S, 1, 1)`` — one call then
-scores a ``(B, n_r, V_SSC, N_pre, N_wr)`` tensor.  Whatever the rank,
-every elementwise case split is evaluated with the scalar path's exact
-arithmetic and selected per element, so results stay bit-identical to
-the slice-by-slice reference.
+``(N_pre, N_wr)`` grid): the exhaustive optimizer evaluates one row
+count's whole feasible ``V_SSC x N_pre x N_wr`` space in a single call,
+which is how it sweeps its 250k-point design space in well under the
+paper's two minutes.  ``n_r`` / ``n_c`` may be integer arrays too (the
+admissible bounds of :meth:`SRAMArrayModel.evaluate_bounds` cover every
+organization at once).  Whatever the rank, every elementwise case split
+is evaluated with the scalar path's exact arithmetic and selected per
+element, so results stay bit-identical to the slice-by-slice reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .components import ComponentSet, _shared_precursors, compute_components
+from .components import _shared_precursors, compute_components
 from .config import ArrayConfig
 from .energy import read_energy, total_energy, write_energy
 from .organization import ArrayOrganization, BroadcastOrganization
@@ -53,8 +47,7 @@ class DesignPoint:
     v_bl: float = 0.0
 
     def describe(self):
-        if any(np.ndim(v) > 0 for v in
-               (self.n_r, self.n_c, self.v_ddc, self.v_wl, self.v_bl)):
+        if np.ndim(self.n_r) > 0 or np.ndim(self.n_c) > 0:
             return "<broadcast design over %d organizations>" \
                 % max(np.size(self.n_r), 1)
         if np.ndim(self.v_ssc) == 0:
@@ -71,9 +64,32 @@ class DesignPoint:
         return text
 
 
-class MetricsView:
-    """Derived quantities shared by :class:`ArrayMetrics` and the
-    blocked executor's :class:`BlockedBroadcastMetrics` facade."""
+@dataclass
+class ArrayMetrics:
+    """Evaluated delay/energy/EDP of one design point (or fin grid)."""
+
+    design: DesignPoint
+    d_rd: object
+    d_wr: object
+    d_array: object
+    e_sw_rd: object
+    e_sw_wr: object
+    e_sw: object
+    e_leak: object
+    e_total: object
+    edp: object
+    components: object = None
+    read_parts: dict = field(default_factory=dict)
+    write_parts: dict = field(default_factory=dict)
+    #: Slack [s] of the paper's rail-arrival requirement: the assisted
+    #: CVDD/CVSS rails must settle before the WL reaches 50% of Vdd
+    #: (Section 4; the 20-fin rail drivers are sized for n_c = 1024 to
+    #: guarantee this).  Positive = requirement met.
+    rail_arrival_slack: object = None
+
+    #: Cell-matrix footprint (width, height) [m] and its aspect ratio.
+    footprint: tuple = None
+    aspect_ratio: float = None
 
     @property
     def rails_timely(self):
@@ -109,146 +125,8 @@ class MetricsView:
         return self.e_leak / self.e_total
 
 
-@dataclass
-class ArrayMetrics(MetricsView):
-    """Evaluated delay/energy/EDP of one design point (or fin grid)."""
-
-    design: DesignPoint
-    d_rd: object
-    d_wr: object
-    d_array: object
-    e_sw_rd: object
-    e_sw_wr: object
-    e_sw: object
-    e_leak: object
-    e_total: object
-    edp: object
-    components: object = None
-    read_parts: dict = field(default_factory=dict)
-    write_parts: dict = field(default_factory=dict)
-    #: Slack [s] of the paper's rail-arrival requirement: the assisted
-    #: CVDD/CVSS rails must settle before the WL reaches 50% of Vdd
-    #: (Section 4; the 20-fin rail drivers are sized for n_c = 1024 to
-    #: guarantee this).  Positive = requirement met.
-    rail_arrival_slack: object = None
-
-    #: Cell-matrix footprint (width, height) [m] and its aspect ratio.
-    footprint: tuple = None
-    aspect_ratio: float = None
-
-
-#: ArrayMetrics fields the blocked executor stacks lazily on access.
-_LAZY_STACK_FIELDS = frozenset((
-    "d_rd", "d_wr", "d_array", "e_sw_rd", "e_sw_wr", "e_sw", "e_leak",
-    "e_total", "edp", "rail_arrival_slack", "aspect_ratio",
-))
-
-
-class BlockedBroadcastMetrics(MetricsView):
-    """Full-broadcast metrics assembled from per-row-count slices.
-
-    The blocked executor evaluates one cache-resident row slice at a
-    time and keeps the slices as-is: every :class:`ArrayMetrics` field
-    (including ``edp`` / ``d_array`` / ``e_total``) is stacked into the
-    full ``(R, S, P, W)`` array only when actually accessed.  The fused
-    search engine never triggers the stack — it reduces the per-row
-    slices directly through :attr:`row_blocks` while they are still
-    cache-resident — so a search materializes no full-rank temporaries
-    at all.  Stacked fields are lifted to at least the 4-D broadcast
-    rank (missing axes become length-1) with the row axis re-inserted
-    at its right-aligned position (axis ``-4``), matching the shapes of
-    the unblocked broadcast path — including the 5-D
-    ``(B, R, S, P, W)`` shapes of a policy-batched evaluation, whose
-    per-row slices are 4-D ``(B, S, P, W)`` arrays.
-    """
-
-    #: Consumers that care (the fused reduction) can branch on this
-    #: instead of isinstance checks.
-    is_blocked = True
-
-    def __init__(self, design, row_metrics):
-        self.design = design
-        self.row_blocks = tuple(row_metrics)
-        self._rows = self.row_blocks
-
-    @staticmethod
-    def _stack(values):
-        arrays = [np.asarray(v, dtype=float) for v in values]
-        # Pad every slice to at least the (S, P, W) rank, then stack the
-        # row axis back in right-aligned at axis -4: legacy 4-D searches
-        # get (R, S, P, W) exactly as before, policy-batched slices of
-        # shape (B, S, P, W) become (B, R, S, P, W).
-        ndim = max(3, max(a.ndim for a in arrays))
-        arrays = [a.reshape((1,) * (ndim - a.ndim) + a.shape)
-                  for a in arrays]
-        return np.stack(arrays, axis=-4)
-
-    def __getattr__(self, name):
-        if name.startswith("_") or name == "row_blocks":
-            raise AttributeError(name)
-        if name in _LAZY_STACK_FIELDS:
-            value = self._stack([getattr(m, name) for m in self._rows])
-            setattr(self, name, value)
-            return value
-        raise AttributeError(name)
-
-    @property
-    def components(self):
-        cached = self.__dict__.get("_components")
-        if cached is None:
-            rows = self._rows
-            cached = ComponentSet(
-                delays={
-                    k: self._stack([m.components.delays[k] for m in rows])
-                    for k in rows[0].components.delays
-                },
-                energies={
-                    k: self._stack([m.components.energies[k] for m in rows])
-                    for k in rows[0].components.energies
-                },
-                capacitances={
-                    k: self._stack(
-                        [m.components.capacitances[k] for m in rows]
-                    )
-                    for k in rows[0].components.capacitances
-                },
-            )
-            self.__dict__["_components"] = cached
-        return cached
-
-    def _stacked_parts(self, attr):
-        rows = self._rows
-        return {
-            k: self._stack([getattr(m, attr)[k] for m in rows])
-            for k in getattr(rows[0], attr)
-        }
-
-    @property
-    def read_parts(self):
-        return self._stacked_parts("read_parts")
-
-    @property
-    def write_parts(self):
-        return self._stacked_parts("write_parts")
-
-    @property
-    def footprint(self):
-        widths = self._stack([m.footprint[0] for m in self._rows])
-        heights = self._stack([m.footprint[1] for m in self._rows])
-        return (widths, heights)
-
-
 class SRAMArrayModel:
     """Evaluate array metrics for one characterized cell flavor."""
-
-    #: Full-broadcast element count above which a stacked-row-axis
-    #: evaluation switches to the blocked executor.  32768 float64
-    #: elements = 256 KiB per temporary — past that, the ~15 full-rank
-    #: passes of an Eq.(2)-(5) evaluation stream every operand through
-    #: a cache level too small to hold it, and evaluating one
-    #: cache-resident row slice at a time is measurably faster.  Purely
-    #: a performance knob: both executors produce bit-identical values.
-    broadcast_block_elements = 32768
 
     def __init__(self, characterization, config=None):
         self.char = characterization
@@ -282,49 +160,25 @@ class SRAMArrayModel:
             )
         return org
 
-    def evaluate(self, capacity_bits, design):
+    def evaluate(self, capacity_bits, design, *, shared=None):
         """Full Table-1..3 + Eq.(2)-(5) evaluation of ``design``.
 
         ``design.n_pre`` / ``design.n_wr`` / ``design.v_ssc`` may be
         numpy arrays; every metric field then carries the broadcast
         shape (``(S, P, W)`` when a V_SSC axis rides along a fin grid).
-        ``design.n_r`` / ``design.n_c`` may *also* be integer arrays
-        (conventionally ``(R, 1, 1, 1)``): the fused search engine then
-        evaluates every row count of a capacity in this one call, with
-        every Table-1/2/3 case split applied elementwise.  The rail
-        voltages (``v_ddc`` / ``v_wl`` / ``v_bl``) may carry a leading
-        policy axis on top (``(B, 1, 1, 1, 1)``, with ``v_ssc`` shaped
-        ``(B, 1, S, 1, 1)``): one call then scores a whole
-        ``(B, n_r, V_SSC, N_pre, N_wr)`` policy batch.  Large
-        stacked-row-axis evaluations run through the blocked executor
-        (see :attr:`broadcast_block_elements`) — one call, identical
-        values, bounded working set.
+        ``design.n_r`` / ``design.n_c`` may be integer arrays as well,
+        with every Table-1/2/3 case split applied elementwise.  The rail
+        voltages ``v_ddc`` / ``v_wl`` / ``v_bl`` are scalars.
+
+        ``shared`` is a dict of the organization-independent Table-2
+        precursors, filled by the first call that passes it and reused
+        by later ones.  It is only valid across calls that differ in
+        ``n_r`` / ``n_c`` alone: the optimizer's row sweep owns one per
+        search.
         """
-        if np.ndim(design.n_r) > 0 or np.ndim(design.n_c) > 0:
-            org = BroadcastOrganization(
-                n_r=design.n_r, n_c=design.n_c,
-                word_bits=self.config.word_bits,
-                check_bits=self._ecc_code.check_bits,
-            )
-            if np.any(org.capacity_bits != capacity_bits):
-                raise ValueError(
-                    "broadcast design does not match capacity %d bits"
-                    % (capacity_bits,)
-                )
-            if self._should_block(design, org):
-                return self._evaluate_blocked(capacity_bits, design, org)
-        else:
-            org = ArrayOrganization(
-                n_r=design.n_r, n_c=design.n_c,
-                word_bits=self.config.word_bits,
-                check_bits=self._ecc_code.check_bits,
-            )
-            if org.capacity_bits != capacity_bits:
-                raise ValueError(
-                    "design %dx%d does not match capacity %d bits"
-                    % (design.n_r, design.n_c, capacity_bits)
-                )
-        return self._evaluate_core(capacity_bits, design, org)
+        org = self._organization_of(capacity_bits, design)
+        return self._evaluate_core(capacity_bits, design, org,
+                                   shared=shared)
 
     def evaluate_bounds(self, capacity_bits, design, n_pre_hi, n_wr_hi):
         """Admissible per-organization *lower bounds* over a fin range.
@@ -342,10 +196,19 @@ class SRAMArrayModel:
 
         The mixed-corner metrics are not a physical design point; only
         the ``d_array`` / ``e_total`` / ``edp`` fields are meaningful as
-        bounds.  Bound tensors carry one element per organization (a few
-        hundred at most), so this always takes the cache-resident path —
-        the blocked executor is never involved.
+        bounds.
         """
+        org = self._organization_of(capacity_bits, design)
+        shared = _shared_precursors(
+            self.char, self.config, n_pre_hi, n_wr_hi,
+            design.v_ddc, design.v_ssc, design.v_wl, design.v_bl,
+        )
+        return self._evaluate_core(capacity_bits, design, org,
+                                   shared=shared)
+
+    def _organization_of(self, capacity_bits, design):
+        """The (scalar or broadcast) organization of ``design``, checked
+        against ``capacity_bits``."""
         if np.ndim(design.n_r) > 0 or np.ndim(design.n_c) > 0:
             org = BroadcastOrganization(
                 n_r=design.n_r, n_c=design.n_c,
@@ -357,105 +220,18 @@ class SRAMArrayModel:
                     "broadcast design does not match capacity %d bits"
                     % (capacity_bits,)
                 )
-        else:
-            org = ArrayOrganization(
-                n_r=design.n_r, n_c=design.n_c,
-                word_bits=self.config.word_bits,
-                check_bits=self._ecc_code.check_bits,
-            )
-            if org.capacity_bits != capacity_bits:
-                raise ValueError(
-                    "design %dx%d does not match capacity %d bits"
-                    % (design.n_r, design.n_c, capacity_bits)
-                )
-        shared = _shared_precursors(
-            self.char, self.config, n_pre_hi, n_wr_hi,
-            design.v_ddc, design.v_ssc, design.v_wl, design.v_bl,
+            return org
+        org = ArrayOrganization(
+            n_r=design.n_r, n_c=design.n_c,
+            word_bits=self.config.word_bits,
+            check_bits=self._ecc_code.check_bits,
         )
-        return self._evaluate_core(capacity_bits, design, org,
-                                   shared=shared)
-
-    def _should_block(self, design, org):
-        """Use the blocked executor when the organizations vary only
-        along one stacked axis and the full broadcast is too big for
-        the cache-resident fast path.
-
-        The row axis is *right-aligned*: for ``n_r`` shaped
-        ``(R, 1, ..., 1)`` it lands ``len(shape_r)`` axes from the right
-        of the full broadcast, wherever outer axes (the policy batch)
-        stack on the left.  Every other design field — including the
-        rail voltages, which carry the batch axis — must be length-1
-        along that axis so a per-row slice stays a plain indexed view.
-        """
-        shape_r = np.shape(org.n_r)
-        if len(shape_r) < 2 or shape_r[0] < 2:
-            return False
-        if any(extent != 1 for extent in shape_r[1:]):
-            return False
-        if np.shape(org.n_c) != shape_r:
-            return False
-        row_axis = len(shape_r)   # distance of the row axis from the right
-        others = (design.v_ssc, design.n_pre, design.n_wr,
-                  design.v_ddc, design.v_wl, design.v_bl)
-        for value in others:
-            shape = np.shape(value)
-            if len(shape) >= row_axis and shape[len(shape) - row_axis] != 1:
-                return False
-        try:
-            full_shape = np.broadcast_shapes(
-                shape_r, *[np.shape(value) for value in others]
+        if org.capacity_bits != capacity_bits:
+            raise ValueError(
+                "design %dx%d does not match capacity %d bits"
+                % (design.n_r, design.n_c, capacity_bits)
             )
-        except ValueError:
-            return False
-        return int(np.prod(full_shape)) > self.broadcast_block_elements
-
-    def _evaluate_blocked(self, capacity_bits, design, org):
-        """One evaluation, executed one row-count slice at a time.
-
-        Each slice re-enters the scalar-organization path — the exact
-        arithmetic of a per-``n_r`` call — with the organization-
-        independent Table-2 precursors computed once and shared, so the
-        result is bit-identical to the unblocked 4-D broadcast while
-        every temporary stays cache-sized."""
-        n_r_flat = np.asarray(org.n_r).reshape(-1)
-        n_c_flat = np.asarray(org.n_c).reshape(-1)
-        row_axis = len(np.shape(org.n_r))
-
-        def drop_row_axis(value):
-            # Remove the length-1 row axis, right-aligned: (1, S, 1, 1)
-            # -> (S, 1, 1) and (B, 1, S, 1, 1) -> (B, S, 1, 1), so the
-            # per-row design re-broadcasts exactly one rank lower.
-            shape = np.shape(value)
-            if len(shape) < row_axis:
-                return value
-            axis = len(shape) - row_axis
-            return np.asarray(value).reshape(
-                shape[:axis] + shape[axis + 1:]
-            )
-
-        row_v_ssc = drop_row_axis(design.v_ssc)
-        row_v_ddc = drop_row_axis(design.v_ddc)
-        row_v_wl = drop_row_axis(design.v_wl)
-        row_v_bl = drop_row_axis(design.v_bl)
-        shared = {}
-        row_metrics = []
-        for index in range(n_r_flat.size):
-            row_design = replace(
-                design,
-                n_r=int(n_r_flat[index]), n_c=int(n_c_flat[index]),
-                v_ssc=row_v_ssc, v_ddc=row_v_ddc, v_wl=row_v_wl,
-                v_bl=row_v_bl,
-            )
-            row_org = ArrayOrganization(
-                n_r=row_design.n_r, n_c=row_design.n_c,
-                word_bits=self.config.word_bits,
-                check_bits=self._ecc_code.check_bits,
-            )
-            row_metrics.append(self._evaluate_core(
-                capacity_bits, row_design, row_org, shared
-            ))
-        return BlockedBroadcastMetrics(design=design,
-                                       row_metrics=row_metrics)
+        return org
 
     def _evaluate_core(self, capacity_bits, design, org, shared=None):
         components = compute_components(
@@ -475,8 +251,8 @@ class SRAMArrayModel:
             # any other cell.  The terms are organization-independent
             # constants composed through ``+``/``max`` — they apply
             # identically in the production evaluation and in
-            # ``evaluate_bounds``, which is what keeps the pruned
-            # engine's lower bounds admissible.  Inline: strictly
+            # ``evaluate_bounds``, which is what keeps the search's
+            # lower bounds admissible.  Inline: strictly
             # serial.  Pipelined: correction is its own stage, so the
             # cycle is the max over all stages.
             read_parts["ecc"] = self._ecc.correct_delay

@@ -127,20 +127,17 @@ class ArrayOrganization:
 class BroadcastOrganization:
     """A stacked axis of organizations sharing one word width.
 
-    ``n_r`` / ``n_c`` are integer arrays (conventionally shaped
-    ``(R, 1, 1, 1)``, so the row axis sits right-aligned at axis ``-4``
-    over a ``(S, P, W)`` search grid — and under a leading policy batch
-    axis the same shape broadcasts into ``(B, R, S, P, W)`` unchanged);
-    every property mirrors :class:`ArrayOrganization` but returns arrays
-    of the same shape.  The fused search engine uses this to evaluate
-    one policy's *entire* row-count axis — or a whole policy batch's —
-    in a single :meth:`SRAMArrayModel.evaluate` call.
+    ``n_r`` / ``n_c`` are integer arrays (the search's tile bounds shape
+    them ``(R, 1)`` against a ``(1, S)`` V_SSC axis); every property
+    mirrors :class:`ArrayOrganization` but returns arrays of the same
+    shape, so :meth:`SRAMArrayModel.evaluate_bounds` covers a
+    capacity's whole row-count axis in one call.
 
     Consumers branch on ``is_broadcast`` where the scalar class uses a
     Python ``if`` over ``has_column_mux`` — the array path computes
     both case expressions with the scalar path's exact arithmetic and
-    selects with :func:`numpy.where`, which keeps fused results
-    bit-identical to the per-organization loop.
+    selects with :func:`numpy.where`, which keeps broadcast results
+    bit-identical to the per-organization evaluation.
     """
 
     is_broadcast = True

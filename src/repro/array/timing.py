@@ -89,19 +89,10 @@ def write_delay(char, org, components, v_wl, parts=None, v_bl=0.0):
         # The write buffer still has to drive the bitline; only the
         # column-decode terms vanish.
         col_path = components.delay("BL_wr")
-    # Scalar rails keep the reference Python branch; a broadcast rail
-    # axis (policy batch) evaluates both characterizations elementwise
-    # (both LUT domains cover every policy's levels) and selects per
-    # element — bit-identical to the matching scalar branch.
-    if np.ndim(v_bl) == 0:
-        if v_bl < 0.0:
-            cell_write = char.d_write_negbl(v_bl)
-        else:
-            cell_write = char.d_write_sram(v_wl)
+    if v_bl < 0.0:
+        cell_write = char.d_write_negbl(v_bl)
     else:
-        cell_write = np.where(
-            v_bl < 0.0, char.d_write_negbl(v_bl), char.d_write_sram(v_wl)
-        )
+        cell_write = char.d_write_sram(v_wl)
     tail = cell_write + components.delay("PRE_wr")
     total = np.maximum(row_path, col_path) + tail
     if parts is not None:

@@ -78,17 +78,13 @@ PAPER_SET = ("calibration", "fig2", "fig3", "fig5", "table4", "fig7",
 def _run_sweep(session, options):
     """The Table-4/Figure-7 sweep, parallel when workers were requested."""
     workers = getattr(options, "workers", 1) if options else 1
-    engine = getattr(options, "engine", "vectorized") if options else (
-        "vectorized"
-    )
     if workers and workers > 1:
         run = run_study(
             session=session, workers=workers,
             executor=getattr(options, "executor", "auto"),
-            engine=engine,
         )
         return run.sweep
-    return optimize_all(session, engine=engine)
+    return optimize_all(session)
 
 
 def run_montecarlo(options):
@@ -101,7 +97,7 @@ def run_montecarlo(options):
     """
     library = DeviceLibrary.default_7nm()
     cell = SRAM6TCell.from_library(library, options.flavor)
-    engine = "loop" if options.engine == "loop" else "batched"
+    engine = options.engine
     metrics = tuple(
         name.strip() for name in options.metrics.split(",") if name.strip()
     )
@@ -183,10 +179,9 @@ def run_pareto(argv):
     """The ``pareto`` subcommand: energy-delay Pareto fronts per cell.
 
     Rides the same :func:`repro.analysis.run_study` path as the paper
-    sweeps with ``objective="pareto"``, so the fronts come from the
-    bound-and-prune engine (default) or any of the exhaustive fallbacks.
-    Alongside the front table it prints each cell's ``E^a * D^b``
-    minimizer for the requested exponents ((1, 1) = the EDP optimum).
+    sweeps with ``objective="pareto"``.  Alongside the front table it
+    prints each cell's ``E^a * D^b`` minimizer for the requested
+    exponents ((1, 1) = the EDP optimum).
     """
     from .analysis.experiments import CAPACITIES_BYTES, FLAVORS, METHODS
     from .opt.pareto import best_weighted
@@ -194,7 +189,7 @@ def run_pareto(argv):
     parser = argparse.ArgumentParser(
         prog="repro pareto",
         description="Sweep energy-delay Pareto fronts over the study "
-                    "matrix (see docs/PERF.md on the pruned engine).",
+                    "matrix (see docs/PERF.md on the search).",
     )
     parser.add_argument("--capacities", default=None,
                         help="comma-separated capacities in bytes "
@@ -203,11 +198,6 @@ def run_pareto(argv):
                         help="comma-separated subset of lvt,hvt")
     parser.add_argument("--methods", default=None,
                         help="comma-separated subset of M1,M2")
-    parser.add_argument("--engine",
-                        choices=("pruned", "fused", "vectorized", "loop"),
-                        default="pruned",
-                        help="search engine (pruned = bound-and-prune "
-                             "with incremental front maintenance)")
     parser.add_argument("--energy-exponent", type=float, default=1.0,
                         help="a in the E^a * D^b pick (default 1)")
     parser.add_argument("--delay-exponent", type=float, default=1.0,
@@ -233,7 +223,7 @@ def run_pareto(argv):
     methods = _parse_csv(args.methods) if args.methods else METHODS
     run = run_study(
         capacities=capacities, flavors=flavors, methods=methods,
-        workers=args.workers, executor=args.executor, engine=args.engine,
+        workers=args.workers, executor=args.executor,
         cache_path=args.cache or None, voltage_mode=args.voltage_mode,
         objective="pareto",
     )
@@ -291,10 +281,6 @@ def run_yield(argv):
     parser.add_argument("--y-target", type=float, default=0.9,
                         help="array yield target in (0, 1) "
                              "(default 0.9)")
-    parser.add_argument("--engine",
-                        choices=("pruned", "fused", "vectorized", "loop"),
-                        default="pruned",
-                        help="search engine for both arms")
     parser.add_argument("--sampler",
                         choices=("gaussian", "naive", "antithetic",
                                  "stratified", "shifted"),
@@ -331,7 +317,7 @@ def run_yield(argv):
     methods = _parse_csv(args.methods) if args.methods else METHODS
     run = run_study(
         capacities=capacities, flavors=flavors, methods=methods,
-        workers=args.workers, executor=args.executor, engine=args.engine,
+        workers=args.workers, executor=args.executor,
         cache_path=args.cache or None, voltage_mode=args.voltage_mode,
         objective="yield", code=args.code, y_target=args.y_target,
         sampler=args.sampler, ci_target=args.ci_target,
@@ -487,9 +473,6 @@ def run_jobs(argv):
                         help="submit: comma-separated subset of lvt,hvt")
     parser.add_argument("--methods", default=None,
                         help="submit: comma-separated subset of M1,M2")
-    parser.add_argument("--engine",
-                        choices=("fused", "pruned", "vectorized", "loop"),
-                        default="vectorized")
     parser.add_argument("--voltage-mode", choices=("measured", "paper"),
                         default="paper")
     parser.add_argument("--cache", default=".repro_cache.json",
@@ -526,7 +509,7 @@ def run_jobs(argv):
 
     queue = JobQueue(args.queue)
     if args.action == "submit":
-        spec = {"engine": args.engine, "voltage_mode": args.voltage_mode,
+        spec = {"voltage_mode": args.voltage_mode,
                 "cache_path": args.cache or None}
         if args.capacities:
             spec["capacities"] = _parse_csv(args.capacities, int)
@@ -714,16 +697,11 @@ def main(argv=None):
                         choices=("auto", "serial", "thread", "process"),
                         default="auto",
                         help="pool type for --workers > 1")
-    parser.add_argument("--engine",
-                        choices=("fused", "pruned", "vectorized",
-                                 "batched", "loop"),
-                        default="vectorized",
-                        help="search/cell engine (fused = the whole "
-                             "4-D space in one broadcast call; pruned "
-                             "= bound-and-prune tile skipping; loop = "
-                             "the reference point-by-point "
-                             "implementation; batched = the vectorized "
-                             "cell engine, montecarlo default)")
+    parser.add_argument("--engine", choices=("batched", "loop"),
+                        default="batched",
+                        help="montecarlo: cell engine (batched = the "
+                             "vectorized solver; loop = the scalar "
+                             "reference)")
     parser.add_argument("--samples", type=int, default=200,
                         help="montecarlo: number of Monte Carlo samples")
     parser.add_argument("--seed", type=int, default=0,

@@ -12,7 +12,7 @@ cell granularity buys two properties:
   restarted worker recomputes *only* the missing cells: every cell key
   is a pure function of the inputs, so finished cells are found in the
   store and skipped.
-* **Bit-identical resume** — the engines are deterministic and the
+* **Bit-identical resume** — the search is deterministic and the
   store's JSON round trip is exact, so a resumed sweep's final results
   are indistinguishable from an uninterrupted run's.
 
@@ -64,7 +64,6 @@ from ..units import is_power_of_two
 from .queue import JobQueue
 
 #: Spec defaults / validation domains.
-STUDY_ENGINES = ("fused", "pruned", "vectorized", "loop")
 VOLTAGE_MODES = ("paper", "measured")
 
 
@@ -84,6 +83,9 @@ def normalize_study_spec(raw):
     methods in their reference order, so equivalent submissions share
     one :func:`~repro.store.sweep_key` (and therefore one stored
     sweep).  Raises :class:`JobError` on anything invalid.
+
+    An ``engine`` field, which specs queued by older releases carry, is
+    accepted and dropped: every study runs the one production search.
     """
     if not isinstance(raw, dict):
         raise JobError("study spec must be an object, got %r"
@@ -111,10 +113,6 @@ def normalize_study_spec(raw):
             or any(m not in METHODS for m in methods)):
         raise JobError("methods must be a non-empty subset of %s"
                        % "/".join(METHODS))
-    engine = raw.get("engine", "vectorized")
-    if engine not in STUDY_ENGINES:
-        raise JobError("engine must be one of %s, got %r"
-                       % ("/".join(STUDY_ENGINES), engine))
     voltage_mode = raw.get("voltage_mode", "paper")
     if voltage_mode not in VOLTAGE_MODES:
         raise JobError("voltage_mode must be one of %s, got %r"
@@ -126,7 +124,6 @@ def normalize_study_spec(raw):
         "capacities": sorted(set(int(c) for c in capacities)),
         "flavors": [f for f in FLAVORS if f in flavors],
         "methods": [m for m in METHODS if m in methods],
-        "engine": engine,
         "voltage_mode": voltage_mode,
         "cache_path": cache_path,
     }
@@ -140,7 +137,7 @@ def study_cell_keys(session, spec, space=None):
                          tuple(spec["methods"]))
     return [
         (task, study_cell_key(session, space, task.capacity_bytes,
-                              task.flavor, task.method, spec["engine"]))
+                              task.flavor, task.method))
         for task in tasks
     ]
 
@@ -259,9 +256,7 @@ def execute_study_job(job, queue, store, worker_id, sessions,
             skipped += 1
             perf.count("jobs.cells_skipped")
         else:
-            result, seconds = execute_study_task(
-                session, space, task, engine=spec["engine"]
-            )
+            result, seconds = execute_study_task(session, space, task)
             store.put(key, result_to_payload(result), make_provenance(
                 inputs={"job": job.id, "task": task.label,
                         "spec": {k: v for k, v in spec.items()

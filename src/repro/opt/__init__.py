@@ -5,13 +5,13 @@ Public API:
 * :class:`DesignSpace` — the paper's search ranges.
 * :class:`YieldLevels` / :func:`make_policy` — the M1/M2 rail policies.
 * :class:`YieldConstraint` — min(HSNM, RSNM, WM) >= delta.
-* :class:`ExhaustiveOptimizer` — the minimum-EDP search (four engines:
-  ``loop`` / ``vectorized`` / ``fused`` / ``pruned``) and the
+* :class:`ExhaustiveOptimizer` — the minimum-EDP search (a bound-gated
+  row sweep, checked against the scalar
+  :meth:`~ExhaustiveOptimizer.optimize_reference` loop) and the
   :meth:`~ExhaustiveOptimizer.pareto` front sweep.
 * :func:`tile_lower_bounds` — admissible per-(n_r, V_SSC) bounds behind
-  the ``pruned`` engine.
-* :func:`pareto_front` / :class:`ParetoFrontBuilder` — energy-delay
-  trade-off analysis (extension).
+  the search's row gate.
+* :func:`pareto_front` — energy-delay trade-off analysis (extension).
 """
 
 from .bounds import TileBounds, tile_lower_bounds
@@ -28,7 +28,6 @@ from .methods import (
     policy_m2_negative_bl,
 )
 from .pareto import (
-    ParetoFrontBuilder,
     ParetoPoint,
     ParetoSearchResult,
     best_weighted,
@@ -44,7 +43,6 @@ __all__ = [
     "LandscapePoint",
     "MonteCarloYieldConstraint",
     "OptimizationResult",
-    "ParetoFrontBuilder",
     "ParetoPoint",
     "ParetoSearchResult",
     "TileBounds",

@@ -1,6 +1,6 @@
-"""Admissible per-(n_r, V_SSC) lower bounds for bound-and-prune search.
+"""Admissible per-(n_r, V_SSC) lower bounds for the search's row gate.
 
-The pruned engine partitions the design space into *tiles*: one
+The search partitions the design space into *tiles*: one
 ``(N_pre x N_wr)`` fin grid per ``(n_r, V_SSC)`` pair.  For each tile
 this module derives lower bounds on ``d_array``, ``e_total``, and
 ``edp`` that hold for *every* fin assignment inside the tile, using the
@@ -27,9 +27,9 @@ once — the bound tensor has one element per tile (a few hundred), so
 its cost is negligible next to a single real tile evaluation.
 
 A bound is *admissible* (never exceeds the true tile minimum), so
-pruning tiles whose bound strictly exceeds the incumbent EDP can never
-discard the optimum — the pruned engine stays bit-identical to the
-exhaustive reference.
+skipping a row whose every tile bound strictly exceeds the incumbent
+EDP can never discard the optimum — the search stays bit-identical to
+the exhaustive reference.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class TileBounds:
     """Lower bounds for every (n_r, V_SSC) tile of one search.
 
     Arrays are shaped ``(R, S)`` — row counts major, feasible V_SSC
-    candidates minor — matching the loop engine's r-major/s-minor visit
+    candidates minor — matching the reference's r-major/s-minor visit
     order when flattened in C order.
     """
 

@@ -2,57 +2,30 @@
 
 With V_DDC / V_WL pre-set by the voltage policy, the free variables are
 ``(n_r, V_SSC, N_pre, N_wr)`` — small enough for exhaustive search (the
-paper reports under two minutes on a 2011-era server; the vectorized
-grid evaluation here takes milliseconds per configuration).
+paper reports under two minutes on a 2011-era server; the sweep here
+takes milliseconds per configuration).
 
-Four search engines share one result path:
+One production search, :meth:`ExhaustiveOptimizer.optimize`, sweeps the
+space row by row: each row count is one :meth:`SRAMArrayModel.evaluate`
+call over the feasible V_SSC axis ``(S, 1, 1)`` and the thin fin axes
+``(P, 1) x (1, W)``, reduced per V_SSC slice with array ops.  A row is
+at most ``25 x 1000`` elements, so every temporary stays cache-sized,
+and the organization-independent Table-2 precursors are computed once
+per search and shared across its rows.
 
-* ``engine="fused"`` — one policy's *entire* feasible
-  ``n_r x V_SSC x N_pre x N_wr`` space in a single 4-D broadcast call
-  of the array model: the row-count axis (with its paired
-  ``n_c = capacity // n_r``) rides along as ``(R, 1, 1, 1)``, V_SSC as
-  ``(1, S, 1, 1)``, over the ``(P, W)`` fin grid.  The per-slice
-  reductions (one landscape point per ``(n_r, V_SSC)``) are pure
-  ``argmin`` / ``unravel_index`` array ops, so a whole search is one
-  ``model.evaluate`` call plus reductions.
-* ``engine="vectorized"`` (default) — the whole feasible
-  ``V_SSC x N_pre x N_wr`` space of one row count is evaluated in a
-  single broadcast call of the array model (``v_ssc`` rides along as a
-  ``(S, 1, 1)`` axis over the fin grid), so a full policy search costs
-  O(rows) model calls.  The yield constraint is applied once, up front,
-  as a vectorized boolean mask over the V_SSC candidates
-  (:meth:`YieldConstraint.satisfied_grid`) — cell margins do not depend
-  on the organization or the fin counts.
-* ``engine="loop"`` — the original per-``(n_r, V_SSC)`` slice loop,
-  kept as the bit-exact reference the equivalence tests compare
-  against.
-* ``engine="pruned"`` — the first engine that *shrinks* the space
-  instead of evaluating it faster: admissible per-``(n_r, V_SSC)``
-  lower bounds (:mod:`repro.opt.bounds`) are computed for every tile
-  in one tiny broadcast call, the tile with the smallest EDP bound is
-  evaluated first to seed an incumbent, and every tile whose bound
-  strictly exceeds the incumbent is skipped without ever calling
-  ``model.evaluate``.  Survivors score through gathered broadcast
-  dispatches (the fused call shape, restricted to surviving tiles) and
-  the final scan replays the loop engine's r-major/s-minor strict-``<``
-  order, so the result — including argmin tie-breaking — is
-  bit-identical to the reference.  ``keep_landscape=True`` needs every
-  tile's slice-best anyway, so it disables pruning and matches the
-  loop engine's landscape and evaluation count exactly.
+Without a landscape the sweep is *bound-gated*: one
+:func:`~repro.opt.bounds.tile_lower_bounds` call bounds every
+``(n_r, V_SSC)`` tile, the row holding the smallest bound is evaluated
+first to seed an incumbent, and any other row whose smallest bound
+strictly exceeds the incumbent is skipped.  A skipped row's designs all
+score above the incumbent, so the optimum and every tie with it lie in
+the evaluated rows, where the final scan replays the reference's
+r-major/s-minor strict-``<`` order.  A landscape or Pareto search
+evaluates every row.
 
-On top of the fused engine, :meth:`ExhaustiveOptimizer.optimize_many`
-stacks a leading *policy* axis: the rail voltages of ``B`` policies
-ride in shaped ``(B, 1, 1, 1, 1)`` (with each policy's feasible V_SSC
-set padded to a common width along a ``(B, 1, S, 1, 1)`` axis), so one
-capacity's *every* policy is scored by a single broadcast
-``model.evaluate`` over the ``(B, n_r, V_SSC, N_pre, N_wr)`` tensor.
-Per-policy reductions mask the padded V_SSC slots with ``+inf``, so
-each policy's best design, EDP, evaluation count, and landscape are
-bit-identical to its own per-policy search through any engine.
-
-All engines perform the same elementwise arithmetic in the same order,
-so they return bit-identical results (designs, EDP, evaluation counts,
-and landscapes).
+:meth:`ExhaustiveOptimizer.optimize_reference` keeps the original
+per-``(n_r, V_SSC)`` slice loop as the executable spec: the production
+search returns bit-identical designs, metrics, margins, and landscapes.
 """
 
 from __future__ import annotations
@@ -63,7 +36,7 @@ from .. import perf
 from ..array.model import DesignPoint
 from ..errors import DesignSpaceError
 from .bounds import tile_lower_bounds
-from .pareto import ParetoFrontBuilder, ParetoSearchResult, pareto_front
+from .pareto import ParetoSearchResult, pareto_front
 from .results import LandscapePoint, OptimizationResult
 
 
@@ -75,183 +48,77 @@ class ExhaustiveOptimizer:
         self.space = space
         self.constraint = constraint
 
-    def optimize(self, capacity_bits, policy, keep_landscape=False,
-                 engine="vectorized"):
+    def optimize(self, capacity_bits, policy, keep_landscape=False):
         """Search one capacity under one voltage policy.
 
         Returns an :class:`OptimizationResult`; raises
         :class:`DesignSpaceError` when no candidate satisfies the yield
-        constraint.
+        constraint.  ``n_evaluated`` counts the design points of the
+        rows actually evaluated (all of them when ``keep_landscape``).
         """
-        if engine == "vectorized":
-            search = self._search_vectorized
-        elif engine == "fused":
-            search = self._search_fused
-        elif engine == "pruned":
-            search = self._search_pruned
-        elif engine == "loop":
-            search = self._search_loop
-        else:
-            raise ValueError(
-                "unknown engine %r (expected 'fused', 'pruned', "
-                "'vectorized' or 'loop')" % (engine,)
-            )
-        with perf.timed("optimizer.search.%s" % engine):
-            best, landscape, n_evaluated = search(
+        with perf.timed("optimizer.search"):
+            best, landscape, n_evaluated = self._sweep(
                 capacity_bits, policy, keep_landscape
             )
         perf.count("optimizer.evaluations", n_evaluated)
         return self._finalize(capacity_bits, policy, best, landscape,
                               n_evaluated)
 
-    def optimize_many(self, capacity_bits, policies, keep_landscape=False,
-                      engine="fused"):
-        """Search one capacity under *every* policy in one fused dispatch.
+    def optimize_many(self, capacity_bits, policies, keep_landscape=False):
+        """:meth:`optimize` for each policy, in input order."""
+        return [self.optimize(capacity_bits, policy, keep_landscape)
+                for policy in policies]
 
-        The policies' rail voltages ride in as a leading batch axis of a
-        single broadcast ``model.evaluate`` call (see
-        :meth:`_search_fused_many`), so a study cell — or a batch of
-        coalesced service requests — pays one engine dispatch instead of
-        one per policy.  Returns one :class:`OptimizationResult` per
-        policy, in input order, each bit-identical to what a per-policy
-        :meth:`optimize` through any engine returns.
+    def optimize_reference(self, capacity_bits, policy,
+                           keep_landscape=False):
+        """The scalar slice loop: one model call per ``(n_r, V_SSC)``.
 
-        Only the fused engine supports the policy axis; ``"loop"`` and
-        ``"vectorized"`` stay the per-policy references.  Raises
-        :class:`DesignSpaceError` when any policy's yield constraint is
-        unsatisfiable (callers that need per-policy verdicts fall back
-        to per-policy :meth:`optimize` calls).
-        """
-        if engine != "fused":
-            raise ValueError(
-                "optimize_many only supports engine='fused' (got %r); "
-                "run optimize() per policy for the loop/vectorized "
-                "reference paths" % (engine,)
-            )
-        policies = list(policies)
-        if not policies:
-            return []
-        feasibles = self._feasible_many(policies)
-        for policy, feasible in zip(policies, feasibles):
-            if feasible.size == 0:
-                raise DesignSpaceError(
-                    "no feasible design for %d bits under policy %s "
-                    "(yield constraint unsatisfiable)"
-                    % (capacity_bits, policy.method)
-                )
-        with perf.timed("optimizer.search.fused_many"):
-            searched = self._search_fused_many(
-                capacity_bits, policies, feasibles, keep_landscape
-            )
-        results = []
-        for policy, (best, landscape, n_evaluated) in zip(policies,
-                                                          searched):
-            perf.count("optimizer.evaluations", n_evaluated)
-            results.append(self._finalize(
-                capacity_bits, policy, best, landscape, n_evaluated
-            ))
-        return results
+        The executable spec :meth:`optimize` and :meth:`pareto` are
+        checked against; it always evaluates the whole space."""
+        best, landscape, n_evaluated = self._search_loop(
+            capacity_bits, policy, keep_landscape
+        )
+        return self._finalize(capacity_bits, policy, best, landscape,
+                              n_evaluated)
 
-    def pareto(self, capacity_bits, policy, engine="pruned"):
-        """Energy-delay Pareto front of one capacity under one policy.
-
-        ``engine="pruned"`` maintains the front *incrementally* during a
-        bound-accelerated sweep: a tile whose ``(D_lb, E_lb)`` bound
-        corner is weakly dominated by the current front cannot
-        contribute a front point (the corner lower-bounds every design
-        in the tile) and is skipped without evaluation, so no
-        ``keep_landscape=True`` landscape is ever materialized.  Any
-        other engine falls back to a full ``keep_landscape=True`` search
-        plus :func:`repro.opt.pareto.pareto_front` — both paths return
-        element-wise equal fronts.
+    def pareto(self, capacity_bits, policy):
+        """Energy-delay Pareto front of one capacity under one policy:
+        every row is evaluated and the front is
+        :func:`~repro.opt.pareto.pareto_front` of the landscape.
 
         Returns a :class:`ParetoSearchResult`; raises
         :class:`DesignSpaceError` when no candidate satisfies the yield
         constraint.
         """
-        if engine != "pruned":
-            result = self.optimize(capacity_bits, policy,
-                                   keep_landscape=True, engine=engine)
-            return ParetoSearchResult(
-                capacity_bits=capacity_bits,
-                flavor=self.constraint.flavor,
-                method=policy.method,
-                engine=engine,
-                front=tuple(pareto_front(result.landscape)),
-                n_evaluated=result.n_evaluated,
-                n_tiles=len(result.landscape),
-                tiles_pruned=0,
-            )
-        with perf.timed("optimizer.pareto.pruned"):
-            front, n_evaluated, n_tiles, tiles_pruned = (
-                self._pareto_pruned(capacity_bits, policy)
+        with perf.timed("optimizer.pareto"):
+            best, landscape, n_evaluated = self._sweep(
+                capacity_bits, policy, keep_landscape=True
             )
         perf.count("optimizer.evaluations", n_evaluated)
+        if best is None:
+            raise self._infeasible(capacity_bits, policy)
         return ParetoSearchResult(
             capacity_bits=capacity_bits,
             flavor=self.constraint.flavor,
             method=policy.method,
-            engine="pruned",
-            front=tuple(front),
+            front=tuple(pareto_front(landscape)),
             n_evaluated=n_evaluated,
-            n_tiles=n_tiles,
-            tiles_pruned=tiles_pruned,
+            n_tiles=len(landscape),
         )
 
-    def _pareto_pruned(self, capacity_bits, policy):
-        """The incremental front sweep behind :meth:`pareto`."""
-        feasible = self._feasible_v_ssc(policy)
-        if feasible.size == 0:
-            raise DesignSpaceError(
-                "no feasible design for %d bits under policy %s "
-                "(yield constraint unsatisfiable)"
-                % (capacity_bits, policy.method)
-            )
-        rows = np.asarray(self.space.row_counts(capacity_bits),
-                          dtype=np.int64)
-        n_slices = feasible.size
-        n_tiles = rows.size * n_slices
-        bounds = tile_lower_bounds(
-            self.model, self.space, capacity_bits, policy, feasible
+    @staticmethod
+    def _infeasible(capacity_bits, policy):
+        return DesignSpaceError(
+            "no feasible design for %d bits under policy %s "
+            "(yield constraint unsatisfiable)"
+            % (capacity_bits, policy.method)
         )
-        builder = ParetoFrontBuilder()
-        evaluated = {}
-        n_evaluated = 0
-        tiles_pruned = 0
-        for r in range(rows.size):
-            # Skip decisions use the front as of the previous row: a
-            # member dominating a tile's bound corner always precedes
-            # that tile in visit order, which the first-wins tie rule
-            # requires.  Same-row candidates only ever *add* work (a
-            # tile the fresh inserts would have covered still evaluates
-            # and gets rejected by the builder), never change the front.
-            skip = builder.dominated_mask(
-                bounds.d_array[r], bounds.e_total[r]
-            )
-            tiles_pruned += int(skip.sum())
-            survivors = np.flatnonzero(~skip) + r * n_slices
-            if survivors.size == 0:
-                continue
-            n_evaluated += self._score_tiles(
-                capacity_bits, policy, rows, feasible, survivors,
-                evaluated,
-            )
-            for tile in survivors:
-                builder.insert(evaluated[int(tile)])
-        perf.count("opt.pruned.tiles_pruned", tiles_pruned)
-        perf.count("opt.pruned.points_evaluated", n_evaluated)
-        return builder.front(), n_evaluated, n_tiles, tiles_pruned
 
     def _finalize(self, capacity_bits, policy, best, landscape,
                   n_evaluated):
-        """Re-evaluate the winner at scalar rank and wrap the result
-        (shared by :meth:`optimize` and :meth:`optimize_many`)."""
+        """Re-evaluate the winner at scalar rank and wrap the result."""
         if best is None:
-            raise DesignSpaceError(
-                "no feasible design for %d bits under policy %s "
-                "(yield constraint unsatisfiable)"
-                % (capacity_bits, policy.method)
-            )
+            raise self._infeasible(capacity_bits, policy)
         final_design = DesignPoint(
             n_r=best.n_r, n_c=capacity_bits // best.n_r,
             n_pre=best.n_pre, n_wr=best.n_wr,
@@ -274,8 +141,6 @@ class ExhaustiveOptimizer:
             landscape=landscape,
         )
 
-    # -- feasibility -------------------------------------------------------
-
     def _feasible_v_ssc(self, policy):
         """The policy's V_SSC candidates that clear the yield constraint,
         in candidate order (margins are organization-independent, so
@@ -296,459 +161,92 @@ class ExhaustiveOptimizer:
             ], dtype=bool)
         return candidates[mask]
 
-    def _feasible_many(self, policies):
-        """Per-policy feasible V_SSC sets with the margin pass hoisted:
-        policies sharing ``(v_ddc, v_wl, v_bl)`` — e.g. a consolidated
-        M2 next to the M1 it collapsed onto — run *one* yield-grid
-        lookup over the union of their candidate sets instead of one
-        per policy.  Margins are per-``(v_ddc, v_ssc)`` values, so
-        filtering each policy's own candidate list through the shared
-        verdict map preserves candidate order and bit-identity with
-        :meth:`_feasible_v_ssc`."""
-        rails = {}
-        for policy in policies:
-            key = (float(policy.v_ddc), float(policy.v_wl),
-                   float(policy.v_bl))
-            rails.setdefault(key, []).extend(
-                float(v) for v in policy.v_ssc_candidates(self.space)
-            )
-        grid_check = getattr(self.constraint, "satisfied_grid", None)
-        verdicts = {}
-        for (v_ddc, v_wl, v_bl), candidates in rails.items():
-            # First-seen order, deduplicated, one grid pass per rail set.
-            unique = list(dict.fromkeys(candidates))
-            if grid_check is not None:
-                mask = np.asarray(
-                    grid_check(v_ddc, unique, v_wl, v_bl), dtype=bool
-                )
-            else:
-                mask = np.array([
-                    bool(self.constraint.satisfied(v_ddc, v, v_wl, v_bl))
-                    for v in unique
-                ], dtype=bool)
-            verdicts[(v_ddc, v_wl, v_bl)] = dict(zip(unique, mask))
-        feasibles = []
-        for policy in policies:
-            lookup = verdicts[(float(policy.v_ddc), float(policy.v_wl),
-                               float(policy.v_bl))]
-            candidates = np.asarray(
-                [float(v) for v in policy.v_ssc_candidates(self.space)],
-                dtype=float,
-            )
-            keep = np.array([lookup[float(v)] for v in candidates],
-                            dtype=bool)
-            feasibles.append(candidates[keep])
-        return feasibles
+    # -- the production row sweep ------------------------------------------
 
-    # -- engines -----------------------------------------------------------
-
-    def _search_vectorized(self, capacity_bits, policy, keep_landscape):
-        """O(rows) broadcast calls: one ``(S, P, W)`` evaluation per
-        row count, where S spans the feasible V_SSC candidates."""
+    def _sweep(self, capacity_bits, policy, keep_landscape):
+        """``(best, landscape, n_evaluated)`` of the row sweep; ``best``
+        is None when no V_SSC candidate is feasible."""
         feasible = self._feasible_v_ssc(policy)
-        best = None
-        landscape = []
-        n_evaluated = 0
         if feasible.size == 0:
-            return best, landscape, n_evaluated
-        n_pre_grid, n_wr_grid = np.meshgrid(
-            self.space.n_pre_values, self.space.n_wr_values, indexing="ij"
-        )
-        v_ssc_axis = feasible.reshape(-1, 1, 1)
-        full_shape = (feasible.size,) + n_pre_grid.shape
-        # One flat EDP buffer reused across row counts: broadcasting the
-        # metrics into it replaces the per-row broadcast_to + reshape
-        # (which copied an array per n_r).
-        edp_buf = np.empty(full_shape)
-        flat = edp_buf.reshape(feasible.size, -1)
-        for n_r in self.space.row_counts(capacity_bits):
+            return None, [], 0
+        rows = self.space.row_counts(capacity_bits)
+        n_pre = np.asarray(self.space.n_pre_values)
+        n_wr = np.asarray(self.space.n_wr_values)
+        grid_shape = (n_pre.size, n_wr.size)
+        slice_shape = (feasible.size,) + grid_shape
+        v_ssc = feasible.tolist()
+        # Row-independent precursors, filled by the first row's call:
+        # this dict belongs to this sweep's rails, V_SSC and fin axes.
+        shared = {}
+
+        def evaluate_row(n_r):
+            """One model call, reduced to the row's slice bests: the
+            EDP array, and ``(N_pre, N_wr, edp, d_array, e_total)``
+            lists, one entry per V_SSC slice."""
             design = DesignPoint(
                 n_r=n_r, n_c=capacity_bits // n_r,
-                n_pre=n_pre_grid, n_wr=n_wr_grid,
-                v_ddc=policy.v_ddc, v_ssc=v_ssc_axis,
+                n_pre=n_pre.reshape(-1, 1), n_wr=n_wr.reshape(1, -1),
+                v_ddc=policy.v_ddc, v_ssc=feasible.reshape(-1, 1, 1),
                 v_wl=policy.v_wl, v_bl=policy.v_bl,
             )
-            metrics = self.model.evaluate(capacity_bits, design)
-            n_evaluated += feasible.size * n_pre_grid.size
-            np.copyto(edp_buf, metrics.edp)
-            d_array = np.broadcast_to(metrics.d_array, full_shape)
-            e_total = np.broadcast_to(metrics.e_total, full_shape)
-            slice_argmins = flat.argmin(axis=1)
-            for s in range(feasible.size):
-                arg = int(slice_argmins[s])
-                i, j = np.unravel_index(arg, n_pre_grid.shape)
-                slice_best = LandscapePoint(
-                    n_r=n_r, v_ssc=float(feasible[s]),
-                    n_pre=int(n_pre_grid[i, j]),
-                    n_wr=int(n_wr_grid[i, j]),
-                    edp=float(edp_buf[s, i, j]),
-                    d_array=float(d_array[s, i, j]),
-                    e_total=float(e_total[s, i, j]),
-                )
-                if keep_landscape:
-                    landscape.append(slice_best)
-                if best is None or slice_best.edp < best.edp:
-                    best = slice_best
-        return best, landscape, n_evaluated
-
-    def _search_fused(self, capacity_bits, policy, keep_landscape):
-        """The whole feasible space in one 4-D broadcast: axes
-        ``(R, S, P, W)`` = (row counts, feasible V_SSC, N_pre, N_wr),
-        reduced with pure array ops.
-
-        The per-slice bests (one per ``(n_r, V_SSC)``) come from a
-        single reshaped ``argmin`` over the fin grid; the global best is
-        the argmin over those in C order, which reproduces the loop
-        engines' r-major/s-minor strict-``<`` improvement scan exactly.
-        """
-        feasible = self._feasible_v_ssc(policy)
-        landscape = []
-        if feasible.size == 0:
-            return None, landscape, 0
-        rows = np.asarray(self.space.row_counts(capacity_bits),
-                          dtype=np.int64)
-        n_pre_grid, n_wr_grid = np.meshgrid(
-            self.space.n_pre_values, self.space.n_wr_values, indexing="ij"
-        )
-        n_rows, n_slices = rows.size, feasible.size
-        grid_shape = n_pre_grid.shape
-        slice_shape = (n_slices,) + grid_shape
-        full_shape = (n_rows,) + slice_shape
-        # The fin axes go in *thin* — (P, 1) and (1, W) instead of the
-        # materialized (P, W) meshgrids — so every Table-1/2 intermediate
-        # keeps its minimal broadcast rank and only the final Eq.(2)-(5)
-        # combines run at full rank.  Broadcasting never changes a
-        # per-element value, so the results stay bit-identical.
-        design = DesignPoint(
-            n_r=rows.reshape(-1, 1, 1, 1),
-            n_c=(capacity_bits // rows).reshape(-1, 1, 1, 1),
-            n_pre=np.asarray(self.space.n_pre_values).reshape(-1, 1),
-            n_wr=np.asarray(self.space.n_wr_values).reshape(1, -1),
-            v_ddc=policy.v_ddc, v_ssc=feasible.reshape(1, -1, 1, 1),
-            v_wl=policy.v_wl, v_bl=policy.v_bl,
-        )
-        metrics = self.model.evaluate(capacity_bits, design)
-        n_evaluated = n_rows * n_slices * n_pre_grid.size
-        row_blocks = getattr(metrics, "row_blocks", None)
-        if row_blocks is not None:
-            # Blocked executor: reduce each cache-sized row slice
-            # directly — the full (R, S, P, W) arrays are never built.
-            args_parts, edp_parts = [], []
-            for row in row_blocks:
-                flat = np.ascontiguousarray(
-                    np.broadcast_to(row.edp, slice_shape)
-                ).reshape(n_slices, -1)
-                args = flat.argmin(axis=1)
-                args_parts.append(args)
-                edp_parts.append(np.take_along_axis(
-                    flat, args.reshape(-1, 1), axis=1
-                ).ravel())
-            cell_args = np.concatenate(args_parts)
-            slice_edp = np.concatenate(edp_parts)
-
-            def metric_at(name, r, s, i, j):
-                value = np.broadcast_to(
-                    getattr(row_blocks[r], name), slice_shape
-                )
-                return float(value[s, i, j])
-        else:
-            edp = np.ascontiguousarray(
-                np.broadcast_to(metrics.edp, full_shape)
+            metrics = self.model.evaluate(capacity_bits, design,
+                                          shared=shared)
+            args = np.ascontiguousarray(
+                np.broadcast_to(metrics.edp, slice_shape)
+            ).reshape(feasible.size, -1).argmin(axis=1)
+            i, j = np.unravel_index(args, grid_shape)
+            edp, d_array, e_total = (
+                np.broadcast_to(value, slice_shape)[
+                    np.arange(feasible.size), i, j]
+                for value in (metrics.edp, metrics.d_array,
+                              metrics.e_total)
             )
-            flat = edp.reshape(n_rows * n_slices, -1)
-            cell_args = flat.argmin(axis=1)
-            slice_edp = np.take_along_axis(
-                flat, cell_args.reshape(-1, 1), axis=1
-            ).ravel()
+            return edp, (n_pre[i].tolist(), n_wr[j].tolist(),
+                         edp.tolist(), d_array.tolist(), e_total.tolist())
 
-            def metric_at(name, r, s, i, j):
-                value = np.broadcast_to(getattr(metrics, name), full_shape)
-                return float(value[r, s, i, j])
-        best_slice = int(slice_edp.argmin())
-        i_idx, j_idx = np.unravel_index(cell_args, grid_shape)
-        slice_ids = np.arange(n_rows * n_slices)
-        r_idx = slice_ids // n_slices
-        s_idx = slice_ids % n_slices
-
-        def point(k):
-            r, s = int(r_idx[k]), int(s_idx[k])
-            i, j = int(i_idx[k]), int(j_idx[k])
+        def point(r, s):
+            pre, wr, edp, d_array, e_total = evaluated[r][1]
             return LandscapePoint(
-                n_r=int(rows[r]), v_ssc=float(feasible[s]),
-                n_pre=int(n_pre_grid[i, j]),
-                n_wr=int(n_wr_grid[i, j]),
-                edp=float(slice_edp[k]),
-                d_array=metric_at("d_array", r, s, i, j),
-                e_total=metric_at("e_total", r, s, i, j),
+                n_r=rows[r], v_ssc=v_ssc[s], n_pre=pre[s], n_wr=wr[s],
+                edp=edp[s], d_array=d_array[s], e_total=e_total[s],
             )
 
-        if keep_landscape:
-            landscape = [point(k) for k in range(n_rows * n_slices)]
-            best = landscape[best_slice]
-        else:
-            best = point(best_slice)
-        return best, landscape, n_evaluated
-
-    def _search_fused_many(self, capacity_bits, policies, feasibles,
-                           keep_landscape):
-        """Every policy's whole space in *one* broadcast: axes
-        ``(B, R, S, P, W)`` = (policies, row counts, padded V_SSC,
-        N_pre, N_wr), reduced per policy with pure array ops.
-
-        Each policy's feasible V_SSC set is padded to the batch's widest
-        (repeating its own first feasible value, so every padded slot is
-        in-domain); the per-policy reductions mask padded slots with
-        ``+inf``, and the surviving slots keep the exact r-major/s-minor
-        flat order of the per-policy fused search — argmin ties resolve
-        identically.  A rail whose value is shared by every policy rides
-        in as the plain scalar (broadcasting equal values is value-
-        neutral; the scalar keeps the reference arithmetic path).
-
-        Returns one ``(best, landscape, n_evaluated)`` triple per
-        policy, in input order.
-        """
-        rows = np.asarray(self.space.row_counts(capacity_bits),
-                          dtype=np.int64)
-        n_pre_grid, n_wr_grid = np.meshgrid(
-            self.space.n_pre_values, self.space.n_wr_values, indexing="ij"
-        )
-        n_batch = len(policies)
-        n_rows = rows.size
-        grid_shape = n_pre_grid.shape
-        s_max = max(feasible.size for feasible in feasibles)
-        v_ssc_pad = np.empty((n_batch, s_max), dtype=float)
-        for b, feasible in enumerate(feasibles):
-            v_ssc_pad[b, :feasible.size] = feasible
-            v_ssc_pad[b, feasible.size:] = feasible[0]
-
-        def rail_axis(values):
-            axis = np.asarray(values, dtype=float)
-            if np.all(axis == axis[0]):
-                return float(axis[0])
-            return axis.reshape(-1, 1, 1, 1, 1)
-
-        design = DesignPoint(
-            n_r=rows.reshape(-1, 1, 1, 1),
-            n_c=(capacity_bits // rows).reshape(-1, 1, 1, 1),
-            n_pre=np.asarray(self.space.n_pre_values).reshape(-1, 1),
-            n_wr=np.asarray(self.space.n_wr_values).reshape(1, -1),
-            v_ddc=rail_axis([p.v_ddc for p in policies]),
-            v_ssc=v_ssc_pad.reshape(n_batch, 1, s_max, 1, 1),
-            v_wl=rail_axis([p.v_wl for p in policies]),
-            v_bl=rail_axis([p.v_bl for p in policies]),
-        )
-        metrics = self.model.evaluate(capacity_bits, design)
-        batch_slice_shape = (n_batch, s_max) + grid_shape
-        row_blocks = getattr(metrics, "row_blocks", None)
-        if row_blocks is not None:
-            # Blocked executor: reduce each cache-sized row slice while
-            # it is resident — the (B, R, S, P, W) tensor never exists.
-            args_parts, edp_parts = [], []
-            for row in row_blocks:
-                flat = np.ascontiguousarray(
-                    np.broadcast_to(row.edp, batch_slice_shape)
-                ).reshape(n_batch * s_max, -1)
-                args = flat.argmin(axis=1)
-                args_parts.append(args.reshape(n_batch, s_max))
-                edp_parts.append(np.take_along_axis(
-                    flat, args.reshape(-1, 1), axis=1
-                ).reshape(n_batch, s_max))
-            cell_args = np.stack(args_parts, axis=1)   # (B, R, S)
-            slice_edp = np.stack(edp_parts, axis=1)    # (B, R, S)
-
-            def metric_at(name, b, r, s, i, j):
-                value = np.broadcast_to(
-                    getattr(row_blocks[r], name), batch_slice_shape
-                )
-                return float(value[b, s, i, j])
-        else:
-            full_shape = (n_batch, n_rows, s_max) + grid_shape
-            edp = np.ascontiguousarray(
-                np.broadcast_to(metrics.edp, full_shape)
-            )
-            flat = edp.reshape(n_batch * n_rows * s_max, -1)
-            args = flat.argmin(axis=1)
-            cell_args = args.reshape(n_batch, n_rows, s_max)
-            slice_edp = np.take_along_axis(
-                flat, args.reshape(-1, 1), axis=1
-            ).reshape(n_batch, n_rows, s_max)
-
-            def metric_at(name, b, r, s, i, j):
-                value = np.broadcast_to(getattr(metrics, name), full_shape)
-                return float(value[b, r, s, i, j])
-
-        pad_mask = np.arange(s_max).reshape(1, -1)  # (1, S) vs S_b
-        results = []
-        for b, (policy, feasible) in enumerate(zip(policies, feasibles)):
-            s_b = feasible.size
-
-            def point(r, s):
-                i, j = np.unravel_index(int(cell_args[b, r, s]),
-                                        grid_shape)
-                return LandscapePoint(
-                    n_r=int(rows[r]), v_ssc=float(feasible[s]),
-                    n_pre=int(n_pre_grid[i, j]),
-                    n_wr=int(n_wr_grid[i, j]),
-                    edp=float(slice_edp[b, r, s]),
-                    d_array=metric_at("d_array", b, r, s, i, j),
-                    e_total=metric_at("e_total", b, r, s, i, j),
-                )
-
-            # Padded slots never win: masked +inf keeps the valid slots'
-            # relative C order, so the argmin reproduces the per-policy
-            # engines' r-major/s-minor strict-< scan exactly.
-            masked = np.where(pad_mask < s_b, slice_edp[b], np.inf)
-            r_best, s_best = np.unravel_index(int(masked.argmin()),
-                                              (n_rows, s_max))
-            if keep_landscape:
-                landscape = [point(r, s)
-                             for r in range(n_rows) for s in range(s_b)]
-                best = landscape[int(r_best) * s_b + int(s_best)]
-            else:
-                landscape = []
-                best = point(int(r_best), int(s_best))
-            n_evaluated = n_rows * s_b * n_pre_grid.size
-            results.append((best, landscape, n_evaluated))
-        return results
-
-    def _score_tiles(self, capacity_bits, policy, rows, feasible,
-                     tile_ids, out):
-        """Evaluate the full fin grid of the given flat tile ids
-        (r-major/s-minor C order) through gathered broadcast dispatches,
-        recording each tile's slice-best :class:`LandscapePoint` in the
-        ``out`` dict keyed by tile id.  Returns the number of design
-        points evaluated.
-
-        The gather rides the fused call shape restricted to surviving
-        tiles: ``n_r`` / ``n_c`` / ``v_ssc`` carry one element per tile
-        along a shared leading axis over the thin ``(P, 1) x (1, W)``
-        fin axes.  A gathered ``v_ssc`` varies *along* the row axis, so
-        the blocked executor never engages; instead the dispatch is
-        chunked here so one call's broadcast stays within the same
-        ``model.broadcast_block_elements`` working-set knob.  Chunking
-        is value-neutral — every elementwise result is bit-identical to
-        the scalar reference regardless of how tiles share a call.
-        """
-        n_pre_vals = np.asarray(self.space.n_pre_values)
-        n_wr_vals = np.asarray(self.space.n_wr_values)
-        n_pre_grid, n_wr_grid = np.meshgrid(
-            n_pre_vals, n_wr_vals, indexing="ij"
-        )
-        grid_shape = n_pre_grid.shape
-        grid_size = n_pre_grid.size
-        n_slices = feasible.size
-        tile_ids = np.asarray(tile_ids, dtype=np.int64).reshape(-1)
-        chunk = max(
-            1, int(self.model.broadcast_block_elements) // grid_size
-        )
-        n_evaluated = 0
-        for start in range(0, tile_ids.size, chunk):
-            ids = tile_ids[start:start + chunk]
-            r_idx = ids // n_slices
-            s_idx = ids % n_slices
-            tile_rows = rows[r_idx]
-            design = DesignPoint(
-                n_r=tile_rows.reshape(-1, 1, 1),
-                n_c=(capacity_bits // tile_rows).reshape(-1, 1, 1),
-                n_pre=n_pre_vals.reshape(-1, 1),
-                n_wr=n_wr_vals.reshape(1, -1),
-                v_ddc=policy.v_ddc,
-                v_ssc=feasible[s_idx].reshape(-1, 1, 1),
-                v_wl=policy.v_wl, v_bl=policy.v_bl,
-            )
-            metrics = self.model.evaluate(capacity_bits, design)
-            n_evaluated += ids.size * grid_size
-            shape = (ids.size,) + grid_shape
-            edp = np.ascontiguousarray(
-                np.broadcast_to(metrics.edp, shape)
-            )
-            flat = edp.reshape(ids.size, -1)
-            args = flat.argmin(axis=1)
-            d_array = np.broadcast_to(metrics.d_array, shape)
-            e_total = np.broadcast_to(metrics.e_total, shape)
-            for t in range(ids.size):
-                arg = int(args[t])
-                i, j = np.unravel_index(arg, grid_shape)
-                out[int(ids[t])] = LandscapePoint(
-                    n_r=int(tile_rows[t]),
-                    v_ssc=float(feasible[int(s_idx[t])]),
-                    n_pre=int(n_pre_grid[i, j]),
-                    n_wr=int(n_wr_grid[i, j]),
-                    edp=float(flat[t, arg]),
-                    d_array=float(d_array[t, i, j]),
-                    e_total=float(e_total[t, i, j]),
-                )
-        return n_evaluated
-
-    def _search_pruned(self, capacity_bits, policy, keep_landscape):
-        """Bound-and-prune: skip every tile whose admissible EDP lower
-        bound strictly exceeds the incumbent, then replay the loop
-        engine's strict-``<`` scan over the evaluated tiles.
-
-        Pruned tiles satisfy ``min_edp >= edp_lb > incumbent >= global
-        minimum``, so they can neither win nor tie — any possible tie
-        stays inside the evaluated set, where the visit-order scan
-        resolves it exactly as the reference does.  The evaluation
-        *count* is the one result field that legitimately differs from
-        the exhaustive engines when pruning is active.
-        """
-        feasible = self._feasible_v_ssc(policy)
-        landscape = []
-        if feasible.size == 0:
-            return None, landscape, 0
-        rows = np.asarray(self.space.row_counts(capacity_bits),
-                          dtype=np.int64)
-        n_tiles = rows.size * feasible.size
         evaluated = {}
         if keep_landscape:
-            # A landscape needs every tile's slice-best, so nothing can
-            # be pruned; the full visit matches the loop engine exactly,
-            # evaluation count included.
-            n_evaluated = self._score_tiles(
-                capacity_bits, policy, rows, feasible,
-                np.arange(n_tiles), evaluated,
-            )
-            perf.count("opt.pruned.tiles_pruned", 0)
-            perf.count("opt.pruned.points_evaluated", n_evaluated)
-            landscape = [evaluated[t] for t in range(n_tiles)]
-            best = None
-            for point in landscape:
-                if best is None or point.edp < best.edp:
-                    best = point
-            return best, landscape, n_evaluated
-
-        bounds = tile_lower_bounds(
-            self.model, self.space, capacity_bits, policy, feasible
-        )
-        edp_lb = bounds.edp.reshape(-1)
-        # Seed: the tile with the smallest bound (first in visit order
-        # on ties) is the likeliest home of the optimum; its true
-        # slice-best becomes the incumbent before any pruning decision.
-        seed = int(np.argmin(edp_lb))
-        n_evaluated = self._score_tiles(
-            capacity_bits, policy, rows, feasible, [seed], evaluated
-        )
-        incumbent = evaluated[seed].edp
-        # Survive on <=: a bound that merely *equals* the incumbent
-        # cannot justify pruning (the tile could tie, and ties must
-        # resolve by visit order among evaluated tiles).
-        survivors = np.flatnonzero(edp_lb <= incumbent)
-        survivors = survivors[survivors != seed]
-        n_evaluated += self._score_tiles(
-            capacity_bits, policy, rows, feasible, survivors, evaluated
-        )
-        perf.count("opt.pruned.tiles_pruned",
-                   n_tiles - 1 - int(survivors.size))
-        perf.count("opt.pruned.points_evaluated", n_evaluated)
-        best = None
-        for tile in sorted(evaluated):
-            point = evaluated[tile]
-            if best is None or point.edp < best.edp:
-                best = point
+            for r, n_r in enumerate(rows):
+                evaluated[r] = evaluate_row(n_r)
+        else:
+            row_bounds = tile_lower_bounds(
+                self.model, self.space, capacity_bits, policy, feasible
+            ).edp.min(axis=1)
+            first = int(np.argmin(row_bounds))
+            evaluated[first] = evaluate_row(rows[first])
+            incumbent = evaluated[first][0].min()
+            for r, n_r in enumerate(rows):
+                # Strict: a row whose bound equals the incumbent could
+                # tie, and ties resolve by visit order among evaluated
+                # rows.
+                if r == first or row_bounds[r] > incumbent:
+                    continue
+                evaluated[r] = evaluate_row(n_r)
+                incumbent = min(incumbent, evaluated[r][0].min())
+            perf.count("optimizer.rows_skipped", len(rows) - len(evaluated))
+        order = sorted(evaluated)
+        # np.argmin returns the first minimum in r-major/s-minor order:
+        # the reference's strict-< improvement scan.
+        k = int(np.concatenate([evaluated[r][0] for r in order]).argmin())
+        best = point(order[k // feasible.size], k % feasible.size)
+        landscape = []
+        if keep_landscape:
+            landscape = [point(r, s)
+                         for r in order for s in range(feasible.size)]
+        n_evaluated = len(order) * feasible.size * n_pre.size * n_wr.size
         return best, landscape, n_evaluated
 
+    # -- the reference -----------------------------------------------------
+
     def _search_loop(self, capacity_bits, policy, keep_landscape):
-        """The original per-(n_r, V_SSC) slice loop (reference engine)."""
+        """The original per-(n_r, V_SSC) slice loop."""
         n_pre_grid, n_wr_grid = np.meshgrid(
             self.space.n_pre_values, self.space.n_wr_values, indexing="ij"
         )

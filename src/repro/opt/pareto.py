@@ -2,9 +2,8 @@
 
 The paper optimizes the scalar EDP; designers often want the whole
 energy-delay trade-off curve instead.  These helpers extract the Pareto
-front from the optimizer's search landscape, maintain it incrementally
-during a bound-and-prune sweep (:class:`ParetoFrontBuilder`), and locate
-generalized ``E^a * D^b`` optima on it.
+front from the optimizer's search landscape and locate generalized
+``E^a * D^b`` optima on it.
 
 Tie rule
 --------
@@ -13,19 +12,13 @@ A point *weakly dominates* another when it is no worse in both delay
 and energy; it *dominates* when it is additionally strictly better in
 at least one.  When two designs land on the exact same ``(delay,
 energy)`` pair with different knob settings, the front keeps **the
-first point in loop-engine visit order** (row counts ascending, V_SSC
-candidates in policy order) and drops the later duplicates.  Both
-:func:`pareto_front` and :class:`ParetoFrontBuilder` implement this
-rule, so the incremental front built during a pruned sweep is
-element-wise equal to the front extracted from a full
-``keep_landscape=True`` landscape.
+first point in search visit order** (row counts ascending, V_SSC
+candidates in policy order) and drops the later duplicates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -57,7 +50,7 @@ def pareto_front(landscape):
     sorted by delay.
 
     Exact ``(delay, energy)`` duplicates keep the first point in input
-    (loop-engine visit) order — see the module tie rule.  Raises
+    (search visit) order — see the module tie rule.  Raises
     :class:`ValueError` on an empty landscape (an empty front is always
     a caller bug: every non-empty landscape has at least one
     non-dominated point).
@@ -79,77 +72,6 @@ def pareto_front(landscape):
     return [_as_pareto_point(p) for p in front]
 
 
-class ParetoFrontBuilder:
-    """Incrementally maintained non-dominated front.
-
-    Insert candidate points in loop-engine visit order; the final
-    :meth:`front` is element-wise equal to
-    ``pareto_front(inserted_points)``.  A newcomer weakly dominated by
-    any existing member is rejected (which implements the first-wins
-    rule for exact duplicates); members the newcomer dominates are
-    evicted.
-
-    The pruned Pareto sweep also uses the front to *skip* whole tiles:
-    :meth:`dominates` tests a tile's ``(D_lb, E_lb)`` bound corner —
-    when some member weakly dominates the corner it weakly dominates
-    every point of the tile, so nothing in the tile can ever join the
-    front.
-    """
-
-    def __init__(self):
-        self._points = []
-
-    def __len__(self):
-        return len(self._points)
-
-    def dominates(self, d_array, e_total):
-        """True when some member weakly dominates ``(d_array, e_total)``."""
-        return any(
-            f.d_array <= d_array and f.e_total <= e_total
-            for f in self._points
-        )
-
-    def dominated_mask(self, d_array, e_total):
-        """Vectorized :meth:`dominates` over parallel coordinate arrays."""
-        d_array = np.asarray(d_array, dtype=float)
-        e_total = np.asarray(e_total, dtype=float)
-        if not self._points:
-            return np.zeros(d_array.shape, dtype=bool)
-        fd = np.array([f.d_array for f in self._points]).reshape(-1, 1)
-        fe = np.array([f.e_total for f in self._points]).reshape(-1, 1)
-        covered = (fd <= d_array.reshape(1, -1)) \
-            & (fe <= e_total.reshape(1, -1))
-        return covered.any(axis=0).reshape(d_array.shape)
-
-    def insert(self, point):
-        """Offer one candidate (any object with ``d_array`` / ``e_total``
-        and the knob fields).  Returns True when it joined the front."""
-        d, e = point.d_array, point.e_total
-        if self.dominates(d, e):
-            # Weak dominance covers exact duplicates: the earlier-visited
-            # member survives, implementing the first-wins tie rule.
-            return False
-        # Nothing weakly dominates the newcomer, so any member it weakly
-        # dominates it dominates strictly — evict those.
-        self._points = [
-            f for f in self._points
-            if not (d <= f.d_array and e <= f.e_total)
-        ]
-        self._points.append(point)
-        return True
-
-    def front(self):
-        """The current front as delay-sorted :class:`ParetoPoint` rows.
-
-        Members are pairwise non-dominated with distinct delays *and*
-        distinct energies, so the delay sort is unambiguous and matches
-        :func:`pareto_front`'s (delay, energy) ordering.
-        """
-        ordered = sorted(self._points,
-                         key=lambda p: (p.d_array, p.e_total))
-        return [_as_pareto_point(p) for p in ordered]
-
-
 @dataclass(frozen=True)
 class ParetoSearchResult:
     """Outcome of one :meth:`ExhaustiveOptimizer.pareto` sweep."""
@@ -157,15 +79,12 @@ class ParetoSearchResult:
     capacity_bits: int
     flavor: str
     method: str
-    engine: str
     #: Delay-sorted non-dominated (delay, energy) designs.
     front: tuple
     #: Design points actually scored through ``model.evaluate``.
     n_evaluated: int
     #: Total (n_r, V_SSC) tiles of the feasible space.
     n_tiles: int
-    #: Tiles skipped because the front dominated their bound corner.
-    tiles_pruned: int
 
     @property
     def capacity_bytes(self):

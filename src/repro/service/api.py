@@ -13,7 +13,9 @@ dataclass here, *before* any caching or batching decision:
   mix.
 
 Validation failures raise :class:`BadRequest`, which the server maps to
-an HTTP 400 with the message in the body.
+an HTTP 400 with the message in the body.  Fields a schema does not
+name are ignored — among them the search ``engine`` that older clients
+still send.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from ..errors import ReproError
 
 FLAVORS = ("lvt", "hvt")
 METHODS = ("M1", "M2")
-SEARCH_ENGINES = ("fused", "pruned", "vectorized", "loop")
 CELL_ENGINES = ("batched", "loop")
 MC_METRICS = ("hsnm", "rsnm", "wm")
 
@@ -84,7 +85,6 @@ class OptimizeRequest:
     capacity_bytes: int
     flavor: str
     method: str
-    engine: str
 
     @classmethod
     def parse(cls, body):
@@ -98,18 +98,15 @@ class OptimizeRequest:
             capacity_bytes=capacity,
             flavor=_choice(body, "flavor", FLAVORS, "hvt"),
             method=_choice(body, "method", METHODS, "M2"),
-            engine=_choice(body, "engine", SEARCH_ENGINES, "vectorized"),
         )
 
     def key(self):
         return _canonical("/v1/optimize", asdict(self))
 
     def group_key(self):
-        """Same flavor/engine searches share one warm dispatch; the
-        method rides per-item, so a cell's voltage policies can fuse
-        into one policy-batched ``optimize_many`` evaluation when the
-        engine is ``"fused"``."""
-        return ("optimize", self.flavor, self.engine)
+        """Same-flavor searches share one warm dispatch; the capacity
+        and method ride per-item."""
+        return ("optimize", self.flavor)
 
     def item(self):
         return {"capacity_bytes": self.capacity_bytes,
@@ -130,7 +127,6 @@ class ParetoRequest:
     capacity_bytes: int
     flavor: str
     method: str
-    engine: str
     energy_exponent: float
     delay_exponent: float
 
@@ -156,7 +152,6 @@ class ParetoRequest:
             capacity_bytes=capacity,
             flavor=_choice(body, "flavor", FLAVORS, "hvt"),
             method=_choice(body, "method", METHODS, "M2"),
-            engine=_choice(body, "engine", SEARCH_ENGINES, "pruned"),
             energy_exponent=exponent("energy_exponent"),
             delay_exponent=exponent("delay_exponent"),
         )
@@ -165,9 +160,9 @@ class ParetoRequest:
         return _canonical("/v1/pareto", asdict(self))
 
     def group_key(self):
-        """Same flavor/engine sweeps share one warm dispatch (mirrors
-        the optimize group)."""
-        return ("pareto", self.flavor, self.engine)
+        """Same-flavor sweeps share one warm dispatch (mirrors the
+        optimize group)."""
+        return ("pareto", self.flavor)
 
     def item(self):
         return {"capacity_bytes": self.capacity_bytes,
@@ -190,7 +185,6 @@ class YieldRequest:
     capacity_bytes: int
     flavor: str
     method: str
-    engine: str
     code: str
     y_target: float
     #: Margin-floor relaxation estimator: "gaussian" (closed form) or
@@ -239,7 +233,6 @@ class YieldRequest:
             capacity_bytes=capacity,
             flavor=_choice(body, "flavor", FLAVORS, "hvt"),
             method=_choice(body, "method", METHODS, "M2"),
-            engine=_choice(body, "engine", SEARCH_ENGINES, "pruned"),
             code=code,
             y_target=float(y_target),
             sampler=sampler,
@@ -251,9 +244,9 @@ class YieldRequest:
         return _canonical("/v1/yield", asdict(self))
 
     def group_key(self):
-        """Same flavor/engine study cells share one warm dispatch
-        (mirrors the optimize/pareto groups)."""
-        return ("yield", self.flavor, self.engine)
+        """Same-flavor study cells share one warm dispatch (mirrors the
+        optimize/pareto groups)."""
+        return ("yield", self.flavor)
 
     def item(self):
         return {"capacity_bytes": self.capacity_bytes,

@@ -7,10 +7,10 @@ first arrival starts a ``max_wait`` timer; the group flushes when the
 timer fires *or* the group reaches ``max_batch`` items, whichever comes
 first.  One flush becomes one worker dispatch — the whole batch crosses
 the executor boundary together, shares a warm session, and (for Monte
-Carlo and fused optimize requests) coalesces into a single vectorized
-solve.  Per-endpoint ``overrides`` tune ``max_batch`` / ``max_wait`` by
-request kind — e.g. let ``optimize`` wait a little longer to fill wider
-policy-batched dispatches while ``evaluate`` stays latency-biased.
+Carlo requests) coalesces into a single vectorized solve.
+Per-endpoint ``overrides`` tune ``max_batch`` / ``max_wait`` by request
+kind — e.g. let ``montecarlo`` wait a little longer to fill wider
+coalesced solves while ``evaluate`` stays latency-biased.
 
 Backpressure is a hard bound on in-flight items (queued plus
 executing): :meth:`enqueue` raises :class:`QueueFull` once ``max_pending``

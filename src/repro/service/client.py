@@ -142,18 +142,16 @@ class ServiceClient:
     def metrics(self):
         return self.request("GET", "/metrics")[1]
 
-    def optimize(self, capacity_bytes, flavor="hvt", method="M2",
-                 engine="vectorized"):
+    def optimize(self, capacity_bytes, flavor="hvt", method="M2"):
         """Min-EDP design for one capacity; returns the result payload."""
         return self.request("POST", "/v1/optimize", {
             "capacity_bytes": capacity_bytes,
             "flavor": flavor,
             "method": method,
-            "engine": engine,
         })[1]
 
     def pareto(self, capacity_bytes, flavor="hvt", method="M2",
-               engine="pruned", energy_exponent=1.0, delay_exponent=1.0):
+               energy_exponent=1.0, delay_exponent=1.0):
         """Energy-delay Pareto front for one capacity.
 
         The payload carries the full ``front`` plus a ``best_weighted``
@@ -164,13 +162,12 @@ class ServiceClient:
             "capacity_bytes": capacity_bytes,
             "flavor": flavor,
             "method": method,
-            "engine": engine,
             "energy_exponent": energy_exponent,
             "delay_exponent": delay_exponent,
         })[1]
 
     def yield_study(self, capacity_bytes, flavor="hvt", method="M2",
-                    engine="pruned", code="secded", y_target=0.9):
+                    code="secded", y_target=0.9):
         """One ECC-relaxed yield study cell.
 
         The payload carries both optima (``baseline_result`` /
@@ -182,7 +179,6 @@ class ServiceClient:
             "capacity_bytes": capacity_bytes,
             "flavor": flavor,
             "method": method,
-            "engine": engine,
             "code": code,
             "y_target": y_target,
         })[1]

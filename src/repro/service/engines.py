@@ -91,71 +91,34 @@ def _margin_fields(margins):
 # Per-kind group execution
 # ---------------------------------------------------------------------------
 
-def _optimize_entry(result, engine):
-    # The response body is the experiment store's canonical cell
-    # payload (json-safe copy), so a served answer, a study cell,
-    # and a durable-job cell all deduplicate under one store key.
-    # The exact-float original rides along for the server to
-    # persist; it never reaches the wire.
-    stored = result_to_payload(result)
-    response = payload_json_safe(stored)
-    response.pop("landscape", None)
-    response["engine"] = engine
-    entry = _ok(response)
-    entry["store_payload"] = stored
-    return entry
-
-
 def _optimize_group(session, job):
     flavor = job["flavor"]
-    engine = job["engine"]
     optimizer = ExhaustiveOptimizer(
         session.model(flavor), DesignSpace(), session.constraint(flavor)
     )
     levels = session.yield_levels(flavor)
-    items = job["items"]
-    policies = [make_policy(item["method"], levels) for item in items]
-    payloads = [None] * len(items)
-
-    def solo(index):
+    payloads = []
+    for item in job["items"]:
         perf.count("service.engine.optimize_searches")
         try:
             result = optimizer.optimize(
-                items[index]["capacity_bytes"] * 8, policies[index],
-                engine=engine,
+                item["capacity_bytes"] * 8,
+                make_policy(item["method"], levels),
             )
         except ReproError as exc:
-            payloads[index] = _failed(422, str(exc))
-        else:
-            payloads[index] = _optimize_entry(result, engine)
-
-    # Same-capacity fused requests score as one policy batch — one
-    # broadcast evaluation for the whole sub-group, bit-identical per
-    # request.  Any group-level failure (e.g. one infeasible policy
-    # aborts the batch before it evaluates) falls back to per-item
-    # searches so the failure stays per-item data, never poisoning
-    # batch-mates.
-    by_capacity = {}
-    for index, item in enumerate(items):
-        by_capacity.setdefault(item["capacity_bytes"], []).append(index)
-    for capacity_bytes, indices in by_capacity.items():
-        if engine != "fused" or len(indices) < 2:
-            for index in indices:
-                solo(index)
+            payloads.append(_failed(422, str(exc)))
             continue
-        try:
-            results = optimizer.optimize_many(
-                capacity_bytes * 8,
-                [policies[index] for index in indices],
-            )
-        except ReproError:
-            for index in indices:
-                solo(index)
-            continue
-        perf.count("service.engine.optimize_fused_dispatches")
-        perf.count("service.engine.optimize_searches", len(indices))
-        for index, result in zip(indices, results):
-            payloads[index] = _optimize_entry(result, engine)
+        # The response body is the experiment store's canonical cell
+        # payload (json-safe copy), so a served answer, a study cell,
+        # and a durable-job cell all deduplicate under one store key.
+        # The exact-float original rides along for the server to
+        # persist; it never reaches the wire.
+        stored = result_to_payload(result)
+        response = payload_json_safe(stored)
+        response.pop("landscape", None)
+        entry = _ok(response)
+        entry["store_payload"] = stored
+        payloads.append(entry)
     return payloads
 
 
@@ -197,7 +160,6 @@ def best_weighted_fields(front_rows, energy_exponent, delay_exponent):
 
 def _pareto_group(session, job):
     flavor = job["flavor"]
-    engine = job["engine"]
     optimizer = ExhaustiveOptimizer(
         session.model(flavor), DesignSpace(), session.constraint(flavor)
     )
@@ -207,9 +169,7 @@ def _pareto_group(session, job):
         perf.count("service.engine.pareto_sweeps")
         policy = make_policy(item["method"], levels)
         try:
-            result = optimizer.pareto(
-                item["capacity_bytes"] * 8, policy, engine=engine
-            )
+            result = optimizer.pareto(item["capacity_bytes"] * 8, policy)
         except ReproError as exc:
             payloads.append(_failed(422, str(exc)))
             continue
@@ -225,10 +185,8 @@ def _pareto_group(session, job):
             "front": front_fields(result.front),
             "n_evaluated": int(result.n_evaluated),
             "n_tiles": int(result.n_tiles),
-            "tiles_pruned": int(result.tiles_pruned),
         }
         response = payload_json_safe(stored)
-        response["engine"] = engine
         response["best_weighted"] = best_weighted_fields(
             response["front"], item["energy_exponent"],
             item["delay_exponent"],
@@ -241,7 +199,6 @@ def _pareto_group(session, job):
 
 def _yield_group(session, job):
     flavor = job["flavor"]
-    engine = job["engine"]
     payloads = []
     for item in job["items"]:
         perf.count("service.engine.yield_cells")
@@ -251,7 +208,7 @@ def _yield_group(session, job):
             result = compute_yield_cell(
                 session, item["capacity_bytes"], flavor,
                 item["method"], code=item["code"],
-                y_target=item["y_target"], engine=engine,
+                y_target=item["y_target"],
                 sampler=item.get("sampler", "gaussian"),
                 ci_target=item.get("ci_target", 0.1),
                 max_samples=item.get("max_samples", 4096),
@@ -266,9 +223,7 @@ def _yield_group(session, job):
         stored = dict(result.summary())
         stored["baseline_result"] = result_to_payload(result.baseline)
         stored["relaxed_result"] = result_to_payload(result.relaxed)
-        response = payload_json_safe(stored)
-        response["engine"] = engine
-        entry = _ok(response)
+        entry = _ok(payload_json_safe(stored))
         entry["store_payload"] = stored
         payloads.append(entry)
     return payloads

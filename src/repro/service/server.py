@@ -106,7 +106,7 @@ class ServiceConfig:
     max_pending: int = 64         # queued+executing bound (429 beyond)
     #: Per-endpoint batching overrides, {kind: {"max_batch": int,
     #: "max_wait_ms": float}} with either key optional — e.g. widen the
-    #: optimize window so fused policy batches fill up while evaluate
+    #: montecarlo window so coalesced draws fill up while evaluate
     #: stays latency-biased.  None = queue-wide limits everywhere.
     endpoint_overrides: dict = None
     cache_entries: int = 256      # result-cache LRU capacity
@@ -144,13 +144,7 @@ class ServiceConfig:
 def _job_from_group(group_key, items):
     """Rebuild the plain-data job a worker executes from a batch."""
     kind = group_key[0]
-    if kind in ("optimize", "pareto", "yield"):
-        # The method rides per-item (it is not part of the group key),
-        # so one fused dispatch can policy-batch a cell's methods.
-        _, flavor, engine = group_key
-        return {"kind": kind, "flavor": flavor, "engine": engine,
-                "items": items}
-    if kind == "evaluate":
+    if kind in ("optimize", "pareto", "yield", "evaluate"):
         return {"kind": kind, "flavor": group_key[1], "items": items}
     if kind == "montecarlo":
         _, flavor, metrics, engine = group_key
@@ -475,7 +469,6 @@ class OptimizationServer:
                 # cache on the way out.
                 response = payload_json_safe(stored)
                 response.pop("landscape", None)
-                response["engine"] = req.engine
                 if route == "/v1/pareto":
                     # The stored front is exponent-free; the E^a D^b
                     # pick is re-derived per request from plain data.
@@ -514,8 +507,7 @@ class OptimizationServer:
                         inputs={"route": route, "request_id": request_id,
                                 "capacity_bytes": req.capacity_bytes,
                                 "flavor": req.flavor,
-                                "method": req.method,
-                                "engine": req.engine},
+                                "method": req.method},
                         worker="service",
                     ))
             self._cache.put(key, item)
@@ -536,16 +528,16 @@ class OptimizationServer:
         if route == "/v1/optimize":
             return study_cell_key(self.session, DesignSpace(),
                                   req.capacity_bytes, req.flavor,
-                                  req.method, req.engine)
+                                  req.method)
         if route == "/v1/pareto":
             return pareto_cell_key(self.session, DesignSpace(),
                                    req.capacity_bytes, req.flavor,
-                                   req.method, req.engine)
+                                   req.method)
         if route == "/v1/yield":
             return yield_cell_key(self.session, DesignSpace(),
                                   req.capacity_bytes, req.flavor,
                                   req.method, req.code, req.y_target,
-                                  req.engine, sampler=req.sampler,
+                                  sampler=req.sampler,
                                   ci_target=req.ci_target,
                                   max_samples=req.max_samples)
         return None

@@ -5,7 +5,7 @@ Run as::
     PYTHONPATH=src python -m repro.service.smoke [--executor thread]
 
 Boots a real server on an ephemeral port, then asserts the full
-request path works: /healthz, an optimize (engine result), the same
+request path works: /healthz, an optimize (a computed search), the same
 optimize again (result-cache hit), an evaluate of the returned design,
 a small Monte Carlo, a Pareto front whose unit-exponent pick matches
 the optimize answer, and /metrics accounting for all of it.  Exits

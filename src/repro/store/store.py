@@ -8,7 +8,7 @@ the canonical JSON serialization of every input that determines the
 result.  For one study-matrix cell that is the design space, the
 resolved :class:`~repro.opt.methods.VoltagePolicy` (which already bakes
 in the flavor's yield levels and rail consolidation), the
-yield-constraint configuration, the capacity, and the engine name +
+yield-constraint configuration, the capacity, and
 :data:`ENGINE_VERSION`.  Two callers asking for the same physics get
 the same key — the study runner, a durable job, the optimization
 service, and the CLI all deduplicate against one table.
@@ -107,8 +107,7 @@ def _policy_fields(policy):
     }
 
 
-def cell_key(capacity_bits, flavor, policy, space, constraint_info,
-             engine):
+def cell_key(capacity_bits, flavor, policy, space, constraint_info):
     """Key of one (capacity, flavor, policy) optimization result.
 
     ``constraint_info`` is a plain dict describing the yield constraint
@@ -117,7 +116,6 @@ def cell_key(capacity_bits, flavor, policy, space, constraint_info,
     """
     return canonical_key("cell", {
         "engine_version": ENGINE_VERSION,
-        "engine": engine,
         "capacity_bits": int(capacity_bits),
         "flavor": flavor,
         "policy": _policy_fields(policy),
@@ -136,8 +134,7 @@ def _constraint_info(session, flavor):
     }
 
 
-def study_cell_key(session, space, capacity_bytes, flavor, method,
-                   engine="vectorized"):
+def study_cell_key(session, space, capacity_bytes, flavor, method):
     """The :func:`cell_key` of one study-matrix cell under a session.
 
     Resolves the method name into the session's concrete
@@ -149,12 +146,11 @@ def study_cell_key(session, space, capacity_bytes, flavor, method,
     policy = make_policy(method, session.yield_levels(flavor))
     return cell_key(
         capacity_bytes * 8, flavor, policy, space,
-        _constraint_info(session, flavor), engine,
+        _constraint_info(session, flavor),
     )
 
 
-def pareto_cell_key(session, space, capacity_bytes, flavor, method,
-                    engine="pruned"):
+def pareto_cell_key(session, space, capacity_bytes, flavor, method):
     """Key of one Pareto-front sweep (the ``/v1/pareto`` identity).
 
     Same identity fields as :func:`study_cell_key` under its own kind:
@@ -167,7 +163,6 @@ def pareto_cell_key(session, space, capacity_bytes, flavor, method,
     policy = make_policy(method, session.yield_levels(flavor))
     return canonical_key("pareto", {
         "engine_version": ENGINE_VERSION,
-        "engine": engine,
         "capacity_bits": int(capacity_bytes) * 8,
         "flavor": flavor,
         "policy": _policy_fields(policy),
@@ -177,9 +172,8 @@ def pareto_cell_key(session, space, capacity_bytes, flavor, method,
 
 
 def yield_cell_key(session, space, capacity_bytes, flavor, method,
-                   code, y_target, engine="pruned", n_samples=120,
-                   seed=0, sampler="gaussian", ci_target=0.1,
-                   max_samples=4096):
+                   code, y_target, n_samples=120, seed=0,
+                   sampler="gaussian", ci_target=0.1, max_samples=4096):
     """Key of one ECC-relaxed yield study cell (``/v1/yield``).
 
     Beyond the study-cell identity this captures the code, the array
@@ -194,7 +188,6 @@ def yield_cell_key(session, space, capacity_bytes, flavor, method,
     policy = make_policy(method, session.yield_levels(flavor))
     return canonical_key("yield", {
         "engine_version": ENGINE_VERSION,
-        "engine": engine,
         "capacity_bits": int(capacity_bytes) * 8,
         "flavor": flavor,
         "policy": _policy_fields(policy),

@@ -40,7 +40,7 @@ decoder uses (:mod:`repro.periphery.gates` via the decoder model):
 
 Interleaved ways run in parallel: delay is one way's, energy scales
 with the way count.  All terms are independent of the array
-organization, which is what keeps the bound-and-prune engine's lower
+organization, which is what keeps the search's lower
 bounds admissible — the same constants appear in the production
 evaluation and in the bound evaluation.
 """

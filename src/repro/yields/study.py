@@ -205,10 +205,9 @@ def yield_study_configs(config, code_name, delta_v_sense=None):
 
 
 def compute_yield_cell(session, capacity_bytes, flavor, method="M2",
-                       code="secded", y_target=0.9, engine="pruned",
-                       space=None, n_samples=120, seed=0,
-                       sampler="gaussian", ci_target=0.1,
-                       max_samples=4096):
+                       code="secded", y_target=0.9, space=None,
+                       n_samples=120, seed=0, sampler="gaussian",
+                       ci_target=0.1, max_samples=4096):
     """Run one study cell: fixed-delta baseline vs ECC-relaxed search.
 
     ``sampler`` selects the margin-floor relaxation estimator:
@@ -238,8 +237,7 @@ def compute_yield_cell(session, capacity_bytes, flavor, method="M2",
     base_model = SRAMArrayModel(session.chars[flavor], base_cfg)
     baseline = ExhaustiveOptimizer(
         base_model, space, base_constraint
-    ).optimize(capacity_bits, make_policy(method, base_levels),
-               engine=engine)
+    ).optimize(capacity_bits, make_policy(method, base_levels))
 
     # The session's constraint as the base: every deterministic margin
     # the baseline measured, and the Monte Carlo samples every earlier
@@ -276,9 +274,8 @@ def compute_yield_cell(session, capacity_bytes, flavor, method="M2",
     ecc_model = SRAMArrayModel(session.chars[flavor], ecc_cfg)
     optimizer = ExhaustiveOptimizer(ecc_model, space, constraint)
     try:
-        relaxed = optimizer.optimize(
-            capacity_bits, make_policy(method, levels), engine=engine
-        )
+        relaxed = optimizer.optimize(capacity_bits,
+                                     make_policy(method, levels))
     except DesignSpaceError:
         if levels is base_levels:
             raise
@@ -287,9 +284,8 @@ def compute_yield_cell(session, capacity_bytes, flavor, method="M2",
         # certified baseline rails.
         levels = base_levels
         fallback = True
-        relaxed = optimizer.optimize(
-            capacity_bits, make_policy(method, levels), engine=engine
-        )
+        relaxed = optimizer.optimize(capacity_bits,
+                                     make_policy(method, levels))
 
     tail = None
     if code_obj.corrects:

@@ -9,7 +9,7 @@ from repro.analysis.runner import (
     study_matrix,
 )
 from repro.errors import ReproError, StudyTaskError
-from repro.opt import DesignSpace
+from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
 
 #: Small matrix so the suite stays fast (2 x 2 x 2 = 8 tasks).
 CAPACITIES = (128, 256)
@@ -139,43 +139,15 @@ def test_runner_usable_after_failure(paper_session):
 
 
 def test_engine_parity_through_runner(paper_session):
-    vec = run_study(session=paper_session, capacities=CAPACITIES,
-                    workers=1, engine="vectorized")
-    loop = run_study(session=paper_session, capacities=CAPACITIES,
-                     workers=1, engine="loop")
-    assert _edp_map(vec.sweep) == _edp_map(loop.sweep)
-
-
-@pytest.mark.parametrize("executor,workers", [
-    ("serial", 1),
-    ("thread", 2),
-    ("process", 2),
-])
-def test_fused_engine_policy_batches_cells(paper_session, executor,
-                                           workers):
-    """The fused engine scores each (flavor, capacity) cell's methods
-    in one policy-batched dispatch; the sweep stays bit-identical to
-    the per-task vectorized run and the per-task telemetry intact."""
-    vec = run_study(session=paper_session, capacities=CAPACITIES,
-                    workers=1, engine="vectorized")
-    fused = run_study(session=paper_session, capacities=CAPACITIES,
-                      workers=workers, executor=executor, engine="fused")
-    assert _edp_map(fused.sweep) == _edp_map(vec.sweep)
-    tasks = study_matrix(CAPACITIES)
-    assert [t.task for t in fused.timings] == list(tasks)
-    for key, result in fused.sweep.results.items():
-        assert result.design == vec.sweep.results[key].design
-        assert result.n_evaluated == vec.sweep.results[key].n_evaluated
-    for timing in fused.timings:
-        assert timing.seconds > 0
-        assert timing.n_evaluated > 0
-
-
-def test_fused_engine_failure_names_the_unit(paper_session):
-    """A fused policy batch that dies names its whole cell — both
-    methods rode one dispatch, so the cell is the faulty grain."""
-    with pytest.raises(StudyTaskError) as excinfo:
-        run_study(session=paper_session, capacities=CAPACITIES,
-                  workers=1, engine="fused", space=PoisonedSpace())
-    assert excinfo.value.task_label == "256B/LVT/M1+M2"
-    assert "injected mid-study fault" in str(excinfo.value)
+    """Every runner cell equals the reference slice loop's answer."""
+    run = run_study(session=paper_session, capacities=CAPACITIES,
+                    workers=1)
+    for (capacity, flavor, method), result in run.sweep.results.items():
+        optimizer = ExhaustiveOptimizer(paper_session.model(flavor),
+                                        DesignSpace(),
+                                        paper_session.constraint(flavor))
+        reference = optimizer.optimize_reference(
+            capacity * 8,
+            make_policy(method, paper_session.yield_levels(flavor)))
+        assert result.design == reference.design
+        assert result.metrics.edp == reference.metrics.edp

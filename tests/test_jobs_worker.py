@@ -27,9 +27,21 @@ def test_normalize_fills_defaults():
     assert spec["capacities"]           # paper defaults
     assert spec["flavors"] == ["lvt", "hvt"]
     assert spec["methods"] == ["M1", "M2"]
-    assert spec["engine"] == "vectorized"
     assert spec["voltage_mode"] == "paper"
     assert spec["cache_path"] is None
+
+
+def test_normalize_drops_a_legacy_engine_field():
+    """Specs queued by older releases name a search engine; it is
+    accepted, whatever its value, and leaves the normalized spec."""
+    legacy = normalize_study_spec({"capacities": [128],
+                                   "engine": "vectorized"})
+    plain = normalize_study_spec({"capacities": [128]})
+    assert "engine" not in legacy
+    assert legacy == plain
+    assert sweep_key(legacy) == sweep_key(plain)
+    assert normalize_study_spec({"engine": "quantum"}) \
+        == normalize_study_spec({})
 
 
 def test_normalize_canonicalizes_order_and_dupes():
@@ -60,7 +72,7 @@ def test_equivalent_specs_share_one_sweep_key():
     {"capacities": "128"},
     {"flavors": ["svt"]},
     {"methods": ["M3"]},
-    {"engine": "quantum"},
+    {"flavors": "lvt"},                 # not a list
     {"voltage_mode": "imaginary"},
     {"cache_path": 7},
 ])

@@ -1,114 +1,105 @@
-"""Fused full-space engine equivalence (the tentpole's contract).
+"""The search's correctness contract: production vs reference.
 
-The fused engine evaluates one policy's entire ``n_r x V_SSC x N_pre x
-N_wr`` space in a *single* broadcast ``model.evaluate`` call.  It must
-return bit-identical results to both the reference slice loop and the
-per-row vectorized engine — same design, same EDP, same evaluation
-count, same landscape — over every cell of the paper's study matrix,
-through both the unblocked 4-D path and the cache-blocked executor.
+:meth:`ExhaustiveOptimizer.optimize` (the bound-gated row sweep) and
+:meth:`~ExhaustiveOptimizer.pareto` must agree with the scalar slice
+loop :meth:`~ExhaustiveOptimizer.optimize_reference` — same design,
+same metrics and margins, bit for bit; with a landscape, the same
+landscape; the same Pareto front — over the paper's study matrix, the
+benchmark's 64 B-64 KB capacities, both flavors, M1, M2 and M2 with a
+negative bitline, with and without ECC.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import (
-    CAPACITIES_BYTES,
-    FLAVORS,
-    METHODS,
-)
+from repro.analysis.experiments import CAPACITIES_BYTES, FLAVORS, METHODS
+from repro.array import SRAMArrayModel
 from repro.errors import DesignSpaceError
-from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
+from repro.opt import (
+    DesignSpace,
+    ExhaustiveOptimizer,
+    make_policy,
+    pareto_front,
+    policy_m2_negative_bl,
+)
 
-#: The full 20-cell study matrix (5 capacities x 2 flavors x 2 methods).
-STUDY_CELLS = [
-    (flavor, method, capacity)
+#: Capacities [bytes]: the paper's five plus the benchmark's 64 B-64 KB.
+CAPACITIES = sorted(set(CAPACITIES_BYTES) | {64 << k for k in range(11)})
+POLICIES = ("M1", "M2", "M2-NBL")
+ECC_CODES = ("none", "secded")
+
+
+def _case_id(flavor, policy, capacity_bytes, ecc):
+    # The paper's cells (no ECC, M1/M2) keep their historical ids.
+    label = "%s-%s-%d" % (flavor, policy, capacity_bytes)
+    return label if ecc == "none" else "%s-%s" % (label, ecc)
+
+
+CASES = [
+    pytest.param(flavor, policy, capacity, ecc,
+                 id=_case_id(flavor, policy, capacity, ecc))
+    for ecc in ECC_CODES
     for flavor in FLAVORS
-    for method in METHODS
-    for capacity in CAPACITIES_BYTES
+    for policy in POLICIES
+    for capacity in CAPACITIES
 ]
 
 
-class CountingModel:
-    """Pass-through model wrapper tallying evaluate() calls by kind."""
-
-    def __init__(self, model):
-        self._model = model
-        self.broadcast_calls = 0
-        self.scalar_calls = 0
-
-    def __getattr__(self, name):
-        return getattr(self._model, name)
-
-    def evaluate(self, capacity_bits, design):
-        if np.ndim(design.n_r) > 0:
-            self.broadcast_calls += 1
-        else:
-            self.scalar_calls += 1
-        return self._model.evaluate(capacity_bits, design)
+def _policy(session, flavor, name):
+    levels = session.yield_levels(flavor)
+    if name == "M2-NBL":
+        return policy_m2_negative_bl(levels, session.library.vdd, -0.15)
+    return make_policy(name, levels)
 
 
-def _optimize(paper_session, flavor, method, capacity_bytes, engine,
-              model=None):
-    model = model or paper_session.model(flavor)
-    optimizer = ExhaustiveOptimizer(
-        model, DesignSpace(), paper_session.constraint(flavor)
-    )
-    policy = make_policy(method, paper_session.yield_levels(flavor))
-    return optimizer.optimize(capacity_bytes * 8, policy,
-                              keep_landscape=True, engine=engine)
+def _optimizer(session, flavor, ecc="none"):
+    model = session.model(flavor)
+    if ecc != "none":
+        model = SRAMArrayModel(session.chars[flavor],
+                               replace(session.config, ecc=ecc))
+    return ExhaustiveOptimizer(model, DesignSpace(),
+                               session.constraint(flavor))
 
 
-def _assert_identical(a, b):
-    assert a.design == b.design
-    assert a.metrics.edp == b.metrics.edp
-    assert a.metrics.d_array == b.metrics.d_array
-    assert a.metrics.e_total == b.metrics.e_total
-    assert a.margins == b.margins
-    assert a.n_evaluated == b.n_evaluated
-    assert len(a.landscape) == len(b.landscape)
-    for pa, pb in zip(a.landscape, b.landscape):
-        assert pa == pb
+def assert_same_optimum(result, reference):
+    """Same design, metrics at the optimum and margins, bit for bit."""
+    assert result.design == reference.design
+    assert result.metrics.edp == reference.metrics.edp
+    assert result.metrics.d_array == reference.metrics.d_array
+    assert result.metrics.e_total == reference.metrics.e_total
+    assert result.margins == reference.margins
 
 
-@pytest.mark.parametrize("flavor,method,capacity_bytes", STUDY_CELLS)
-def test_three_way_parity_on_study_matrix(paper_session, flavor, method,
-                                          capacity_bytes):
-    loop = _optimize(paper_session, flavor, method, capacity_bytes,
-                     "loop")
-    vec = _optimize(paper_session, flavor, method, capacity_bytes,
-                    "vectorized")
-    fused = _optimize(paper_session, flavor, method, capacity_bytes,
-                      "fused")
-    _assert_identical(fused, loop)
-    _assert_identical(vec, loop)
+@pytest.mark.parametrize("flavor,policy,capacity_bytes,ecc", CASES)
+def test_three_way_parity_on_study_matrix(paper_session, flavor, policy,
+                                          capacity_bytes, ecc):
+    """Production EDP search, production landscape and Pareto sweep,
+    each against one reference run."""
+    optimizer = _optimizer(paper_session, flavor, ecc)
+    voltage_policy = _policy(paper_session, flavor, policy)
+    bits = capacity_bytes * 8
+    reference = optimizer.optimize_reference(bits, voltage_policy,
+                                             keep_landscape=True)
+    gated = optimizer.optimize(bits, voltage_policy)
+    assert_same_optimum(gated, reference)
+    assert gated.landscape == []
+    assert 0 < gated.n_evaluated <= reference.n_evaluated
 
+    full = optimizer.optimize(bits, voltage_policy, keep_landscape=True)
+    assert_same_optimum(full, reference)
+    assert full.landscape == reference.landscape
+    assert full.n_evaluated == reference.n_evaluated
 
-@pytest.mark.parametrize("flavor,method,capacity_bytes",
-                         [("hvt", "M2", 16384), ("lvt", "M1", 128)])
-def test_fused_search_is_one_model_call(paper_session, flavor, method,
-                                        capacity_bytes):
-    model = CountingModel(paper_session.model(flavor))
-    result = _optimize(paper_session, flavor, method, capacity_bytes,
-                       "fused", model=model)
-    # One broadcast call covers the whole feasible space; the only
-    # other evaluation is the scalar re-evaluation of the winner.
-    assert model.broadcast_calls == 1
-    assert model.scalar_calls == 1
-    assert result.n_evaluated > 0
-
-
-@pytest.mark.parametrize("block_elements", [1, 10 ** 9])
-def test_fused_blocked_and_unblocked_match_loop(paper_session,
-                                                block_elements):
-    loop = _optimize(paper_session, "hvt", "M2", 1024, "loop")
-    model = paper_session.model("hvt")
-    model.broadcast_block_elements = block_elements
-    fused = _optimize(paper_session, "hvt", "M2", 1024, "fused",
-                      model=model)
-    _assert_identical(fused, loop)
+    sweep = optimizer.pareto(bits, voltage_policy)
+    assert list(sweep.front) == pareto_front(reference.landscape)
+    assert sweep.n_tiles == len(reference.landscape)
+    assert sweep.n_evaluated == reference.n_evaluated
 
 
 def test_fused_infeasible_space_raises(paper_session):
+    """No feasible V_SSC: both searches raise, neither evaluates."""
     class Infeasible:
         flavor = "hvt"
 
@@ -126,85 +117,35 @@ def test_fused_infeasible_space_raises(paper_session):
     )
     policy = make_policy("M2", paper_session.yield_levels("hvt"))
     with pytest.raises(DesignSpaceError):
-        optimizer.optimize(1024 * 8, policy, engine="fused")
+        optimizer.optimize(1024 * 8, policy)
+    with pytest.raises(DesignSpaceError):
+        optimizer.pareto(1024 * 8, policy)
+    with pytest.raises(DesignSpaceError):
+        optimizer.optimize_reference(1024 * 8, policy)
 
 
 # ---------------------------------------------------------------------------
-# Policy-batched optimize_many (one dispatch per cell's policy set)
+# optimize_many: one optimize per policy
 # ---------------------------------------------------------------------------
 
-#: The 10 (flavor, capacity) cells; each one policy-batches all METHODS,
-#: so together they still cover the full 20-cell study matrix.
-POLICY_BATCH_CELLS = [
+@pytest.mark.parametrize("flavor,capacity_bytes", [
     (flavor, capacity)
     for flavor in FLAVORS
     for capacity in CAPACITIES_BYTES
-]
-
-
-def _optimize_many(paper_session, flavor, capacity_bytes, model=None):
-    model = model or paper_session.model(flavor)
-    optimizer = ExhaustiveOptimizer(
-        model, DesignSpace(), paper_session.constraint(flavor)
-    )
-    levels = paper_session.yield_levels(flavor)
-    policies = [make_policy(method, levels) for method in METHODS]
-    return optimizer.optimize_many(capacity_bytes * 8, policies,
-                                   keep_landscape=True)
-
-
-@pytest.mark.parametrize("flavor,capacity_bytes", POLICY_BATCH_CELLS)
+])
 def test_optimize_many_parity_on_study_matrix(paper_session, flavor,
                                               capacity_bytes):
-    batched = _optimize_many(paper_session, flavor, capacity_bytes)
-    assert len(batched) == len(METHODS)
-    for method, result in zip(METHODS, batched):
-        for engine in ("loop", "vectorized", "fused"):
-            ref = _optimize(paper_session, flavor, method,
-                            capacity_bytes, engine)
-            _assert_identical(result, ref)
-
-
-def test_optimize_many_is_one_broadcast_call(paper_session):
-    model = CountingModel(paper_session.model("hvt"))
-    results = _optimize_many(paper_session, "hvt", 16384, model=model)
-    # One broadcast call scores every policy's whole space at once; the
-    # only scalar calls are each winner's final re-evaluation.
-    assert model.broadcast_calls == 1
-    assert model.scalar_calls == len(METHODS)
-    assert all(result.n_evaluated > 0 for result in results)
-
-
-@pytest.mark.parametrize("block_elements", [1, 10 ** 9])
-def test_optimize_many_blocked_and_unblocked_match_loop(paper_session,
-                                                        block_elements):
-    model = paper_session.model("hvt")
-    original = model.broadcast_block_elements
-    model.broadcast_block_elements = block_elements
-    try:
-        batched = _optimize_many(paper_session, "hvt", 1024, model=model)
-    finally:
-        model.broadcast_block_elements = original
-    for method, result in zip(METHODS, batched):
-        ref = _optimize(paper_session, "hvt", method, 1024, "loop")
-        _assert_identical(result, ref)
-
-
-def test_optimize_many_rejects_non_fused_engines(paper_session):
-    optimizer = ExhaustiveOptimizer(
-        paper_session.model("hvt"), DesignSpace(),
-        paper_session.constraint("hvt")
-    )
-    levels = paper_session.yield_levels("hvt")
+    optimizer = _optimizer(paper_session, flavor)
+    levels = paper_session.yield_levels(flavor)
     policies = [make_policy(method, levels) for method in METHODS]
-    for engine in ("loop", "vectorized"):
-        with pytest.raises(ValueError):
-            optimizer.optimize_many(1024 * 8, policies, engine=engine)
+    many = optimizer.optimize_many(capacity_bytes * 8, policies)
+    assert len(many) == len(METHODS)
+    for policy, result in zip(policies, many):
+        single = optimizer.optimize(capacity_bytes * 8, policy)
+        assert_same_optimum(result, single)
+        assert result.n_evaluated == single.n_evaluated
 
 
 def test_optimize_many_empty_policy_list(paper_session):
-    optimizer = ExhaustiveOptimizer(
-        paper_session.model("hvt"), DesignSpace(),
-        paper_session.constraint("hvt")
-    )
-    assert optimizer.optimize_many(1024 * 8, []) == []
+    assert _optimizer(paper_session, "hvt").optimize_many(1024 * 8,
+                                                         []) == []

@@ -1,4 +1,4 @@
-"""Pareto-front extraction, incremental maintenance, weighted optima."""
+"""Pareto-front extraction, the front sweep, weighted optima."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,6 @@ from repro.analysis.experiments import (
 from repro.opt import (
     DesignSpace,
     ExhaustiveOptimizer,
-    ParetoFrontBuilder,
     best_weighted,
     make_policy,
     pareto_front,
@@ -72,7 +71,7 @@ def test_equal_energy_keeps_lowest_delay():
 
 def test_exact_duplicates_keep_first_in_visit_order():
     # Two coincident (D, E) points must resolve to the *first* one the
-    # loop engine would have visited — the documented tie rule.
+    # search would have visited — the documented tie rule.
     first = point(1.0, 1.0, n_r=8)
     second = point(1.0, 1.0, n_r=16)
     front = pareto_front([first, second])
@@ -137,80 +136,43 @@ def test_best_weighted_empty_front_raises():
 
 
 # ---------------------------------------------------------------------------
-# Incremental front maintenance (ParetoFrontBuilder)
+# Front sweeps (ExhaustiveOptimizer.pareto)
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
-@given(points_strategy)
-def test_builder_matches_batch_front(raw):
-    """Property: inserting one-by-one equals the batch extraction."""
-    points = [point(d, e) for d, e in raw]
-    builder = ParetoFrontBuilder()
-    for p in points:
-        builder.insert(p)
-    assert builder.front() == pareto_front(points)
-
-
-def test_builder_first_wins_on_exact_ties():
-    builder = ParetoFrontBuilder()
-    assert builder.insert(point(1.0, 1.0, n_r=8)) is True
-    assert builder.insert(point(1.0, 1.0, n_r=16)) is False
-    assert [p.n_r for p in builder.front()] == [8]
-
-
-def test_builder_dominated_mask():
-    import numpy as np
-
-    builder = ParetoFrontBuilder()
-    empty = builder.dominated_mask(np.array([1.0]), np.array([1.0]))
-    assert not empty.any()
-    builder.insert(point(2.0, 2.0))
-    mask = builder.dominated_mask(np.array([1.0, 2.0, 3.0]),
-                                  np.array([3.0, 2.0, 3.0]))
-    # (1,3) is incomparable; (2,2) and (3,3) are weakly dominated.
-    assert mask.tolist() == [False, True, True]
-
-
-# ---------------------------------------------------------------------------
-# Engine-level Pareto sweeps (ExhaustiveOptimizer.pareto)
-# ---------------------------------------------------------------------------
-
-def _pareto(paper_session, flavor, method, capacity_bytes, engine):
-    optimizer = ExhaustiveOptimizer(
+def _optimizer(paper_session, flavor):
+    return ExhaustiveOptimizer(
         paper_session.model(flavor), DesignSpace(),
         paper_session.constraint(flavor),
     )
+
+
+def _pareto(paper_session, flavor, method, capacity_bytes):
     policy = make_policy(method, paper_session.yield_levels(flavor))
-    return optimizer.pareto(capacity_bytes * 8, policy, engine=engine)
+    return _optimizer(paper_session, flavor).pareto(capacity_bytes * 8,
+                                                    policy)
 
 
 @pytest.mark.parametrize("flavor,method,capacity_bytes", STUDY_CELLS)
 def test_pruned_pareto_matches_landscape_front(paper_session, flavor,
                                                method, capacity_bytes):
-    """The incremental pruned front equals the batch front of the full
-    landscape (computed by the fused fallback) on every study cell."""
-    pruned = _pareto(paper_session, flavor, method, capacity_bytes,
-                     "pruned")
-    fused = _pareto(paper_session, flavor, method, capacity_bytes,
-                    "fused")
-    assert pruned.front == fused.front
-    assert pruned.n_tiles == fused.n_tiles
-    assert pruned.engine == "pruned" and fused.engine == "fused"
-    assert fused.tiles_pruned == 0
-    assert 0 <= pruned.tiles_pruned < pruned.n_tiles
-    assert pruned.n_evaluated <= fused.n_evaluated
+    """The sweep's front is the batch front of the search's own full
+    landscape, over every tile, on every study cell."""
+    optimizer = _optimizer(paper_session, flavor)
+    policy = make_policy(method, paper_session.yield_levels(flavor))
+    sweep = optimizer.pareto(capacity_bytes * 8, policy)
+    full = optimizer.optimize(capacity_bytes * 8, policy,
+                              keep_landscape=True)
+    assert list(sweep.front) == pareto_front(full.landscape)
+    assert sweep.n_tiles == len(full.landscape)
+    assert sweep.n_evaluated == full.n_evaluated
 
 
 def test_pareto_front_members_are_feasible_landscape_points(
         paper_session):
-    optimizer = ExhaustiveOptimizer(
-        paper_session.model("hvt"), DesignSpace(),
-        paper_session.constraint("hvt"),
-    )
+    optimizer = _optimizer(paper_session, "hvt")
     policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    result = optimizer.optimize(16384 * 8, policy, keep_landscape=True,
-                                engine="fused")
-    sweep = optimizer.pareto(16384 * 8, policy, engine="pruned")
+    result = optimizer.optimize(16384 * 8, policy, keep_landscape=True)
+    sweep = optimizer.pareto(16384 * 8, policy)
     landscape = {(p.n_r, p.v_ssc, p.n_pre, p.n_wr): p
                  for p in result.landscape}
     for p in sweep.front:
@@ -219,14 +181,11 @@ def test_pareto_front_members_are_feasible_landscape_points(
 
 
 def test_best_weighted_unit_exponents_recover_edp_optimum(paper_session):
-    optimizer = ExhaustiveOptimizer(
-        paper_session.model("hvt"), DesignSpace(),
-        paper_session.constraint("hvt"),
-    )
+    optimizer = _optimizer(paper_session, "hvt")
     policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    sweep = optimizer.pareto(16384 * 8, policy, engine="pruned")
+    sweep = optimizer.pareto(16384 * 8, policy)
     best = best_weighted(sweep.front, 1.0, 1.0)
-    direct = optimizer.optimize(16384 * 8, policy, engine="fused")
+    direct = optimizer.optimize(16384 * 8, policy)
     assert best.edp == direct.metrics.edp
     assert best.n_r == direct.design.n_r
     assert best.n_pre == direct.design.n_pre
@@ -234,7 +193,7 @@ def test_best_weighted_unit_exponents_recover_edp_optimum(paper_session):
 
 
 def test_pareto_capacity_bytes_property(paper_session):
-    sweep = _pareto(paper_session, "hvt", "M2", 128, "pruned")
+    sweep = _pareto(paper_session, "hvt", "M2", 128)
     assert sweep.capacity_bytes == 128
     assert sweep.capacity_bits == 128 * 8
     assert sweep.flavor == "hvt" and sweep.method == "M2"

@@ -1,26 +1,31 @@
-"""Bound-and-prune engine equivalence (the tentpole's contract).
+"""The row gate: admissible tile bounds and the rows they let the search
+skip.
 
-The pruned engine derives an admissible lower bound on every ``(n_r,
-V_SSC)`` tile's best EDP and skips tiles that provably cannot beat the
-incumbent, scoring the survivors through the gathered broadcast
-dispatch.  It must return the *same answer* as the reference slice loop
-— same design, same metrics, same margins, same tie resolution — over
-every cell of the paper's study matrix, while evaluating at most as
-many points.  With ``keep_landscape=True`` pruning is disabled and the
-whole visit is bit-identical (including ``n_evaluated``).
+Without a landscape, :meth:`ExhaustiveOptimizer.optimize` skips every
+row whose smallest ``(n_r, V_SSC)`` tile bound strictly exceeds the
+incumbent EDP.  That is only safe while the bounds of
+:func:`~repro.opt.bounds.tile_lower_bounds` never exceed the true
+metrics anywhere in their tile, which the property test below checks
+over random points of random configurations.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import perf
-from repro.analysis.experiments import (
-    CAPACITIES_BYTES,
-    FLAVORS,
-    METHODS,
-)
+from repro.analysis.experiments import CAPACITIES_BYTES, FLAVORS, METHODS
+from repro.array import DesignPoint, SRAMArrayModel
 from repro.errors import DesignSpaceError
-from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
+from repro.opt import (
+    DesignSpace,
+    ExhaustiveOptimizer,
+    make_policy,
+    policy_m2_negative_bl,
+)
 from repro.opt.bounds import tile_lower_bounds
 
 #: The full 20-cell study matrix (5 capacities x 2 flavors x 2 methods).
@@ -31,6 +36,13 @@ STUDY_CELLS = [
     for capacity in CAPACITIES_BYTES
 ]
 
+#: ECC configurations the bounds must hold under.
+ECC_CONFIGS = {
+    "none": {},
+    "inline": {"ecc": "secded"},
+    "pipelined": {"ecc": "secded", "ecc_pipelined": True},
+}
+
 
 def _optimizer(paper_session, flavor, model=None):
     return ExhaustiveOptimizer(
@@ -39,111 +51,99 @@ def _optimizer(paper_session, flavor, model=None):
     )
 
 
-def _optimize(paper_session, flavor, method, capacity_bytes, engine,
-              keep_landscape=True, model=None):
-    optimizer = _optimizer(paper_session, flavor, model=model)
-    policy = make_policy(method, paper_session.yield_levels(flavor))
-    return optimizer.optimize(capacity_bytes * 8, policy,
-                              keep_landscape=keep_landscape,
-                              engine=engine)
-
-
-def _assert_identical(a, b):
-    assert a.design == b.design
-    assert a.metrics.edp == b.metrics.edp
-    assert a.metrics.d_array == b.metrics.d_array
-    assert a.metrics.e_total == b.metrics.e_total
-    assert a.margins == b.margins
-    assert a.n_evaluated == b.n_evaluated
-    assert len(a.landscape) == len(b.landscape)
-    for pa, pb in zip(a.landscape, b.landscape):
-        assert pa == pb
-
-
-def _assert_same_answer(pruned, ref):
-    """Pruned-mode equality: same winner, fewer (or equal) evaluations."""
-    assert pruned.design == ref.design
-    assert pruned.metrics.edp == ref.metrics.edp
-    assert pruned.metrics.d_array == ref.metrics.d_array
-    assert pruned.metrics.e_total == ref.metrics.e_total
-    assert pruned.margins == ref.margins
-    assert pruned.n_evaluated <= ref.n_evaluated
-
-
 @pytest.mark.parametrize("flavor,method,capacity_bytes", STUDY_CELLS)
 def test_pruned_parity_on_study_matrix(paper_session, flavor, method,
                                        capacity_bytes):
-    loop = _optimize(paper_session, flavor, method, capacity_bytes,
-                     "loop")
-    full = _optimize(paper_session, flavor, method, capacity_bytes,
-                     "pruned", keep_landscape=True)
-    pruned = _optimize(paper_session, flavor, method, capacity_bytes,
-                       "pruned", keep_landscape=False)
-    _assert_identical(full, loop)
-    _assert_same_answer(pruned, loop)
-
-
-@pytest.mark.parametrize("block_elements", [1, 10 ** 9])
-def test_pruned_blocked_and_unblocked_match_loop(paper_session,
-                                                 block_elements):
-    loop = _optimize(paper_session, "hvt", "M2", 1024, "loop")
-    model = paper_session.model("hvt")
-    original = model.broadcast_block_elements
-    model.broadcast_block_elements = block_elements
-    try:
-        full = _optimize(paper_session, "hvt", "M2", 1024, "pruned",
-                         keep_landscape=True, model=model)
-        pruned = _optimize(paper_session, "hvt", "M2", 1024, "pruned",
-                           keep_landscape=False, model=model)
-    finally:
-        model.broadcast_block_elements = original
-    _assert_identical(full, loop)
-    _assert_same_answer(pruned, loop)
+    """The gated search under pipelined and 4-way interleaved SECDED
+    (whose constant ECC terms enter both the bounds and the metrics)
+    lands on the reference optimum."""
+    policy = make_policy(method, paper_session.yield_levels(flavor))
+    for config in (
+            replace(paper_session.config, ecc="secded",
+                    ecc_pipelined=True),
+            replace(paper_session.config, ecc="secded-x4")):
+        model = SRAMArrayModel(paper_session.chars[flavor], config)
+        optimizer = _optimizer(paper_session, flavor, model)
+        reference = optimizer.optimize_reference(capacity_bytes * 8,
+                                                 policy)
+        gated = optimizer.optimize(capacity_bytes * 8, policy)
+        assert gated.design == reference.design
+        assert gated.metrics.edp == reference.metrics.edp
+        assert gated.metrics.d_array == reference.metrics.d_array
+        assert gated.metrics.e_total == reference.metrics.e_total
+        assert gated.margins == reference.margins
+        assert gated.n_evaluated <= reference.n_evaluated
 
 
 def test_pruning_skips_at_least_half_the_space(paper_session):
-    """The acceptance cell: 16KB/HVT/M2 prunes >= 50% of the space."""
-    loop = _optimize(paper_session, "hvt", "M2", 16384, "loop")
-    pruned = _optimize(paper_session, "hvt", "M2", 16384, "pruned",
-                       keep_landscape=False)
-    _assert_same_answer(pruned, loop)
-    assert pruned.n_evaluated <= loop.n_evaluated // 2
+    """The acceptance cell: 16KB/HVT/M2 skips >= 50% of the space."""
+    optimizer = _optimizer(paper_session, "hvt")
+    policy = make_policy("M2", paper_session.yield_levels("hvt"))
+    reference = optimizer.optimize_reference(16384 * 8, policy)
+    gated = optimizer.optimize(16384 * 8, policy)
+    assert gated.design == reference.design
+    assert gated.n_evaluated <= reference.n_evaluated // 2
 
 
 def test_pruned_records_perf_counters(paper_session):
     def counter(name):
         return perf.get_registry().snapshot()["counters"].get(name, 0)
 
-    before_tiles = counter("opt.pruned.tiles_pruned")
-    before_points = counter("opt.pruned.points_evaluated")
-    pruned = _optimize(paper_session, "hvt", "M2", 16384, "pruned",
-                       keep_landscape=False)
-    assert counter("opt.pruned.tiles_pruned") > before_tiles
-    assert (counter("opt.pruned.points_evaluated") - before_points
-            == pruned.n_evaluated)
-
-
-def test_bounds_are_admissible(paper_session):
-    """Every tile's bound is <= the tile's actual best metrics."""
+    before_rows = counter("optimizer.rows_skipped")
+    before_points = counter("optimizer.evaluations")
     optimizer = _optimizer(paper_session, "hvt")
     policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    capacity_bits = 16384 * 8
-    feasible = optimizer._feasible_v_ssc(policy)
-    bounds = tile_lower_bounds(optimizer.model, optimizer.space,
-                               capacity_bits, policy, feasible)
-    result = optimizer.optimize(capacity_bits, policy,
-                                keep_landscape=True, engine="fused")
-    d_lb = bounds.d_array.reshape(-1)
-    e_lb = bounds.e_total.reshape(-1)
-    edp_lb = bounds.edp.reshape(-1)
-    # The landscape visits tiles r-major/s-minor — the same flat order
-    # as the bound grids; each landscape point is one point of its tile,
-    # so every bound must sit at or below it.
-    assert len(result.landscape) == bounds.n_tiles
-    for tile, point in enumerate(result.landscape):
-        assert d_lb[tile] <= point.d_array
-        assert e_lb[tile] <= point.e_total
-        assert edp_lb[tile] <= point.edp
+    gated = optimizer.optimize(16384 * 8, policy)
+    assert counter("optimizer.rows_skipped") > before_rows
+    assert (counter("optimizer.evaluations") - before_points
+            == gated.n_evaluated)
+
+
+_MODELS = {}
+
+
+def _model(session, flavor, ecc):
+    key = (flavor, ecc)
+    if key not in _MODELS:
+        _MODELS[key] = SRAMArrayModel(
+            session.chars[flavor],
+            replace(session.config, **ECC_CONFIGS[ecc]))
+    return _MODELS[key]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(),
+       flavor=st.sampled_from(FLAVORS),
+       capacity_bytes=st.sampled_from([64 << k for k in range(11)]),
+       ecc=st.sampled_from(sorted(ECC_CONFIGS)),
+       policy_name=st.sampled_from(("M1", "M2", "M2-NBL")))
+def test_bounds_are_admissible(paper_session, data, flavor,
+                               capacity_bytes, ecc, policy_name):
+    """A tile's d_array / e_total / edp bounds sit at or below the
+    true metrics of any point in the tile."""
+    space = DesignSpace()
+    levels = paper_session.yield_levels(flavor)
+    if policy_name == "M2-NBL":
+        policy = policy_m2_negative_bl(levels, paper_session.library.vdd,
+                                       -0.15)
+    else:
+        policy = make_policy(policy_name, levels)
+    model = _model(paper_session, flavor, ecc)
+    bits = capacity_bytes * 8
+    rows = space.row_counts(bits)
+    r = data.draw(st.integers(0, len(rows) - 1), label="row")
+    v_ssc = data.draw(st.sampled_from(space.v_ssc_values), label="v_ssc")
+    n_pre = data.draw(st.integers(1, space.n_pre_max), label="n_pre")
+    n_wr = data.draw(st.integers(1, space.n_wr_max), label="n_wr")
+    bounds = tile_lower_bounds(model, space, bits, policy, [v_ssc])
+    metrics = model.evaluate(bits, DesignPoint(
+        n_r=rows[r], n_c=bits // rows[r], n_pre=n_pre, n_wr=n_wr,
+        v_ddc=policy.v_ddc, v_ssc=v_ssc, v_wl=policy.v_wl,
+        v_bl=policy.v_bl,
+    ))
+    assert bounds.d_array[r, 0] <= metrics.d_array
+    assert bounds.e_total[r, 0] <= metrics.e_total
+    assert bounds.edp[r, 0] <= metrics.edp
 
 
 def test_bounds_tighten_with_fin_range(paper_session):
@@ -163,11 +163,10 @@ def test_bounds_tighten_with_fin_range(paper_session):
 
 
 def test_pruned_infeasible_space_raises(paper_session):
+    """A constraint without ``satisfied_grid`` that rejects every
+    candidate: the per-candidate feasibility path raises too."""
     class Infeasible:
         flavor = "hvt"
-
-        def satisfied_grid(self, v_ddc, v_ssc_values, v_wl, v_bl=0.0):
-            return np.zeros(len(v_ssc_values), dtype=bool)
 
         def satisfied(self, *args, **kwargs):
             return False
@@ -180,13 +179,6 @@ def test_pruned_infeasible_space_raises(paper_session):
     )
     policy = make_policy("M2", paper_session.yield_levels("hvt"))
     with pytest.raises(DesignSpaceError):
-        optimizer.optimize(1024 * 8, policy, engine="pruned")
+        optimizer.optimize(1024 * 8, policy)
     with pytest.raises(DesignSpaceError):
-        optimizer.pareto(1024 * 8, policy, engine="pruned")
-
-
-def test_unknown_engine_still_rejected(paper_session):
-    optimizer = _optimizer(paper_session, "hvt")
-    policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    with pytest.raises(ValueError, match="pruned"):
-        optimizer.optimize(1024 * 8, policy, engine="nope")
+        optimizer.pareto(1024 * 8, policy)

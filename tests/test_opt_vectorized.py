@@ -1,10 +1,9 @@
-"""Vectorized-vs-loop search equivalence (the performance engine's
-correctness contract).
+"""Search parity on a trimmed space, and the array/constraint inputs
+the search relies on.
 
-The broadcast engine must return *bit-identical* results to the
-reference slice-loop engine — same design, same EDP, same evaluation
-count, same landscape — for every flavor/method at the paper's smallest
-interesting and largest capacities.
+The row sweep must match the reference slice loop bit for bit on any
+design space, not only the paper's: here a coarser V_SSC grid, fewer
+fin counts and a capped row range, with the landscape kept.
 """
 
 import numpy as np
@@ -25,58 +24,33 @@ CASES = [
     for capacity_bytes in (1024, 16384)
 ]
 
-
-def _optimizer(paper_session, flavor):
-    model = paper_session.model(flavor)
-    constraint = paper_session.constraint(flavor)
-    return ExhaustiveOptimizer(model, DesignSpace(), constraint)
+TRIMMED = DesignSpace(v_ssc_values=(0.0, -0.06, -0.12, -0.18, -0.24),
+                      n_r_max=256, n_pre_max=12, n_wr_max=6)
 
 
 @pytest.mark.parametrize("flavor,method,capacity_bytes", CASES)
 def test_engines_bit_identical(paper_session, flavor, method,
                                capacity_bytes):
-    optimizer = _optimizer(paper_session, flavor)
+    optimizer = ExhaustiveOptimizer(paper_session.model(flavor), TRIMMED,
+                                    paper_session.constraint(flavor))
     policy = make_policy(method, paper_session.yield_levels(flavor))
-    loop = optimizer.optimize(capacity_bytes * 8, policy,
-                              keep_landscape=True, engine="loop")
-    vec = optimizer.optimize(capacity_bytes * 8, policy,
-                             keep_landscape=True, engine="vectorized")
-    # The chosen design, exactly.
-    assert vec.design == loop.design
-    # The metrics at the optimum, bit for bit (both come from a scalar
-    # re-evaluation of the same design, so equality is exact).
-    assert vec.metrics.edp == loop.metrics.edp
-    assert vec.metrics.d_array == loop.metrics.d_array
-    assert vec.metrics.e_total == loop.metrics.e_total
-    assert vec.margins == loop.margins
-    # The bookkeeping.
-    assert vec.n_evaluated == loop.n_evaluated
-    # The landscape: same slices in the same order, bit-identical.
-    assert len(vec.landscape) == len(loop.landscape)
-    for v_point, l_point in zip(vec.landscape, loop.landscape):
-        assert v_point == l_point
-
-
-def test_unknown_engine_rejected(paper_session):
-    optimizer = _optimizer(paper_session, "hvt")
-    policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    with pytest.raises(ValueError):
-        optimizer.optimize(1024 * 8, policy, engine="quantum")
-
-
-def test_vectorized_is_default(paper_session):
-    """optimize() without an engine argument matches the loop engine."""
-    optimizer = _optimizer(paper_session, "hvt")
-    policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    default = optimizer.optimize(1024 * 8, policy)
-    loop = optimizer.optimize(1024 * 8, policy, engine="loop")
-    assert default.design == loop.design
-    assert default.metrics.edp == loop.metrics.edp
+    reference = optimizer.optimize_reference(
+        capacity_bytes * 8, policy, keep_landscape=True)
+    for keep_landscape in (False, True):
+        result = optimizer.optimize(capacity_bytes * 8, policy,
+                                    keep_landscape=keep_landscape)
+        assert result.design == reference.design
+        assert result.metrics.edp == reference.metrics.edp
+        assert result.metrics.d_array == reference.metrics.d_array
+        assert result.metrics.e_total == reference.metrics.e_total
+        assert result.margins == reference.margins
+    assert result.n_evaluated == reference.n_evaluated
+    assert result.landscape == reference.landscape
 
 
 def test_vectorized_constraint_fallback(library, hvt_char):
     """A duck-typed constraint without satisfied_grid still works (the
-    optimizer falls back to per-candidate satisfied() calls)."""
+    search falls back to per-candidate satisfied() calls)."""
 
     class MinimalConstraint:
         flavor = "hvt"
@@ -98,12 +72,11 @@ def test_vectorized_constraint_fallback(library, hvt_char):
 
     levels = YieldLevels(v_ddc_min=0.550, v_wl_min=0.540)
     policy = make_policy("M2", levels)
-    reference = ExhaustiveOptimizer(model, space, inner).optimize(
-        1024 * 8, policy, engine="loop"
-    )
+    reference = ExhaustiveOptimizer(model, space, inner) \
+        .optimize_reference(1024 * 8, policy)
     ducked = ExhaustiveOptimizer(
         model, space, MinimalConstraint(inner)
-    ).optimize(1024 * 8, policy, engine="vectorized")
+    ).optimize(1024 * 8, policy)
     assert ducked.design == reference.design
     assert ducked.metrics.edp == reference.metrics.edp
 

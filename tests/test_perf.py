@@ -165,4 +165,4 @@ def test_optimizer_records_telemetry(paper_session):
     assert reg.counters["optimizer.evaluations"] == (
         before + result.n_evaluated
     )
-    assert reg.timers["optimizer.search.vectorized"].count >= 1
+    assert reg.timers["optimizer.search"].count >= 1

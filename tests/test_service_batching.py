@@ -184,23 +184,23 @@ def test_constructor_validation():
 
 
 def test_incompatible_optimize_requests_never_share_a_group():
-    """Requests that differ in any group_key dimension — flavor,
-    engine, or endpoint kind — dispatch separately; only same-group
-    requests may fuse.  The method deliberately does NOT split groups:
-    it rides per-item so a cell's policies can policy-batch."""
+    """Requests that differ in any group_key dimension — flavor or
+    endpoint kind — dispatch separately; only same-group requests share
+    a dispatch.  The method and capacity ride per-item, and a legacy
+    ``engine`` field is ignored."""
     from repro.service.api import parse_request
 
-    bodies = [
-        {"capacity_bytes": 1024, "flavor": "hvt", "method": "M1",
-         "engine": "fused"},
-        {"capacity_bytes": 1024, "flavor": "hvt", "method": "M2",
-         "engine": "fused"},                       # same group as above
-        {"capacity_bytes": 1024, "flavor": "lvt", "method": "M1",
-         "engine": "fused"},                       # different flavor
-        {"capacity_bytes": 1024, "flavor": "hvt", "method": "M1",
-         "engine": "vectorized"},                  # different engine
-    ]
-    requests = [parse_request("/v1/optimize", body) for body in bodies]
+    requests = [parse_request(route, body) for route, body in [
+        ("/v1/optimize", {"capacity_bytes": 1024, "flavor": "hvt",
+                          "method": "M1", "engine": "fused"}),
+        ("/v1/optimize", {"capacity_bytes": 4096, "flavor": "hvt",
+                          "method": "M2",
+                          "engine": "vectorized"}),   # same group
+        ("/v1/optimize", {"capacity_bytes": 1024, "flavor": "lvt",
+                          "method": "M1"}),           # different flavor
+        ("/v1/pareto", {"capacity_bytes": 1024, "flavor": "hvt",
+                        "method": "M1"}),             # different kind
+    ]]
     evaluate = parse_request("/v1/evaluate", {
         "flavor": "hvt",
         "design": {"n_r": 128, "n_c": 64, "n_pre": 4, "n_wr": 4,
@@ -221,13 +221,14 @@ def test_incompatible_optimize_requests_never_share_a_group():
     groups = sorted(key for key, _ in batches)
     assert groups == [
         ("evaluate", "hvt"),
-        ("optimize", "hvt", "fused"),
-        ("optimize", "hvt", "vectorized"),
-        ("optimize", "lvt", "fused"),
+        ("optimize", "hvt"),
+        ("optimize", "lvt"),
+        ("pareto", "hvt"),
     ]
-    # The two compatible policies fused into the one hvt/fused batch.
-    fused_items = dict(batches)[("optimize", "hvt", "fused")]
-    assert [item["method"] for item in fused_items] == ["M1", "M2"]
+    # The two compatible searches rode the one hvt optimize batch.
+    shared = dict(batches)[("optimize", "hvt")]
+    assert [(item["capacity_bytes"], item["method"])
+            for item in shared] == [(1024, "M1"), (4096, "M2")]
 
 
 def test_per_endpoint_overrides_apply_per_kind():

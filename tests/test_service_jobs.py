@@ -62,18 +62,17 @@ def test_submit_runs_to_done_with_results(client):
 
 def test_optimize_deduped_against_job_results(client):
     """A cell the background worker already computed must come straight
-    out of the experiment store — no second engine search."""
+    out of the experiment store — no second search."""
     job = client.submit_job(SPEC)
     client.wait_for_job(job["id"], timeout=300.0, interval=0.1)
 
     before = counter_value("service.engine.optimize_searches")
-    payload = client.optimize(128, flavor="lvt", method="M1",
-                              engine="vectorized")
+    payload = client.optimize(128, flavor="lvt", method="M1")
     after = counter_value("service.engine.optimize_searches")
     assert after == before
     assert payload["meta"]["stored"] is True
     assert payload["metrics"]["edp"] > 0
-    assert payload["engine"] == "vectorized"
+    assert "engine" not in payload
 
 
 def test_submit_bad_spec_is_400(client):

@@ -195,7 +195,7 @@ def test_optimize_matches_direct_engine(client, paper_session):
         paper_session.constraint("hvt"),
     )
     policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    direct = optimizer.optimize(1024 * 8, policy, engine="vectorized")
+    direct = optimizer.optimize(1024 * 8, policy)
     assert served["design"]["n_r"] == direct.design.n_r
     assert served["design"]["n_c"] == direct.design.n_c
     assert served["design"]["v_ddc"] == direct.design.v_ddc
@@ -216,7 +216,8 @@ def test_repeat_request_hits_result_cache(client):
 
 
 def test_field_order_shares_cache_key(client):
-    # Canonicalization: same request spelled differently is one key.
+    # Canonicalization: same request spelled differently is one key
+    # (and a legacy ``engine`` field is ignored).
     a = client.request("POST", "/v1/optimize", {
         "capacity_bytes": 16384, "flavor": "hvt", "method": "M2",
     })[1]
@@ -257,8 +258,8 @@ def test_pareto_matches_direct_front(client, paper_session):
         paper_session.constraint("hvt"),
     )
     policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    landscape = optimizer.optimize(1024 * 8, policy, keep_landscape=True,
-                                   engine="fused").landscape
+    landscape = optimizer.optimize_reference(
+        1024 * 8, policy, keep_landscape=True).landscape
     expected = pareto_front(landscape)
     assert len(served["front"]) == len(expected)
     for row, p in zip(served["front"], expected):
@@ -269,9 +270,8 @@ def test_pareto_matches_direct_front(client, paper_session):
         assert row["v_ssc"] == p.v_ssc
         assert row["n_pre"] == p.n_pre
         assert row["n_wr"] == p.n_wr
-    assert served["engine"] == "pruned"
-    assert served["n_tiles"] > 0
-    assert 0 <= served["tiles_pruned"] < served["n_tiles"]
+    assert served["n_tiles"] == len(landscape)
+    assert "engine" not in served and "tiles_pruned" not in served
 
 
 def test_pareto_best_weighted_unit_exponents_match_optimize(client):
@@ -344,7 +344,7 @@ def test_yield_matches_direct_study_cell(client, paper_session):
     assert served["baseline_result"]["design"] is not None
     assert served["relaxed_result"]["metrics"]["edp"] \
         == expected["relaxed_edp"]
-    assert served["engine"] == "pruned"
+    assert "engine" not in served
 
 
 def test_yield_none_code_reproduces_fixed_delta(client):
@@ -508,27 +508,22 @@ def test_coalesced_montecarlo_is_bit_identical_to_serial(paper_session):
 def test_fused_optimize_requests_policy_batch_bit_identically(
         paper_session):
     # A dedicated server with a generous optimize batch window (via the
-    # per-endpoint override) so both methods' concurrent requests fuse
-    # into one policy-batched optimize_many dispatch.
+    # per-endpoint override) so both methods' concurrent requests ride
+    # one dispatch; each must still answer its own search exactly.
     config = ServiceConfig(
         port=0, executor="thread", workers=2, max_wait_ms=5.0,
         endpoint_overrides={"optimize": {"max_wait_ms": 250.0}},
     )
     with ServerThread(config, session=paper_session) as running:
-        before = counter_value("service.engine.optimize_fused_dispatches")
-
         def call(method):
             with ServiceClient(port=running.port) as c:
-                return c.optimize(512, flavor="hvt", method=method,
-                                  engine="fused")
+                return c.optimize(512, flavor="hvt", method=method)
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             served = list(pool.map(call, ("M1", "M2")))
-        after = counter_value("service.engine.optimize_fused_dispatches")
         with ServiceClient(port=running.port) as c:
             overrides = c.metrics()["batching"]["endpoint_overrides"]
 
-    assert after - before >= 1, "batch window missed: no fused dispatch"
     assert overrides == {"optimize": {"max_wait_ms": 250.0}}
     from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
     optimizer = ExhaustiveOptimizer(
@@ -537,7 +532,7 @@ def test_fused_optimize_requests_policy_batch_bit_identically(
     )
     for method, payload in zip(("M1", "M2"), served):
         policy = make_policy(method, paper_session.yield_levels("hvt"))
-        direct = optimizer.optimize(512 * 8, policy, engine="fused")
+        direct = optimizer.optimize_reference(512 * 8, policy)
         assert payload["design"]["n_r"] == direct.design.n_r
         assert payload["design"]["v_ssc"] == float(direct.design.v_ssc)
         assert payload["metrics"]["edp"] == direct.metrics.edp

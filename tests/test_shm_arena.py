@@ -27,12 +27,12 @@ from repro.shm import ARENA_VERSION, MAGIC, SessionArena
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
-def _optimize(session, flavor, method, capacity_bytes, engine="fused"):
+def _optimize(session, flavor, method, capacity_bytes):
     optimizer = ExhaustiveOptimizer(
         session.model(flavor), DesignSpace(), session.constraint(flavor)
     )
     policy = make_policy(method, session.yield_levels(flavor))
-    return optimizer.optimize(capacity_bytes * 8, policy, engine=engine)
+    return optimizer.optimize(capacity_bytes * 8, policy)
 
 
 def test_roundtrip_is_bit_identical_and_zero_copy(paper_session):
@@ -180,8 +180,7 @@ def test_session_provider_voltage_mismatch_falls_back(paper_session):
 
 
 def test_process_study_through_arena_matches_serial(paper_session):
-    kwargs = dict(session=paper_session, capacities=(128, 1024),
-                  engine="fused")
+    kwargs = dict(session=paper_session, capacities=(128, 1024))
     serial = run_study(workers=1, **kwargs)
     parallel = run_study(executor="process", workers=2, **kwargs)
     assert parallel.fallback_reason is None

@@ -46,21 +46,21 @@ def test_canonical_key_rejects_non_finite_floats():
 def test_study_cell_key_distinguishes_every_axis(paper_session):
     space = DesignSpace()
 
-    def key(capacity=128, flavor="lvt", method="M1", engine="vectorized"):
+    def key(capacity=128, flavor="lvt", method="M1", space=space):
         return study_cell_key(paper_session, space, capacity, flavor,
-                              method, engine)
+                              method)
 
     base = key()
     assert key() == base                      # stable
     assert key(capacity=256) != base
     assert key(flavor="hvt") != base
     assert key(method="M2") != base
-    assert key(engine="loop") != base
+    assert key(space=DesignSpace(n_pre_max=10)) != base
 
 
 def test_sweep_key_ignores_cache_location():
     spec = {"capacities": [128], "flavors": ["lvt"], "methods": ["M1"],
-            "engine": "vectorized", "voltage_mode": "paper"}
+            "voltage_mode": "paper"}
     a = sweep_key(dict(spec, cache_path="/tmp/a.json"))
     b = sweep_key(dict(spec, cache_path=None))
     assert a == b

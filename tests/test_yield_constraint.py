@@ -1,4 +1,4 @@
-"""YieldTargetConstraint: engine parity, none-equivalence, memoization."""
+"""YieldTargetConstraint: search parity, none-equivalence, memoization."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from repro.yields.study import compute_yield_cell
 
 from .conftest import CACHE_PATH
 
-ENGINES = ("loop", "vectorized", "fused", "pruned")
 CAPACITY_BITS = 1024 * 8
 #: The HVT/M2 yield cells the shared-memo tests run on one session.
 YIELD_CELLS = (1024, 16384)
@@ -27,19 +26,24 @@ YIELD_CELLS = (1024, 16384)
 
 @pytest.fixture(scope="module")
 def space():
-    # Trimmed pulse-count axes keep the loop engine quick; the optimum
+    # Trimmed pulse-count axes keep the reference loop quick; the optimum
     # for this cell sits well inside the trimmed bounds.
     return DesignSpace(n_pre_max=20, n_wr_max=8)
 
 
-def _optimize(session, constraint, engine, space,
-              flavor="hvt", method="M2"):
+def _optimizer(session, constraint, space, flavor="hvt", method="M2"):
     from repro.array.model import SRAMArrayModel
 
     model = SRAMArrayModel(session.chars[flavor], session.config)
     levels = session.yield_levels(flavor)
-    return ExhaustiveOptimizer(model, space, constraint).optimize(
-        CAPACITY_BITS, make_policy(method, levels), engine=engine)
+    return (ExhaustiveOptimizer(model, space, constraint),
+            make_policy(method, levels))
+
+
+def _optimize(session, constraint, space, flavor="hvt", method="M2"):
+    optimizer, policy = _optimizer(session, constraint, space, flavor,
+                                   method)
+    return optimizer.optimize(CAPACITY_BITS, policy)
 
 
 def _design_tuple(result):
@@ -113,8 +117,8 @@ class TestNoneEquivalence:
         assert constraint.delta_z == 0.0
 
         fixed = _optimize(paper_session, paper_session.constraint("hvt"),
-                          "pruned", space)
-        relaxed = _optimize(paper_session, constraint, "pruned", space)
+                          space)
+        relaxed = _optimize(paper_session, constraint, space)
         assert _design_tuple(relaxed) == _design_tuple(fixed)
         assert relaxed.metrics.edp == fixed.metrics.edp
         # And the degenerate path never paid for a Monte Carlo run.
@@ -127,7 +131,8 @@ class TestNoneEquivalence:
 
 
 class TestEngineParity:
-    """All four engines agree bit-for-bit under the relaxed floor."""
+    """Every production search agrees bit-for-bit with the reference
+    loop under the relaxed floor."""
 
     @pytest.fixture(scope="class")
     def results(self, paper_session, space):
@@ -137,12 +142,20 @@ class TestEngineParity:
         constraint = _target_constraint(paper_session, "secded",
                                         n_samples=60)
         assert constraint.delta_z > 0.0
+        optimizer, policy = _optimizer(paper_session, constraint, space)
         return {
-            engine: _optimize(paper_session, constraint, engine, space)
-            for engine in ENGINES
+            "loop": optimizer.optimize_reference(CAPACITY_BITS, policy),
+            "pruned": optimizer.optimize(CAPACITY_BITS, policy),
+            "vectorized": optimizer.optimize(CAPACITY_BITS, policy,
+                                             keep_landscape=True),
+            "fused": optimizer.optimize_many(CAPACITY_BITS, [policy])[0],
         }
 
-    @pytest.mark.parametrize("engine", ENGINES[1:])
+    # Keyed by the engine each production path took over from: the
+    # bound-gated EDP search (``pruned``), the every-row sweep that keeps
+    # the landscape (``vectorized``) and the per-policy ``optimize_many``
+    # (``fused``).
+    @pytest.mark.parametrize("engine", ("vectorized", "fused", "pruned"))
     def test_matches_loop_engine(self, results, engine):
         assert _design_tuple(results[engine]) \
             == _design_tuple(results["loop"])
@@ -155,7 +168,7 @@ class TestEngineParity:
     def test_relaxation_admits_no_worse_edp(self, paper_session, space,
                                             results):
         fixed = _optimize(paper_session, paper_session.constraint("hvt"),
-                          "pruned", space)
+                          space)
         assert results["pruned"].metrics.edp <= fixed.metrics.edp
 
 
