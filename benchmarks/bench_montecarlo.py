@@ -1,16 +1,20 @@
-"""Monte Carlo engine benchmark: batched vs scalar-loop throughput.
+"""Monte Carlo benchmark: production vs scalar-reference throughput.
 
 Standalone script (not a pytest benchmark) so CI can run it directly::
 
     PYTHONPATH=src python benchmarks/bench_montecarlo.py --quick
 
 Writes the machine-readable ``BENCH_montecarlo.json`` baseline (repo
-root) tracking the batched cell engine's Monte Carlo throughput.  The
-scalar loop is far too slow to run at the full sample count (it is the
-point of this benchmark), so each engine is timed at its own sample
-count and compared on **per-sample throughput**, recorded as such.  A
-small equal-count parity run asserts the engines stay bit-identical, so
-the speedup is a pure-performance number.
+root) tracking the Monte Carlo throughput of
+:func:`~repro.cell.montecarlo.run_cell_montecarlo` (the lane-batched
+production path, recorded as ``batched``) against
+:func:`~repro.cell.montecarlo.run_cell_montecarlo_reference` (the scalar
+per-sample loop, recorded as ``loop``).  The reference is far too slow
+to run at the full sample count (it is the point of this benchmark), so
+each is timed at its own sample count and compared on **per-sample
+throughput**, recorded as such.  A small equal-count parity run asserts
+the two stay bit-identical, so the speedup is a pure-performance
+number.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ import time
 import numpy as np
 
 from repro import perf
-from repro.cell.montecarlo import run_cell_montecarlo
+from repro.cell.montecarlo import (
+    run_cell_montecarlo,
+    run_cell_montecarlo_reference,
+)
 from repro.cell.sram6t import SRAM6TCell
 from repro.devices.library import DeviceLibrary
 
@@ -34,17 +41,20 @@ BASELINE_PATH = os.path.join(_HERE, "..", "BENCH_montecarlo.json")
 
 METRICS = ("hsnm", "rsnm", "wm")
 
-#: Sample counts: the batched engine runs the acceptance-gate count; the
-#: loop engine runs a small slice and is normalized per sample.
+#: Sample counts: production runs the acceptance-gate count; the scalar
+#: reference runs a small slice and is normalized per sample.
 FULL = {"batched": 2000, "loop": 40, "parity": 6, "min_speedup": 20.0}
 QUICK = {"batched": 200, "loop": 8, "parity": 4, "min_speedup": 5.0}
 
+#: Schema leg name -> the Monte Carlo path it times.
+RUNNERS = {"batched": run_cell_montecarlo,
+           "loop": run_cell_montecarlo_reference}
 
-def _run(cell, engine, n_samples, seed):
+
+def _run(cell, leg, n_samples, seed):
     start = time.perf_counter()
-    result = run_cell_montecarlo(
-        cell, n_samples=n_samples, seed=seed, metrics=METRICS, engine=engine,
-    )
+    result = RUNNERS[leg](cell, n_samples=n_samples, seed=seed,
+                          metrics=METRICS)
     return result, time.perf_counter() - start
 
 
@@ -71,7 +81,8 @@ def main(argv=None):
                        par_loop.metric(m).values)
         for m in METRICS
     )
-    assert bit_identical, "engines diverged; speedup would be meaningless"
+    assert bit_identical, ("production diverged from the reference; "
+                           "speedup would be meaningless")
 
     _, loop_seconds = _run(cell, "loop", sizing["loop"], args.seed)
     _, batched_seconds = _run(cell, "batched", sizing["batched"], args.seed)
@@ -113,7 +124,7 @@ def main(argv=None):
         json.dump(baseline, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    print("Monte Carlo engine baseline (written to %s)" % args.output)
+    print("Monte Carlo baseline (written to %s)" % args.output)
     print("loop:    n=%-5d %.2f s  (%.1f ms/sample)"
           % (sizing["loop"], loop_seconds, loop_per_sample * 1e3))
     print("batched: n=%-5d %.2f s  (%.1f ms/sample)"
@@ -124,7 +135,7 @@ def main(argv=None):
     print(perf.get_registry().report())
 
     assert speedup >= sizing["min_speedup"], (
-        "batched engine below the %.0fx throughput gate: %.1fx"
+        "production below the %.0fx throughput gate: %.1fx"
         % (sizing["min_speedup"], speedup)
     )
     return 0

@@ -9,19 +9,16 @@ per-transistor threshold shifts, re-extracts the margins, and reports
 means, sigmas, mu - k*sigma, and empirical yield at a given margin
 floor.
 
-Two engines extract the margins:
-
-* ``engine="batched"`` (default) — one batched cell carries every
-  sample's thresholds as per-transistor ``(n, 1)`` columns, so each
-  margin is a single vectorized bisection/relaxation over all samples
-  (O(iterations) numpy passes instead of O(n * iterations) scalar
-  solves);
-* ``engine="loop"`` — the retained scalar reference: one perturbed cell
-  object per sample, solved point by point.
-
-Both engines consume the *same* shift matrix from the same seeded
-generator and follow the same per-element operation sequence, so their
-sample arrays are bit-identical (``tests/test_montecarlo_parity.py``).
+One batched cell carries every sample's thresholds as per-transistor
+``(n, 1)`` columns, so each margin is a single vectorized bisection or
+relaxation over all samples (O(iterations) numpy passes instead of
+O(n * iterations) scalar solves).  :func:`run_cell_montecarlo` and
+:func:`run_cell_montecarlo_multi` are two entry points over that one
+stacked solve.  :func:`run_cell_montecarlo_reference` keeps the scalar
+per-sample loop as the executable spec: it consumes the *same* shift
+matrix and follows the same per-element operation sequence, so its
+sample arrays equal production's bit for bit
+(``tests/test_montecarlo_parity.py``).
 
 The yield constraints read HSNM/RSNM samples through a
 :class:`MarginSampleMemo`, which draws once and solves each margin once
@@ -109,12 +106,12 @@ class MonteCarloResult:
 
 
 def sample_shift_matrix(n_samples, variation=None, seed=0):
-    """The seeded per-transistor Vt shift matrix both engines consume.
+    """The seeded per-transistor Vt shift matrix of a Monte Carlo run.
 
     Shape ``(n_samples, len(TRANSISTOR_ROLES))``, columns in
     :data:`TRANSISTOR_ROLES` order.  This is the single source of random
-    draws for a Monte Carlo run: the batched engine maps the whole
-    matrix onto one batched cell, the loop engine walks its rows.
+    draws for a Monte Carlo run: production maps the whole matrix onto
+    one batched cell, the scalar reference walks its rows.
     """
     variation = variation or VariationModel()
     rng = np.random.default_rng(seed)
@@ -195,9 +192,9 @@ def sample_cells(base_cell, n_samples, variation=None, seed=0):
     """Generate Monte Carlo cell instances (a generator).
 
     Each instance perturbs all six transistor thresholds independently
-    with the Pelgrom sigma of :class:`VariationModel`.  Compatibility
-    shim over :func:`sample_shift_matrix` — the batched engine consumes
-    the same matrix directly via :func:`batched_cell`.
+    with the Pelgrom sigma of :class:`VariationModel`: instance ``k``
+    carries row ``k`` of :func:`sample_shift_matrix`, the matrix
+    production consumes whole through :func:`batched_cell`.
     """
     shifts = sample_shift_matrix(n_samples, variation, seed)
     for row in shifts:
@@ -208,56 +205,21 @@ def sample_cells(base_cell, n_samples, variation=None, seed=0):
         yield base_cell.with_overrides(overrides)
 
 
-def _collect_loop(base_cell, n_samples, variation, seed, vdd, read_bias,
-                  hold_bias, metrics, wm_resolution, snm_points):
-    """Scalar reference engine: one perturbed cell object per sample."""
-    collected = {name: [] for name in metrics}
-    for cell in sample_cells(base_cell, n_samples, variation, seed):
-        if "hsnm" in collected:
-            with perf.timed("montecarlo.loop.hsnm"):
-                collected["hsnm"].append(
-                    butterfly(cell, hold_bias, access_on=False,
-                              points=snm_points).snm
-                )
-        if "rsnm" in collected:
-            with perf.timed("montecarlo.loop.rsnm"):
-                collected["rsnm"].append(
-                    butterfly(cell, read_bias, access_on=True,
-                              points=snm_points).snm
-                )
-        if "wm" in collected:
-            with perf.timed("montecarlo.loop.wm"):
-                collected["wm"].append(
-                    write_margin(cell, v_wl_applied=read_bias.v_wl, vdd=vdd,
-                                 resolution=wm_resolution)
-                )
-    return {name: np.asarray(values) for name, values in collected.items()}
-
-
-def _collect_batched(base_cell, n_samples, variation, seed, vdd, read_bias,
-                     hold_bias, metrics, wm_resolution, snm_points):
-    """Batched engine: every sample solved in one vectorized pass."""
-    cell = batched_cell(base_cell, sample_shift_matrix(n_samples, variation,
-                                                       seed))
-    return _margins_batched(cell, n_samples, vdd, read_bias, hold_bias,
-                            metrics, wm_resolution, snm_points)
-
-
 def _margins_batched(cell, n_samples, vdd, read_bias, hold_bias, metrics,
                      wm_resolution, snm_points):
     """Extract every requested margin from an already-batched cell."""
     collected = {name: np.asarray([]) for name in metrics}
     if "hsnm" in collected:
-        with perf.timed("montecarlo.batched.hsnm"):
+        with perf.timed("montecarlo.hsnm"):
             collected["hsnm"] = snm_samples(cell, hold_bias,
                                             access_on=False,
                                             points=snm_points)
     if "rsnm" in collected:
-        with perf.timed("montecarlo.batched.rsnm"):
+        with perf.timed("montecarlo.rsnm"):
             collected["rsnm"] = snm_samples(cell, read_bias, access_on=True,
                                             points=snm_points)
     if "wm" in collected:
-        with perf.timed("montecarlo.batched.wm"):
+        with perf.timed("montecarlo.wm"):
             collected["wm"] = write_margin_batch(
                 cell, n_samples, v_wl_applied=read_bias.v_wl, vdd=vdd,
                 resolution=wm_resolution,
@@ -265,36 +227,61 @@ def _margins_batched(cell, n_samples, vdd, read_bias, hold_bias, metrics,
     return collected
 
 
+def _default_biases(vdd, read_bias, hold_bias):
+    vdd = CellBias().vdd if vdd is None else vdd
+    return (vdd, read_bias or CellBias.read(vdd),
+            hold_bias or CellBias.hold(vdd))
+
+
+def _run_stacked(base_cell, specs, variation, vdd, read_bias, hold_bias,
+                 metrics, wm_resolution, snm_points):
+    """One batched solve over the stacked draws of every ``(n_samples,
+    seed)`` spec; one :class:`MonteCarloResult` per spec, in order."""
+    matrices = [
+        sample_shift_matrix(int(n_samples), variation, seed)
+        for n_samples, seed in specs
+    ]
+    if not matrices:
+        return []
+    vdd, read_bias, hold_bias = _default_biases(vdd, read_bias, hold_bias)
+    total = sum(matrix.shape[0] for matrix in matrices)
+    cell = batched_cell(base_cell, np.vstack(matrices))
+    perf.count("montecarlo.samples", total)
+    with perf.timed("montecarlo.run"):
+        collected = _margins_batched(
+            cell, total, vdd, read_bias, hold_bias, metrics,
+            wm_resolution, snm_points,
+        )
+    results = []
+    offset = 0
+    for matrix in matrices:
+        n_samples = matrix.shape[0]
+        result = MonteCarloResult(n_samples=n_samples)
+        for name, values in collected.items():
+            result.metrics[name] = MetricSamples(
+                name, np.asarray(values)[offset:offset + n_samples].copy()
+            )
+        results.append(result)
+        offset += n_samples
+    return results
+
+
 def run_cell_montecarlo(base_cell, n_samples=200, variation=None, seed=0,
                         vdd=None, read_bias=None, hold_bias=None,
                         metrics=("hsnm", "rsnm"), wm_resolution=0.002,
-                        snm_points=61, engine="batched"):
+                        snm_points=61):
     """Monte Carlo over cell instances; returns :class:`MonteCarloResult`.
 
     ``metrics`` selects among ``"hsnm"``, ``"rsnm"`` and ``"wm"`` (write
     margin is by far the most expensive — each sample runs a bisection of
-    full write-flip relaxations).  ``engine`` selects the batched
-    vectorized engine (default) or the scalar reference loop; both
-    produce bit-identical sample arrays.
+    full write-flip relaxations).  Every sample is solved in one
+    vectorized pass; the arrays equal
+    :func:`run_cell_montecarlo_reference`'s bit for bit.
     """
-    vdd = CellBias().vdd if vdd is None else vdd
-    hold_bias = hold_bias or CellBias.hold(vdd)
-    read_bias = read_bias or CellBias.read(vdd)
-    if engine == "batched":
-        collect = _collect_batched
-    elif engine == "loop":
-        collect = _collect_loop
-    else:
-        raise ValueError("unknown engine %r" % (engine,))
-    perf.count("montecarlo.samples", n_samples)
-    with perf.timed("montecarlo.run.%s" % engine):
-        collected = collect(
-            base_cell, n_samples, variation, seed, vdd, read_bias,
-            hold_bias, metrics, wm_resolution, snm_points,
-        )
-    result = MonteCarloResult(n_samples=n_samples)
-    for name, values in collected.items():
-        result.metrics[name] = MetricSamples(name, np.asarray(values))
+    (result,) = _run_stacked(
+        base_cell, [(n_samples, seed)], variation, vdd, read_bias,
+        hold_bias, metrics, wm_resolution, snm_points,
+    )
     return result
 
 
@@ -317,40 +304,50 @@ def run_cell_montecarlo_multi(base_cell, specs, variation=None, vdd=None,
     :func:`repro.cell.write.flip_wordline_voltage_batch`), so a sample's
     trajectory does not depend on which other samples share the batch.
     Each returned result is therefore bitwise equal to a separate
-    ``run_cell_montecarlo(..., engine="batched")`` call with that spec's
-    ``n_samples`` and ``seed`` (and those are in turn bit-identical to
-    the scalar loop engine).
+    :func:`run_cell_montecarlo` call with that spec's ``n_samples`` and
+    ``seed``.
     """
-    vdd = CellBias().vdd if vdd is None else vdd
-    hold_bias = hold_bias or CellBias.hold(vdd)
-    read_bias = read_bias or CellBias.read(vdd)
-    matrices = [
-        sample_shift_matrix(int(n_samples), variation, seed)
-        for n_samples, seed in specs
-    ]
-    if not matrices:
-        return []
-    total = sum(matrix.shape[0] for matrix in matrices)
-    cell = batched_cell(base_cell, np.vstack(matrices))
-    perf.count("montecarlo.samples", total)
-    perf.count("montecarlo.coalesced_runs", len(matrices))
-    with perf.timed("montecarlo.run.multi"):
-        collected = _margins_batched(
-            cell, total, vdd, read_bias, hold_bias, metrics,
-            wm_resolution, snm_points,
-        )
-    results = []
-    offset = 0
-    for matrix in matrices:
-        n_samples = matrix.shape[0]
-        result = MonteCarloResult(n_samples=n_samples)
-        for name, values in collected.items():
-            result.metrics[name] = MetricSamples(
-                name, np.asarray(values)[offset:offset + n_samples].copy()
+    return _run_stacked(
+        base_cell, specs, variation, vdd, read_bias, hold_bias, metrics,
+        wm_resolution, snm_points,
+    )
+
+
+def run_cell_montecarlo_reference(base_cell, n_samples=200, variation=None,
+                                  seed=0, vdd=None, read_bias=None,
+                                  hold_bias=None, metrics=("hsnm", "rsnm"),
+                                  wm_resolution=0.002, snm_points=61):
+    """The executable spec of :func:`run_cell_montecarlo`.
+
+    One perturbed cell object per sample (:func:`sample_cells`), each
+    margin solved point by point with the scalar solvers
+    (:func:`~repro.cell.snm.butterfly`,
+    :func:`~repro.cell.write.write_margin`).  Same signature and result
+    as :func:`run_cell_montecarlo`, far slower; the parity tests and
+    ``benchmarks/bench_montecarlo.py`` compare the two bitwise.
+    """
+    vdd, read_bias, hold_bias = _default_biases(vdd, read_bias, hold_bias)
+    collected = {name: [] for name in metrics}
+    for cell in sample_cells(base_cell, n_samples, variation, seed):
+        if "hsnm" in collected:
+            collected["hsnm"].append(
+                butterfly(cell, hold_bias, access_on=False,
+                          points=snm_points).snm
             )
-        results.append(result)
-        offset += n_samples
-    return results
+        if "rsnm" in collected:
+            collected["rsnm"].append(
+                butterfly(cell, read_bias, access_on=True,
+                          points=snm_points).snm
+            )
+        if "wm" in collected:
+            collected["wm"].append(
+                write_margin(cell, v_wl_applied=read_bias.v_wl, vdd=vdd,
+                             resolution=wm_resolution)
+            )
+    result = MonteCarloResult(n_samples=n_samples)
+    for name, values in collected.items():
+        result.metrics[name] = MetricSamples(name, np.asarray(values))
+    return result
 
 
 def required_margin_fraction(result, k=3.0, vdd=None):

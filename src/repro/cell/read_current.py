@@ -29,6 +29,14 @@ _DAMPING = 0.5
 _TOL = 1e-7
 _MAX_ITER = 300
 
+#: A converged read state whose nodes sit closer than this [V] is the
+#: cell's midpoint equilibrium: the read disturb left the cell a single
+#: stable state, so no stored value survives and the read counts as
+#: flipped.  The fixed point stops within microvolts of a true midpoint;
+#: every read state on the characterization grid keeps v_qb - v_q above
+#: 0.35 V.
+COLLAPSE_TOL = 0.01
+
 
 @dataclass(frozen=True)
 class ReadState:
@@ -45,14 +53,10 @@ def read_state(cell, bias=None, vdd=None, v_ddc=None, v_ssc=0.0):
 
     Returns a :class:`ReadState`; ``flipped`` is True when the read
     disturb destroyed the stored value (the '0' node rose past the '1'
-    node), in which case ``i_read`` is not meaningful.
+    node, or both collapsed within :data:`COLLAPSE_TOL` of each other),
+    in which case ``i_read`` is not meaningful.
     """
-    if bias is None:
-        bias = CellBias.read(
-            vdd=vdd if vdd is not None else CellBias().vdd,
-            v_ddc=v_ddc,
-            v_ssc=v_ssc,
-        )
+    bias = _read_bias(bias, vdd, v_ddc, v_ssc)
     # Damped fixed-point iteration from the Q=0 corner.
     v_q = bias.v_ssc
     v_qb = bias.v_ddc
@@ -69,14 +73,24 @@ def read_state(cell, bias=None, vdd=None, v_ddc=None, v_ssc=0.0):
     else:
         raise CharacterizationError(
             "read-state fixed point did not converge (last move %.3g V)"
-            % moved
+            % moved, bias=bias,
         )
-    flipped = v_q >= v_qb
+    flipped = v_qb - v_q < COLLAPSE_TOL
     ax = cell.device("ax_l")
     # Access device wired (gate=WL, drain=BL, source=Q); its drain
     # current is the bitline discharge current.
     i_read = ax.current(bias.v_wl, bias.v_bl, v_q)
     return ReadState(v_q=v_q, v_qb=v_qb, flipped=flipped, i_read=i_read)
+
+
+def _read_bias(bias, vdd, v_ddc, v_ssc):
+    if bias is not None:
+        return bias
+    return CellBias.read(
+        vdd=vdd if vdd is not None else CellBias().vdd,
+        v_ddc=v_ddc,
+        v_ssc=v_ssc,
+    )
 
 
 def read_current(cell, bias=None, vdd=None, v_ddc=None, v_ssc=0.0):
@@ -86,11 +100,12 @@ def read_current(cell, bias=None, vdd=None, v_ddc=None, v_ssc=0.0):
     callers sweeping into unstable regions should catch it or check
     :func:`read_state` instead.
     """
-    state = read_state(cell, bias=bias, vdd=vdd, v_ddc=v_ddc, v_ssc=v_ssc)
+    bias = _read_bias(bias, vdd, v_ddc, v_ssc)
+    state = read_state(cell, bias=bias)
     if state.flipped:
         raise CharacterizationError(
-            "cell flipped during read (v_q=%.3f >= v_qb=%.3f); "
-            "read current undefined" % (state.v_q, state.v_qb)
+            "cell flipped during read (v_q=%.3f, v_qb=%.3f); "
+            "read current undefined" % (state.v_q, state.v_qb), bias=bias,
         )
     return state.i_read
 
@@ -102,7 +117,8 @@ def read_state_batch(cell, bias, lanes):
     bias points (array-valued ``bias`` rails, shape ``(lanes, 1)``), or
     both.  The damped fixed point freezes each lane the iteration it
     converges, mirroring the scalar loop's update-then-break ordering,
-    so states match the per-lane scalar path bitwise.
+    so states match the per-lane scalar path bitwise, and it applies the
+    same :data:`COLLAPSE_TOL` flip rule.
 
     Returns ``(v_q, v_qb, flipped, i_read)`` as ``(lanes,)`` arrays.
     """
@@ -132,50 +148,41 @@ def read_state_batch(cell, bias, lanes):
         raise CharacterizationError(
             "read-state fixed point did not converge on %d of %d lanes "
             "(worst last move %.3g V)"
-            % (int(active.sum()), lanes, float(np.max(moved[active])))
+            % (int(active.sum()), lanes, float(np.max(moved[active]))),
+            bias=bias,
         )
-    flipped = v_q >= v_qb
+    flipped = v_qb - v_q < COLLAPSE_TOL
     ax = cell.device("ax_l")
     i_read = ax.current(bias.v_wl, bias.v_bl, v_q)
     i_read = np.broadcast_to(np.asarray(i_read, dtype=float), (lanes, 1))
     return v_q[:, 0], v_qb[:, 0], flipped[:, 0], i_read[:, 0]
 
 
-def read_current_grid(cell, v_ddc_values, v_ssc_values, vdd=None,
-                      engine="batched"):
+def read_current_grid(cell, v_ddc_values, v_ssc_values, vdd=None):
     """I_read over a (V_DDC, V_SSC) grid — the 2-D LUT the array model
     interpolates (paper Table 2, ``I_read(V_DDC, V_SSC)``).
 
     Returns an array of shape ``(len(v_ddc_values), len(v_ssc_values))``.
-    ``engine="batched"`` flattens the grid into rail lanes and solves
-    every point in one batched fixed point; ``engine="loop"`` retains the
-    scalar point-by-point reference.  Both are bit-identical.
+    The grid is flattened into rail lanes and every point is solved in
+    one batched fixed point, bitwise equal to point-by-point
+    :func:`read_current` calls.
     """
-    if engine == "batched":
-        mesh_ddc, mesh_ssc = np.meshgrid(
-            np.asarray(v_ddc_values, dtype=float),
-            np.asarray(v_ssc_values, dtype=float),
-            indexing="ij",
+    mesh_ddc, mesh_ssc = np.meshgrid(
+        np.asarray(v_ddc_values, dtype=float),
+        np.asarray(v_ssc_values, dtype=float),
+        indexing="ij",
+    )
+    lanes = mesh_ddc.size
+    bias = CellBias.read(
+        vdd=vdd if vdd is not None else CellBias().vdd,
+        v_ddc=mesh_ddc.reshape(lanes, 1),
+        v_ssc=mesh_ssc.reshape(lanes, 1),
+    )
+    _, _, flipped, i_read = read_state_batch(cell, bias, lanes)
+    if flipped.any():
+        raise CharacterizationError(
+            "cell flipped during read on %d of %d grid points; "
+            "read current undefined" % (int(flipped.sum()), lanes),
+            bias=bias,
         )
-        lanes = mesh_ddc.size
-        bias = CellBias.read(
-            vdd=vdd if vdd is not None else CellBias().vdd,
-            v_ddc=mesh_ddc.reshape(lanes, 1),
-            v_ssc=mesh_ssc.reshape(lanes, 1),
-        )
-        v_q, v_qb, flipped, i_read = read_state_batch(cell, bias, lanes)
-        if flipped.any():
-            raise CharacterizationError(
-                "cell flipped during read on %d of %d grid points; "
-                "read current undefined" % (int(flipped.sum()), lanes)
-            )
-        return i_read.reshape(mesh_ddc.shape)
-    if engine != "loop":
-        raise ValueError("unknown engine %r" % (engine,))
-    grid = np.zeros((len(v_ddc_values), len(v_ssc_values)))
-    for i, v_ddc in enumerate(v_ddc_values):
-        for j, v_ssc in enumerate(v_ssc_values):
-            grid[i, j] = read_current(
-                cell, vdd=vdd, v_ddc=float(v_ddc), v_ssc=float(v_ssc)
-            )
-    return grid
+    return i_read.reshape(mesh_ddc.shape)

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..devices.variation import VariationModel
 from .bias import CellBias
-from .montecarlo import sample_cells
-from .read_current import read_state
+from .montecarlo import batched_cell, sample_shift_matrix
+from .read_current import read_state_batch
 
 #: Representative input-referred offset sigma of a minimum latch SA [V].
 SA_OFFSET_SIGMA = 0.015
@@ -101,24 +100,24 @@ def read_timing_analysis(library, cell, n_rows=64, n_samples=200,
                          v_ddc=None, v_ssc=0.0, delta_v_sense=0.120,
                          variation=None, seed=0):
     """Monte Carlo the read current of ``cell`` into a timing-yield
-    result for an ``n_rows``-deep column."""
+    result for an ``n_rows``-deep column.
+
+    Every sample's read state is solved in one batched fixed point over
+    :func:`~repro.cell.montecarlo.batched_cell`, bitwise equal to a
+    :func:`~repro.cell.read_current.read_state` call per sample.
+    """
     from ..assist.study import study_bitline_capacitance
 
     vdd = library.vdd
     v_ddc = vdd if v_ddc is None else v_ddc
     bias = CellBias.read(vdd=vdd, v_ddc=v_ddc, v_ssc=v_ssc)
-    variation = variation or VariationModel()
-    currents = []
-    flipped = 0
-    for instance in sample_cells(cell, n_samples, variation, seed):
-        state = read_state(instance, bias=bias)
-        if state.flipped or state.i_read <= 0:
-            flipped += 1
-        else:
-            currents.append(state.i_read)
+    samples = batched_cell(cell, sample_shift_matrix(n_samples, variation,
+                                                     seed))
+    _, _, flipped, i_read = read_state_batch(samples, bias, n_samples)
+    failed = flipped | (i_read <= 0)
     return ReadTimingResult(
-        i_read_samples=np.asarray(currents),
-        n_flipped=flipped,
+        i_read_samples=i_read[~failed],
+        n_flipped=int(failed.sum()),
         c_bitline=study_bitline_capacitance(library, n_rows),
         delta_v_sense=delta_v_sense,
     )

@@ -60,7 +60,7 @@ def settle_from_one(cell, bias):
     else:
         raise CharacterizationError(
             "write settle iteration did not converge (last move %.3g V)"
-            % moved
+            % moved, bias=bias,
         )
     return v_q, v_qb
 
@@ -115,7 +115,8 @@ def settle_from_one_batch(cell, bias, lanes):
         raise CharacterizationError(
             "write settle iteration did not converge on %d of %d lanes "
             "(worst last move %.3g V)"
-            % (int(active.sum()), lanes, float(np.max(moved[active])))
+            % (int(active.sum()), lanes, float(np.max(moved[active]))),
+            bias=bias,
         )
     return v_q, v_qb
 
@@ -144,7 +145,8 @@ def flip_wordline_voltage(cell, vdd=None, v_bl_low=0.0, v_wl_max=None,
     lo, hi = 0.0, float(v_wl_max)
     if not cell_flips(cell, bias_at(hi)):
         raise CharacterizationError(
-            "cell does not flip even at WL = %.3f V (unwritable)" % hi
+            "cell does not flip even at WL = %.3f V (unwritable)" % hi,
+            bias=bias_at(hi), bracket=(lo, hi),
         )
     if cell_flips(cell, bias_at(lo + 1e-6)):
         return lo
@@ -188,7 +190,8 @@ def flip_wordline_voltage_batch(cell, lanes, vdd=None, v_bl_low=0.0,
     if not flips_hi.all():
         raise CharacterizationError(
             "%d of %d lanes do not flip even at WL = %.3f V (unwritable)"
-            % (int((~flips_hi).sum()), lanes, float(v_wl_max))
+            % (int((~flips_hi).sum()), lanes, float(v_wl_max)),
+            bias=bias_at(hi), bracket=(0.0, float(v_wl_max)),
         )
     # Scalar path: a cell that already flips just above WL = 0 returns 0.
     at_floor = cell_flips_batch(cell, bias_at(np.full((lanes, 1), 1e-6)),

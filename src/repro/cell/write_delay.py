@@ -138,25 +138,13 @@ def cell_write_event_batch(cell, v_wl, vdd=None, v_bl_low=0.0,
     ]
 
 
-def write_delay_vs_wordline(cell, v_wl_values, vdd=None, v_bl_low=0.0,
-                            engine="batched"):
+def write_delay_vs_wordline(cell, v_wl_values, vdd=None, v_bl_low=0.0):
     """Write delay [s] for each WL level (paper Fig. 5 x-axis sweeps).
 
-    Levels that fail to write map to ``inf``.  ``engine="batched"``
-    integrates every level in one lane-batched transient;
-    ``engine="loop"`` retains the per-level reference.  Both are
-    bit-identical.
+    Levels that fail to write map to ``inf``.  Every level is integrated
+    in one lane-batched transient, bitwise equal to per-level
+    :func:`cell_write_event` calls.
     """
-    if engine == "batched":
-        v_wl = np.asarray([float(v) for v in v_wl_values])
-        events = cell_write_event_batch(cell, v_wl, vdd=vdd,
-                                        v_bl_low=v_bl_low)
-        return [event.delay for event in events]
-    if engine != "loop":
-        raise ValueError("unknown engine %r" % (engine,))
-    delays = []
-    for v_wl in v_wl_values:
-        event = cell_write_event(cell, v_wl=float(v_wl), vdd=vdd,
-                                 v_bl_low=v_bl_low)
-        delays.append(event.delay)
-    return delays
+    v_wl = np.asarray([float(v) for v in v_wl_values])
+    events = cell_write_event_batch(cell, v_wl, vdd=vdd, v_bl_low=v_bl_low)
+    return [event.delay for event in events]

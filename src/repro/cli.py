@@ -91,29 +91,25 @@ def run_montecarlo(options):
     """The ``montecarlo`` entry point: cell margin distributions.
 
     Runs directly on the device library (no array characterization
-    needed).  ``--engine batched`` (default) uses the vectorized cell
-    engine; ``--engine loop`` runs the scalar reference — both are
-    bit-identical, so the engine choice only changes runtime.
+    needed).
     """
     library = DeviceLibrary.default_7nm()
     cell = SRAM6TCell.from_library(library, options.flavor)
-    engine = options.engine
     metrics = tuple(
         name.strip() for name in options.metrics.split(",") if name.strip()
     )
     result = run_cell_montecarlo(
         cell, n_samples=options.samples, seed=options.seed,
-        vdd=library.vdd, metrics=metrics, engine=engine,
+        vdd=library.vdd, metrics=metrics,
     )
-    return result, _montecarlo_report(result, library.vdd, options.flavor,
-                                      engine)
+    return result, _montecarlo_report(result, library.vdd, options.flavor)
 
 
-def _montecarlo_report(result, vdd, flavor, engine):
+def _montecarlo_report(result, vdd, flavor):
     floor = 0.35 * vdd
     lines = [
-        "Monte Carlo cell margins: flavor=%s n=%d engine=%s Vdd=%.3f V"
-        % (flavor, result.n_samples, engine, vdd),
+        "Monte Carlo cell margins: flavor=%s n=%d Vdd=%.3f V"
+        % (flavor, result.n_samples, vdd),
         "yield floor 0.35*Vdd = %.4f V" % floor,
     ]
     for name, samples in result.metrics.items():
@@ -697,11 +693,6 @@ def main(argv=None):
                         choices=("auto", "serial", "thread", "process"),
                         default="auto",
                         help="pool type for --workers > 1")
-    parser.add_argument("--engine", choices=("batched", "loop"),
-                        default="batched",
-                        help="montecarlo: cell engine (batched = the "
-                             "vectorized solver; loop = the scalar "
-                             "reference)")
     parser.add_argument("--samples", type=int, default=200,
                         help="montecarlo: number of Monte Carlo samples")
     parser.add_argument("--seed", type=int, default=0,

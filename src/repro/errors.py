@@ -43,12 +43,14 @@ class CharacterizationError(ReproError):
     """A device/circuit characterization produced an unusable result.
 
     Raised e.g. when a butterfly curve has no embedded square (cell is
-    monostable) in a context where bistability is required.  A failed
-    half-circuit bisection also says where it failed: the ``side``
-    ("l" or "r"), the :class:`~repro.cell.bias.CellBias` ``bias`` it
-    solved under, and ``bracket``, the ``(lo, hi)`` output voltages [V]
-    across which the net current did not change sign.  The three are
-    None where a raise site has no such context.
+    monostable) in a context where bistability is required.  The cell
+    solvers also say where they failed: ``bias`` is the
+    :class:`~repro.cell.bias.CellBias` the failed solve ran under
+    (array-valued rails for a lane-batched solve), ``bracket`` the
+    ``(lo, hi)`` interval [V] the failed search spanned (the output
+    voltages of a half-circuit bisection, ``(0, v_wl_max)`` for a
+    write-flip bisection), and ``side`` the half-circuit ("l" or "r").
+    Each is None where a raise site has no such context.
     """
 
     def __init__(self, message, side=None, bias=None, bracket=None):

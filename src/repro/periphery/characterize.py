@@ -30,7 +30,7 @@ from ..cell.bias import CellBias
 from ..cell.leakage import cell_leakage_power
 from ..cell.read_current import read_current_grid
 from ..cell.sram6t import SRAM6TCell
-from ..cell.write import flip_wordline_voltage, flip_wordline_voltage_batch
+from ..cell.write import flip_wordline_voltage_batch
 from ..cell.write_delay import cell_write_event, cell_write_event_batch
 from ..devices.model import FinFET
 from ..lut.table import LUT1D, LUT2D
@@ -168,28 +168,24 @@ def characterize_gates(library, grids=None, cache=None):
     return inv, nands
 
 
-def characterize(library, flavor, cache=None, grids=None, engine="batched"):
+def characterize(library, flavor, cache=None, grids=None):
     """Full characterization for one cell flavor.
 
     Returns an :class:`ArrayCharacterization`.  With a cache, repeated
-    calls are instant.
-
-    ``engine`` selects how the cell-level LUT grids are evaluated:
-    ``"batched"`` (default) flattens each sweep into one lane-batched
-    evaluation; ``"loop"`` retains the per-point reference.  Both are
-    bit-identical (same cache key, same ``VERSION``).
+    calls are instant.  Each cell-level LUT sweep is evaluated as one
+    lane-batched solve, bitwise equal to the per-point scalar solvers
+    (``benchmarks/check_cold_identity.py`` checks a cold run against the
+    committed cache).
     """
     grids = grids or CharacterizationGrids()
     key = "%s:%s:%s:array" % (VERSION, flavor, grids.signature())
     if cache is not None and key in cache:
         return _from_dict(cache.get(key), library, grids)
     with cache.deferred() if cache is not None else nullcontext():
-        return _characterize_cold(library, flavor, cache, grids, key, engine)
+        return _characterize_cold(library, flavor, cache, grids, key)
 
 
-def _characterize_cold(library, flavor, cache, grids, key, engine="batched"):
-    if engine not in ("batched", "loop"):
-        raise ValueError("unknown engine %r" % (engine,))
+def _characterize_cold(library, flavor, cache, grids, key):
     vdd = library.vdd
     cell = SRAM6TCell.from_library(library, flavor)
     geometry = ArrayGeometry()
@@ -226,12 +222,10 @@ def _characterize_cold(library, flavor, cache, grids, key, engine="batched"):
         name="i_wl",
     )
 
-    # Cell-level LUTs.  The batched engine evaluates each sweep as one
-    # flattened lane batch; both engines are bit-identical.
-    with perf.timed("characterize.i_read.%s" % engine):
-        i_read_grid = read_current_grid(
-            cell, v_ddc_axis, v_ssc_axis, vdd=vdd, engine=engine
-        )
+    # Cell-level LUTs, each sweep one flattened lane batch.
+    with perf.timed("characterize.i_read"):
+        i_read_grid = read_current_grid(cell, v_ddc_axis, v_ssc_axis,
+                                        vdd=vdd)
     i_read = LUT2D(v_ddc_axis, v_ssc_axis, i_read_grid, name="i_read")
     p_leak = cell_leakage_power(cell, vdd)
 
@@ -239,29 +233,16 @@ def _characterize_cold(library, flavor, cache, grids, key, engine="batched"):
     # levels.  The axis ends at 0.0, so its last lane is the no-assist
     # flip voltage (bit-equal to a scalar bisection at v_bl_low = 0).
     v_bl_axis = np.asarray(grids.v_bl)
-    with perf.timed("characterize.v_flip.%s" % engine):
-        if engine == "batched":
-            flips = list(flip_wordline_voltage_batch(
-                cell, len(v_bl_axis), vdd=vdd,
-                v_bl_low=v_bl_axis.reshape(-1, 1), resolution=0.002,
-            ))
-        else:
-            flips = [
-                flip_wordline_voltage(cell, vdd=vdd, v_bl_low=float(v_bl),
-                                      resolution=0.002)
-                for v_bl in v_bl_axis
-            ]
+    with perf.timed("characterize.v_flip"):
+        flips = list(flip_wordline_voltage_batch(
+            cell, len(v_bl_axis), vdd=vdd,
+            v_bl_low=v_bl_axis.reshape(-1, 1), resolution=0.002,
+        ))
     v_flip = float(flips[-1])
     v_wl_lo = min(v_flip + 0.03, vdd)
     v_wl_axis = np.linspace(v_wl_lo, grids.v_wl_max, grids.v_wl_points)
-    with perf.timed("characterize.d_write.%s" % engine):
-        if engine == "batched":
-            events = cell_write_event_batch(cell, v_wl_axis, vdd=vdd)
-        else:
-            events = [
-                cell_write_event(cell, v_wl=float(v_wl), vdd=vdd)
-                for v_wl in v_wl_axis
-            ]
+    with perf.timed("characterize.d_write"):
+        events = cell_write_event_batch(cell, v_wl_axis, vdd=vdd)
     d_write_raw, e_write = [], []
     for v_wl, event in zip(v_wl_axis, events):
         if not event.completed:
@@ -276,18 +257,11 @@ def _characterize_cold(library, flavor, cache, grids, key, engine="batched"):
     e_write_lut = LUT1D(v_wl_axis, e_write, name="e_write_sram")
 
     # Negative-BL write delay/energy at nominal WL across the levels.
-    with perf.timed("characterize.negbl.%s" % engine):
-        if engine == "batched":
-            negbl_events = cell_write_event_batch(
-                cell, np.full(len(v_bl_axis), float(vdd)), vdd=vdd,
-                v_bl_low=v_bl_axis,
-            )
-        else:
-            negbl_events = [
-                cell_write_event(cell, v_wl=vdd, vdd=vdd,
-                                 v_bl_low=float(v_bl))
-                for v_bl in v_bl_axis
-            ]
+    with perf.timed("characterize.negbl"):
+        negbl_events = cell_write_event_batch(
+            cell, np.full(len(v_bl_axis), float(vdd)), vdd=vdd,
+            v_bl_low=v_bl_axis,
+        )
     d_negbl, e_negbl = [], []
     for v_bl, event in zip(v_bl_axis, negbl_events):
         if not event.completed:

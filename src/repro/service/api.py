@@ -14,8 +14,8 @@ dataclass here, *before* any caching or batching decision:
 
 Validation failures raise :class:`BadRequest`, which the server maps to
 an HTTP 400 with the message in the body.  Fields a schema does not
-name are ignored — among them the search ``engine`` that older clients
-still send.
+name are ignored — among them the ``engine`` that older clients still
+send to the search and Monte Carlo routes, whatever its value.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from ..errors import ReproError
 
 FLAVORS = ("lvt", "hvt")
 METHODS = ("M1", "M2")
-CELL_ENGINES = ("batched", "loop")
 MC_METRICS = ("hsnm", "rsnm", "wm")
 
 #: Largest accepted Monte Carlo draw per request (keeps one request from
@@ -314,7 +313,6 @@ class MonteCarloRequest:
     n: int
     seed: int
     metrics: tuple
-    engine: str
     include_samples: bool
 
     @classmethod
@@ -346,7 +344,6 @@ class MonteCarloRequest:
             n=n,
             seed=seed,
             metrics=metrics,
-            engine=_choice(body, "engine", CELL_ENGINES, "batched"),
             include_samples=include,
         )
 
@@ -356,11 +353,11 @@ class MonteCarloRequest:
         return _canonical("/v1/montecarlo", fields)
 
     def group_key(self):
-        """Same flavor/metrics/engine draws coalesce into one batched
-        solve (the lane-independent solvers keep per-request results
+        """Same flavor/metrics draws coalesce into one batched solve
+        (the lane-independent solvers keep per-request results
         bit-identical; see
         :func:`repro.cell.montecarlo.run_cell_montecarlo_multi`)."""
-        return ("montecarlo", self.flavor, self.metrics, self.engine)
+        return ("montecarlo", self.flavor, self.metrics)
 
     def item(self):
         return {"n": self.n, "seed": self.seed,

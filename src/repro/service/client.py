@@ -232,13 +232,12 @@ class ServiceClient:
             time.sleep(interval)
 
     def montecarlo(self, n, flavor="hvt", seed=0, metrics=("hsnm", "rsnm"),
-                   engine="batched", include_samples=False):
+                   include_samples=False):
         """Cell margin distributions from an n-sample Monte Carlo."""
         return self.request("POST", "/v1/montecarlo", {
             "flavor": flavor,
             "n": n,
             "seed": seed,
             "metrics": list(metrics),
-            "engine": engine,
             "include_samples": include_samples,
         })[1]

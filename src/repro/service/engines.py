@@ -27,10 +27,7 @@ import math
 from .. import perf
 from ..analysis import runner as study_runner
 from ..array.model import DesignPoint
-from ..cell.montecarlo import (
-    run_cell_montecarlo,
-    run_cell_montecarlo_multi,
-)
+from ..cell.montecarlo import run_cell_montecarlo_multi
 from ..cell.sram6t import SRAM6TCell
 from ..errors import ReproError
 from ..opt import DesignSpace, ExhaustiveOptimizer, make_policy
@@ -265,7 +262,7 @@ def _evaluate_group(session, job):
     return payloads
 
 
-def _montecarlo_payload(result, item, flavor, engine, metrics, floor):
+def _montecarlo_payload(result, item, flavor, metrics, floor):
     summary = {}
     for name in metrics:
         samples = result.metric(name)
@@ -277,7 +274,6 @@ def _montecarlo_payload(result, item, flavor, engine, metrics, floor):
         }
     payload = {
         "flavor": flavor,
-        "engine": engine,
         "n": result.n_samples,
         "seed": item["seed"],
         "floor": floor,
@@ -295,47 +291,38 @@ def _montecarlo_payload(result, item, flavor, engine, metrics, floor):
 
 def _montecarlo_group(session, job):
     flavor = job["flavor"]
-    engine = job["engine"]
     metrics = tuple(job["metrics"])
     cell = SRAM6TCell.from_library(session.library, flavor)
     vdd = session.library.vdd
     floor = YIELD_FLOOR_FRACTION * vdd
     items = job["items"]
-    specs = [(item["n"], item["seed"]) for item in items]
-    results = None
-    if engine == "batched" and len(specs) > 1:
-        # The whole batch in one vectorized solve; per-request results
-        # stay bit-identical to separate calls (lane-independent
-        # solvers).  A characterization failure anywhere in the merged
-        # batch falls back to per-item calls so one pathological draw
-        # cannot take down its batch-mates.
+
+    def solve(specs):
+        """One batched solve; a failure fills every slot."""
         try:
-            results = run_cell_montecarlo_multi(
-                cell, specs, vdd=vdd, metrics=metrics
-            )
-            perf.count("service.engine.mc_coalesced_batches")
-        except ReproError:
-            results = None
-    payloads = []
-    if results is not None:
-        for item, result in zip(items, results):
-            payloads.append(_ok(_montecarlo_payload(
-                result, item, flavor, engine, metrics, floor
-            )))
-        perf.count("service.engine.mc_runs", len(items))
-        return payloads
-    for item in items:
-        try:
-            result = run_cell_montecarlo(
-                cell, n_samples=item["n"], seed=item["seed"], vdd=vdd,
-                metrics=metrics, engine=engine,
-            )
+            return run_cell_montecarlo_multi(cell, specs, vdd=vdd,
+                                             metrics=metrics)
         except ReproError as exc:
-            payloads.append(_failed(422, str(exc)))
-            continue
-        payloads.append(_ok(_montecarlo_payload(
-            result, item, flavor, engine, metrics, floor
-        )))
+            return [exc] * len(specs)
+
+    # The whole batch in one vectorized solve; per-request results stay
+    # bit-identical to separate calls (lane-independent solvers).
+    specs = [(item["n"], item["seed"]) for item in items]
+    results = solve(specs)
+    if len(specs) > 1:
+        if isinstance(results[0], ReproError):
+            # One pathological draw must not fail its batch-mates.
+            results = [solve([spec])[0] for spec in specs]
+        else:
+            perf.count("service.engine.mc_coalesced_batches")
+    payloads = []
+    for item, result in zip(items, results):
+        if isinstance(result, ReproError):
+            payloads.append(_failed(422, str(result)))
+        else:
+            payloads.append(_ok(_montecarlo_payload(
+                result, item, flavor, metrics, floor
+            )))
     perf.count("service.engine.mc_runs", len(items))
     return payloads
 

@@ -147,9 +147,9 @@ def _job_from_group(group_key, items):
     if kind in ("optimize", "pareto", "yield", "evaluate"):
         return {"kind": kind, "flavor": group_key[1], "items": items}
     if kind == "montecarlo":
-        _, flavor, metrics, engine = group_key
+        _, flavor, metrics = group_key
         return {"kind": kind, "flavor": flavor, "metrics": list(metrics),
-                "engine": engine, "items": items}
+                "items": items}
     raise ValueError("unknown batch group kind %r" % (kind,))
 
 

@@ -11,8 +11,9 @@ in through **array-valued source values**: a voltage source whose value
 (or stimulus callable) yields a ``(lanes,)`` row drives each lane at its
 own level.
 
-Bit-identity with the scalar solvers is a hard requirement (the LUT
-characterization must not change with the engine), maintained by:
+Bit-identity with the scalar solvers is a hard requirement (the batched
+LUT characterization must equal the scalar reference solves bit for
+bit), maintained by:
 
 * per-lane Newton: voltage-step limiting, convergence tests, and the
   final update all apply lane-by-lane, and a converged lane is frozen so
@@ -208,7 +209,7 @@ def transient_batch(circuit, lanes, t_stop, dt, initial_guess=None,
     ``stop_condition`` is evaluated with **array-valued** node voltages
     (shape ``(lanes,)``) and must return a per-lane boolean array (an
     elementwise expression such as ``v["q"] < v["qb"] - 0.1`` works for
-    both the scalar and batched engines); each lane then runs
+    both the scalar and batched solvers); each lane then runs
     ``stop_margin`` further steps and freezes, exactly like the scalar
     early-stop bookkeeping.  The march ends when every lane has stopped
     or ``t_stop`` is reached, and each lane's waveforms are cut at its

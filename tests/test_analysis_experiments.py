@@ -1,5 +1,7 @@
 """Experiment drivers (light versions over the shared session)."""
 
+import math
+
 import pytest
 
 from repro.analysis import (
@@ -133,3 +135,32 @@ def test_paper_anchors(full_sweep):
         half_digit = 0.5 * 10.0 ** -len(printed.split(".")[1])
         assert abs(getattr(stats, name) * scale - float(printed)) \
             <= half_digit, name
+
+
+#: benchmarks/output/calibration.txt rows: (row label, reading of the
+#: CalibrationResult in the printed unit, the printed value).  The table
+#: prints ``%.4g``, so each must hold to within half a unit of its
+#: fourth significant digit.
+CALIBRATION_ANCHORS = (
+    ("Ion ratio LVT/HVT", lambda r: r.ion_ratio, "1.928"),
+    ("Ioff ratio LVT/HVT", lambda r: r.ioff_ratio, "20.64"),
+    ("ON/OFF gain HVT/LVT", lambda r: r.onoff_gain, "10.7"),
+    ("6T-LVT leakage (nW)", lambda r: r.leakage["lvt"] * 1e9, "1.691"),
+    ("6T-HVT leakage (nW)", lambda r: r.leakage["hvt"] * 1e9, "0.08193"),
+    ("read fit a", lambda r: r.read_fit[0], "1.399"),
+    ("read fit b (A/V^a)", lambda r: r.read_fit[1], "9.392e-05"),
+    ("read fit Vt (mV)", lambda r: r.read_fit[2] * 1e3, "412.1"),
+    ("I_read boost at V_SSC=-240 (x)", lambda r: r.iread_boost_ratio,
+     "4.088"),
+)
+
+
+def test_calibration_anchors(paper_session):
+    """Every calibration checkpoint to its printed precision: a device
+    or cell change that moves a calibration number fails here."""
+    result = calibration_checkpoints(paper_session)
+    for label, reading, printed in CALIBRATION_ANCHORS:
+        expected = float(printed)
+        half_digit = 0.5 * 10.0 ** (math.floor(math.log10(expected)) - 3)
+        assert abs(reading(result) - expected) <= half_digit, label
+        assert label in result.report()

@@ -177,10 +177,14 @@ def test_tail_estimate_zero_variance_steps_at_mean():
 
 
 def test_tail_queries_engine_parity(hvt_cell):
+    """Tail queries read production samples exactly as they read the
+    scalar reference's."""
+    from repro.cell.montecarlo import run_cell_montecarlo_reference
+
     kwargs = dict(n_samples=8, seed=3, vdd=VDD,
                   metrics=("hsnm", "rsnm"), snm_points=41)
-    batched = run_cell_montecarlo(hvt_cell, engine="batched", **kwargs)
-    loop = run_cell_montecarlo(hvt_cell, engine="loop", **kwargs)
+    batched = run_cell_montecarlo(hvt_cell, **kwargs)
+    loop = run_cell_montecarlo_reference(hvt_cell, **kwargs)
     for name in ("hsnm", "rsnm"):
         b, s = batched.metric(name), loop.metric(name)
         assert b.percentile([5, 50, 95]) == pytest.approx(

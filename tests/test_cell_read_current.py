@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.assist import bitline_delay
 from repro.cell import CellBias, read_current, read_current_grid, read_state
+from repro.cell.read_current import read_state_batch
+from repro.errors import CharacterizationError
 
 VDD = 0.45
 
@@ -68,3 +71,20 @@ def test_custom_bias_object(hvt_cell):
     direct = read_current(hvt_cell, bias=bias)
     via_args = read_current(hvt_cell, vdd=VDD, v_ddc=0.55, v_ssc=-0.1)
     assert direct == pytest.approx(via_args, rel=1e-6)
+
+
+def test_read_that_collapses_the_cell_is_flipped(library, hvt_cell):
+    """At V_WL = 0.8 V the composed half-circuit maps cross only once,
+    at v_q ~ v_qb ~ 0.379 V: the disturb leaves the cell a single
+    (midpoint) equilibrium, so no stored value survives the read."""
+    bias = CellBias.read(vdd=VDD).with_wordline(0.8)
+    state = read_state(hvt_cell, bias=bias)
+    assert abs(state.v_qb - state.v_q) < 1e-3
+    assert state.flipped
+    _, _, flipped, _ = read_state_batch(hvt_cell, bias, 1)
+    assert flipped.tolist() == [True]
+    with pytest.raises(CharacterizationError) as raised:
+        read_current(hvt_cell, bias=bias)
+    assert raised.value.bias == bias
+    assert bitline_delay(library, hvt_cell, VDD, 0.0, v_wl=0.8) \
+        == float("inf")

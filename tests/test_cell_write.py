@@ -1,8 +1,15 @@
 """Write margin: flip-voltage search and assist behavior."""
 
+import numpy as np
 import pytest
 
-from repro.cell import CellBias, cell_flips, flip_wordline_voltage, write_margin
+from repro.cell import (
+    CellBias,
+    cell_flips,
+    flip_wordline_voltage,
+    flip_wordline_voltage_batch,
+    write_margin,
+)
 from repro.cell.write import settle_from_one
 from repro.errors import CharacterizationError
 
@@ -74,9 +81,19 @@ def test_unwritable_cell_raises(hvt_cell):
         "pu_l": hvt_cell.params("pu_l").scaled_drive(50.0),
         "pu_r": hvt_cell.params("pu_r").scaled_drive(50.0),
     })
-    with pytest.raises(CharacterizationError):
+    with pytest.raises(CharacterizationError) as scalar:
         flip_wordline_voltage(monster, vdd=VDD, v_wl_max=0.5,
                               resolution=0.005)
+    with pytest.raises(CharacterizationError) as batched:
+        flip_wordline_voltage_batch(monster, 2, vdd=VDD, v_wl_max=0.5,
+                                    resolution=0.005)
+    # Both name the write bias at the top of the search and the WL
+    # interval it spanned.
+    for raised in (scalar.value, batched.value):
+        assert raised.bracket == (0.0, 0.5)
+        assert raised.side is None
+        assert (raised.bias.vdd, raised.bias.v_bl) == (VDD, 0.0)
+        assert np.all(raised.bias.v_wl == 0.5)
 
 
 def test_bitline_write_margin_positive_at_wlod(hvt_cell):

@@ -496,7 +496,6 @@ def test_coalesced_montecarlo_is_bit_identical_to_serial(paper_session):
     for (n, seed), payload in zip(specs, served):
         direct = run_cell_montecarlo(
             cell, n_samples=n, seed=seed, vdd=vdd, metrics=("hsnm",),
-            engine="batched",
         )
         expected = [float(v) for v in direct.metric("hsnm").values]
         assert payload["samples"]["hsnm"] == expected   # bitwise equal
@@ -537,6 +536,49 @@ def test_fused_optimize_requests_policy_batch_bit_identically(
         assert payload["design"]["v_ssc"] == float(direct.design.v_ssc)
         assert payload["metrics"]["edp"] == direct.metrics.edp
         assert payload["method"] == method
+
+
+@pytest.mark.parametrize("legacy", ["loop", "numpy"])
+def test_montecarlo_ignores_a_legacy_engine_field(client, legacy):
+    """Older clients name a cell engine; any value is accepted and
+    changes nothing, and no answer names an engine."""
+    body = {"n": 5, "seed": 9, "flavor": "hvt", "metrics": ["hsnm"],
+            "include_samples": True}
+    status, plain, _ = client.request("POST", "/v1/montecarlo", body,
+                                      check=False)
+    assert status == 200, plain
+    status, legacy_answer, _ = client.request(
+        "POST", "/v1/montecarlo", dict(body, engine=legacy), check=False)
+    assert status == 200, legacy_answer
+    assert legacy_answer["samples"] == plain["samples"]
+    assert "engine" not in plain and "engine" not in legacy_answer
+
+
+def test_montecarlo_failure_spares_its_batch_mates(paper_session,
+                                                   monkeypatch):
+    """A draw that fails the merged solve answers 422 alone; its
+    batch-mates are re-solved one by one and answer exactly as a batch
+    without it."""
+    from repro.errors import CharacterizationError
+    from repro.service import engines
+
+    merged = engines.run_cell_montecarlo_multi
+
+    def fragile(cell, specs, **kwargs):
+        if any(seed == 13 for _, seed in specs):
+            raise CharacterizationError("pathological draw")
+        return merged(cell, specs, **kwargs)
+
+    monkeypatch.setattr(engines, "run_cell_montecarlo_multi", fragile)
+    items = [{"n": 3, "seed": seed, "include_samples": True}
+             for seed in (1, 13, 2)]
+    job = {"kind": "montecarlo", "flavor": "hvt", "metrics": ["hsnm"],
+           "items": items}
+    first, failed, last = engines.execute_job(paper_session, job)
+    assert failed == {"ok": False, "status": 422,
+                      "error": "pathological draw"}
+    assert [first, last] == engines.execute_job(
+        paper_session, dict(job, items=[items[0], items[2]]))
 
 
 def test_montecarlo_summary_fields(client):

@@ -291,7 +291,7 @@ class TestSharedShiftMatrix:
         result = run_cell_montecarlo(
             constraint.base.cell, n_samples=60, seed=0, vdd=vdd,
             read_bias=CellBias.read(vdd=vdd, v_ddc=0.55, v_ssc=0.0),
-            metrics=("hsnm", "rsnm"), snm_points=41, engine="batched",
+            metrics=("hsnm", "rsnm"), snm_points=41,
         )
         values = np.minimum(result.metric("hsnm").values,
                             result.metric("rsnm").values)
@@ -411,7 +411,6 @@ class TestMonteCarloYieldConstraint:
                 read_bias=CellBias.read(vdd=vdd, v_ddc=v_ddc,
                                         v_ssc=v_ssc),
                 metrics=("hsnm", "rsnm"), snm_points=41,
-                engine="batched",
             )
             assert constraint.mu_minus_k_sigma(v_ddc, v_ssc) == (
                 result.metric("hsnm").mu_minus_k_sigma(3.0),
