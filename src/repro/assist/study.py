@@ -147,6 +147,16 @@ def sweep_negative_bl(library, cell, levels, write_delay_scale=1.0):
 # Minimum assist levels (the optimizer's V_DDC / V_WL presets)
 # ---------------------------------------------------------------------------
 
+def _scan_failed(message, levels, bias=None):
+    """The typed error of a level scan that found no level: ``bracket``
+    is the scanned interval ``(lo, hi)`` [V], ``bias`` the last
+    :class:`CellBias` the scan solved under (None where it builds none).
+    """
+    bracket = ((float(np.min(levels)), float(np.max(levels)))
+               if len(levels) else None)
+    return CharacterizationError(message, bias=bias, bracket=bracket)
+
+
 def minimum_vdd_boost(library, cell, delta, v_max=0.72,
                       resolution=LEVEL_RESOLUTION):
     """Smallest V_DDC (on the 10 mV grid) with RSNM >= delta.
@@ -157,14 +167,14 @@ def minimum_vdd_boost(library, cell, delta, v_max=0.72,
     """
     vdd = library.vdd
     levels = np.arange(vdd, v_max + 1e-9, resolution)
+    bias = None
     for v_ddc in levels:
         bias = CellBias.read(vdd=vdd, v_ddc=float(v_ddc))
         if butterfly(cell, bias, access_on=True).snm >= delta:
             return float(round(v_ddc / resolution) * resolution)
-    raise CharacterizationError(
+    raise _scan_failed(
         "RSNM does not reach %.0f mV below V_DDC = %.0f mV"
-        % (delta * 1e3, v_max * 1e3)
-    )
+        % (delta * 1e3, v_max * 1e3), levels, bias)
 
 
 def minimum_wl_overdrive(library, cell, delta,
@@ -185,13 +195,14 @@ def maximum_wl_underdrive(library, cell, delta,
     """
     vdd = library.vdd
     levels = np.arange(vdd, 0.1, -resolution)
+    bias = None
     for v_wl in levels:
         bias = CellBias.read(vdd=vdd).with_wordline(float(v_wl))
         if butterfly(cell, bias, access_on=True).snm >= delta:
             return float(round(v_wl / resolution) * resolution)
-    raise CharacterizationError(
-        "RSNM does not reach %.0f mV even at V_WL = 100 mV" % (delta * 1e3,)
-    )
+    raise _scan_failed(
+        "RSNM does not reach %.0f mV even at V_WL = 100 mV" % (delta * 1e3,),
+        levels, bias)
 
 
 def minimum_negative_bl(library, cell, delta,
@@ -203,9 +214,9 @@ def minimum_negative_bl(library, cell, delta,
         v_flip = flip_wordline_voltage(cell, vdd=vdd, v_bl_low=float(v_bl))
         if vdd - v_flip >= delta:
             return float(round(v_bl / resolution) * resolution)
-    raise CharacterizationError(
-        "WM does not reach %.0f mV even at V_BL = -300 mV" % (delta * 1e3,)
-    )
+    raise _scan_failed(
+        "WM does not reach %.0f mV even at V_BL = -300 mV" % (delta * 1e3,),
+        levels)
 
 
 def matching_negative_gnd(library, hvt_cell, lvt_cell, v_ddc=None,
@@ -219,6 +230,5 @@ def matching_negative_gnd(library, hvt_cell, lvt_cell, v_ddc=None,
     for v_ssc in levels:
         if bitline_delay(library, hvt_cell, v_ddc, float(v_ssc)) <= target:
             return float(round(v_ssc / resolution) * resolution)
-    raise CharacterizationError(
-        "HVT BL delay never reaches the LVT target %.3g s" % target
-    )
+    raise _scan_failed(
+        "HVT BL delay never reaches the LVT target %.3g s" % target, levels)

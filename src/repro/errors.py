@@ -49,7 +49,9 @@ class CharacterizationError(ReproError):
     (array-valued rails for a lane-batched solve), ``bracket`` the
     ``(lo, hi)`` interval [V] the failed search spanned (the output
     voltages of a half-circuit bisection, ``(0, v_wl_max)`` for a
-    write-flip bisection), and ``side`` the half-circuit ("l" or "r").
+    write-flip bisection, the levels a minimum-assist scan of
+    :mod:`repro.assist.study` tried), and ``side`` the half-circuit
+    ("l" or "r").
     Each is None where a raise site has no such context.
     """
 

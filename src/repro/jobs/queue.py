@@ -18,22 +18,21 @@ re-queues the job first — no separate janitor process is needed.  A job
 whose attempts are exhausted parks in ``failed`` with the last error.
 
 Durability model: every transition is one SQLite transaction
-(``BEGIN IMMEDIATE`` under WAL), so any number of worker processes can
-share a queue file; there is no in-memory state to lose.
+(``BEGIN IMMEDIATE`` under WAL), committed before the call returns, so
+any number of worker processes can share a queue file; there is no
+in-memory state to lose.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
 import time
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .. import perf
 from ..errors import JobError
+from ..store.connection import SQLiteFile
 
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
@@ -59,7 +58,9 @@ CREATE TABLE IF NOT EXISTS jobs (
     progress         TEXT NOT NULL DEFAULT '{}',
     result_key       TEXT
 );
-CREATE INDEX IF NOT EXISTS idx_jobs_state ON jobs (state, priority, created_at);
+CREATE INDEX IF NOT EXISTS idx_jobs_claim
+    ON jobs (state, priority DESC, created_at, id);
+DROP INDEX IF EXISTS idx_jobs_state;
 """
 
 
@@ -129,48 +130,15 @@ def new_job_id():
     return "job-%s" % uuid.uuid4().hex[:12]
 
 
-class JobQueue:
-    """SQLite-backed durable queue; safe across threads and processes."""
+class JobQueue(SQLiteFile):
+    """SQLite-backed durable queue; safe across threads and processes.
 
-    def __init__(self, path):
-        self.path = path
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        # executescript() commits implicitly, so it must not run inside
-        # the _txn() BEGIN/COMMIT pair.
-        with self._read() as conn:
-            conn.executescript(_SCHEMA_SQL)
+    Each queue object holds one WAL-mode connection, opened on its first
+    call (:class:`~repro.store.connection.SQLiteFile`); :meth:`close`
+    or a ``with`` block releases it.
+    """
 
-    def _connect(self):
-        conn = sqlite3.connect(self.path, timeout=30.0,
-                               isolation_level=None)
-        conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        return conn
-
-    @contextmanager
-    def _read(self):
-        conn = self._connect()
-        try:
-            yield conn
-        finally:
-            conn.close()
-
-    @contextmanager
-    def _txn(self):
-        """One write transaction; ``BEGIN IMMEDIATE`` takes the write
-        lock up front so a claim's read-then-update is atomic."""
-        conn = self._connect()
-        try:
-            conn.execute("BEGIN IMMEDIATE")
-            yield conn
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        finally:
-            conn.close()
+    SCHEMA_SQL = _SCHEMA_SQL
 
     # -- producer side -----------------------------------------------------
 
@@ -351,7 +319,7 @@ class JobQueue:
     # -- introspection -----------------------------------------------------
 
     def get(self, job_id):
-        with self._read() as conn:
+        with self._conn() as conn:
             row = conn.execute(
                 "SELECT * FROM jobs WHERE id = ?", (job_id,)
             ).fetchone()
@@ -371,13 +339,13 @@ class JobQueue:
         if limit is not None:
             query += " LIMIT ?"
             args.append(int(limit))
-        with self._read() as conn:
+        with self._conn() as conn:
             rows = conn.execute(query, args).fetchall()
         return [Job.from_row(row) for row in rows]
 
     def counts(self):
         """``state -> number of jobs`` (zero-filled for every state)."""
-        with self._read() as conn:
+        with self._conn() as conn:
             rows = conn.execute(
                 "SELECT state, COUNT(*) AS n FROM jobs GROUP BY state"
             ).fetchall()

@@ -10,7 +10,11 @@ Exercises the whole durable-jobs contract with real subprocess workers:
 4. verify the resumed sweep's payloads are **bit-identical** to an
    uninterrupted in-process :func:`run_study` over the same matrix, and
    that provenance proves the second worker recomputed only the missing
-   cells.
+   cells,
+5. close every connection and check the queue/store file itself: the
+   killed worker left a live WAL behind that later openers recovered,
+   so ``PRAGMA integrity_check`` must read ``ok`` on a fresh
+   connection and no job may be left ``running``.
 
 Run it directly (CI does)::
 
@@ -24,10 +28,12 @@ from __future__ import annotations
 import argparse
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
 import time
+from contextlib import closing
 
 from ..analysis.experiments import Session
 from ..analysis.runner import run_study
@@ -174,6 +180,19 @@ def main(argv=None):
         record = store.get(job.result_key)
         check(record is not None and len(record["cells"]) == total,
               "sweep record lists all %d cells" % total)
+
+        queue.close()
+        store.close()
+        with closing(sqlite3.connect(queue_path)) as conn:
+            integrity = [row[0] for row in
+                         conn.execute("PRAGMA integrity_check")]
+            running = conn.execute(
+                "SELECT COUNT(*) FROM jobs WHERE state = 'running'"
+            ).fetchone()[0]
+        check(integrity == ["ok"],
+              "queue/store file passes integrity_check (%s)"
+              % "; ".join(integrity))
+        check(running == 0, "no job left running (%d)" % running)
 
     if failures:
         print("\nsmoke FAILED: %d check(s)" % len(failures), flush=True)

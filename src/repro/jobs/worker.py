@@ -32,6 +32,7 @@ pool (``repro serve --jobs``), sharing the server's warm session.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import socket
@@ -320,67 +321,70 @@ def run_worker(queue_path, store_path=None, worker_id=None,
     published shared-memory session arena (zero-copy warm start).
     ``store`` takes an open :class:`~repro.store.ExperimentStore` in
     place of ``store_path``; the service's background workers share the
-    server's store that way.
+    server's store that way.  The loop closes the queue, and the store
+    when it opened it, before it returns; a passed-in store stays open.
     """
-    queue = JobQueue(queue_path)
-    if store is None:
-        store = ExperimentStore(store_path or queue_path)
-    worker_id = worker_id or new_worker_id()
-    sessions = sessions or SessionProvider(default_cache_path,
-                                           arena_name=arena_name)
-    stats = WorkerStats(worker=worker_id)
-    start = time.perf_counter()
-    while True:
-        if stop is not None and stop.is_set():
-            break
-        if max_jobs is not None and stats.jobs_done \
-                + stats.jobs_failed >= max_jobs:
-            break
-        job = queue.claim(worker_id, lease_seconds)
-        if job is None:
-            if once and not stats.outcomes:
-                time.sleep(poll_interval)   # wait for the first job
+    with contextlib.ExitStack() as opened:
+        queue = opened.enter_context(JobQueue(queue_path))
+        if store is None:
+            store = opened.enter_context(
+                ExperimentStore(store_path or queue_path))
+        worker_id = worker_id or new_worker_id()
+        sessions = sessions or SessionProvider(default_cache_path,
+                                               arena_name=arena_name)
+        stats = WorkerStats(worker=worker_id)
+        start = time.perf_counter()
+        while True:
+            if stop is not None and stop.is_set():
+                break
+            if max_jobs is not None and stats.jobs_done \
+                    + stats.jobs_failed >= max_jobs:
+                break
+            job = queue.claim(worker_id, lease_seconds)
+            if job is None:
+                if once and not stats.outcomes:
+                    time.sleep(poll_interval)   # wait for the first job
+                    continue
+                if once:
+                    break
+                if stop is not None:
+                    stop.wait(poll_interval)
+                else:
+                    time.sleep(poll_interval)
                 continue
+            if log is not None:
+                log("claimed %s (%s, attempt %d/%d)"
+                    % (job.id, job.kind, job.attempts, job.max_attempts))
+            executor = _JOB_EXECUTORS.get(job.kind)
+            before = _cell_counts()
+            try:
+                if executor is None:
+                    raise JobError("unknown job kind %r" % job.kind,
+                                   job_id=job.id)
+                outcome = executor(job, queue, store, worker_id, sessions,
+                                   lease_seconds=lease_seconds, stop=stop,
+                                   throttle=throttle, log=log)
+            except Exception as exc:
+                state = queue.fail(job.id, worker_id,
+                                   "%s: %s" % (type(exc).__name__, exc))
+                outcome = "failed:%s" % state
+                stats.jobs_failed += 1
+                if log is not None:
+                    log("job %s failed (%s): %s" % (job.id, state, exc))
+            else:
+                if outcome == "done":
+                    stats.jobs_done += 1
+                elif outcome == "lost":
+                    stats.jobs_lost += 1
+                if log is not None:
+                    log("job %s %s" % (job.id, outcome))
+            after = _cell_counts()
+            stats.cells_computed += after[0] - before[0]
+            stats.cells_skipped += after[1] - before[1]
+            stats.outcomes.append((job.id, outcome))
             if once:
                 break
-            if stop is not None:
-                stop.wait(poll_interval)
-            else:
-                time.sleep(poll_interval)
-            continue
-        if log is not None:
-            log("claimed %s (%s, attempt %d/%d)"
-                % (job.id, job.kind, job.attempts, job.max_attempts))
-        executor = _JOB_EXECUTORS.get(job.kind)
-        before = _cell_counts()
-        try:
-            if executor is None:
-                raise JobError("unknown job kind %r" % job.kind,
-                               job_id=job.id)
-            outcome = executor(job, queue, store, worker_id, sessions,
-                               lease_seconds=lease_seconds, stop=stop,
-                               throttle=throttle, log=log)
-        except Exception as exc:
-            state = queue.fail(job.id, worker_id,
-                               "%s: %s" % (type(exc).__name__, exc))
-            outcome = "failed:%s" % state
-            stats.jobs_failed += 1
-            if log is not None:
-                log("job %s failed (%s): %s" % (job.id, state, exc))
-        else:
-            if outcome == "done":
-                stats.jobs_done += 1
-            elif outcome == "lost":
-                stats.jobs_lost += 1
-            if log is not None:
-                log("job %s %s" % (job.id, outcome))
-        after = _cell_counts()
-        stats.cells_computed += after[0] - before[0]
-        stats.cells_skipped += after[1] - before[1]
-        stats.outcomes.append((job.id, outcome))
-        if once:
-            break
-    stats.seconds = time.perf_counter() - start
+        stats.seconds = time.perf_counter() - start
     return stats
 
 

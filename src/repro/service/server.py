@@ -349,6 +349,11 @@ class OptimizationServer:
             loop = asyncio.get_running_loop()
             for thread in self._job_threads:
                 await loop.run_in_executor(None, thread.join, 60)
+        # The job threads are gone and every request is answered, so
+        # nothing uses the store or queue connections any more.
+        for db in (self.store, self.jobs):
+            if db is not None:
+                db.close()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
         if self._arena is not None:

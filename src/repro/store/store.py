@@ -25,10 +25,13 @@ from an uninterrupted one.
 Concurrency
 -----------
 
-Every public operation opens a short-lived connection in WAL mode, so
-any number of worker processes and service threads can read and write
-one store file; ``put`` is idempotent (``INSERT OR REPLACE`` of an
-identical payload).
+One store file serves any number of worker processes and service
+threads.  Each :class:`ExperimentStore` object holds one WAL-mode
+connection for its lifetime and runs every call under its own lock, so
+threads share an object and processes (forked children included) each
+open their own.  A write commits before the call returns, so a fresh
+store object in another process sees it at once.  ``put`` is idempotent
+(``INSERT OR REPLACE`` of an identical payload).
 """
 
 from __future__ import annotations
@@ -39,15 +42,14 @@ import json
 import math
 import os
 import socket
-import sqlite3
 import subprocess
 import time
-from contextlib import contextmanager
 from dataclasses import asdict
 
 from .. import __version__, perf
 from ..array.model import ArrayMetrics, DesignPoint
 from ..opt.results import LandscapePoint, OptimizationResult
+from .connection import SQLiteFile
 
 #: Bump when the stored payload layout or the engine semantics change;
 #: part of every key, so stale results can never shadow fresh ones.
@@ -376,36 +378,17 @@ CREATE INDEX IF NOT EXISTS idx_results_kind ON results (kind);
 """
 
 
-class ExperimentStore:
+class ExperimentStore(SQLiteFile):
     """Content-addressed result store backed by one SQLite file.
 
-    Safe for concurrent use from multiple threads and processes; every
-    call opens its own short-lived WAL-mode connection.
+    Each store object holds one WAL-mode connection, opened on its first
+    call (:class:`~repro.store.connection.SQLiteFile`).  Threads may
+    share one object; processes each open their own.  Call
+    :meth:`close`, or use the store as a context manager, to release
+    the file; a dropped store closes its connection at once.
     """
 
-    def __init__(self, path):
-        self.path = path
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        with self._conn() as conn:
-            conn.executescript(_SCHEMA_SQL)
-
-    def _connect(self):
-        conn = sqlite3.connect(self.path, timeout=30.0)
-        conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        return conn
-
-    @contextmanager
-    def _conn(self):
-        """One short-lived connection: commit on success, always close."""
-        conn = self._connect()
-        try:
-            with conn:
-                yield conn
-        finally:
-            conn.close()
+    SCHEMA_SQL = _SCHEMA_SQL
 
     # -- write -------------------------------------------------------------
 
@@ -529,7 +512,7 @@ class ExperimentStore:
         if kind is not None:
             query += " AND kind = ?"
             args.append(kind)
-        with self._conn() as conn:
+        with self._txn() as conn:
             victims = [row["key"] for row in conn.execute(
                 "SELECT key " + query, args)]
             if not dry_run and victims:

@@ -1,5 +1,9 @@
 """Durable job queue: lifecycle, leases, crash requeue, durability."""
 
+import gc
+import json
+import os
+import sys
 import threading
 import time
 
@@ -7,6 +11,14 @@ import pytest
 
 from repro.errors import JobError
 from repro.jobs import JobQueue, JOB_STATES
+from repro.store import ExperimentStore
+
+from .conftest import (
+    open_fd_count,
+    python_process,
+    sqlite_side_files,
+    succeeds_in_fork,
+)
 
 
 @pytest.fixture()
@@ -223,3 +235,148 @@ def test_job_payload_is_jsonable(queue):
     payload = queue.get(job_id).to_payload()
     assert json.loads(json.dumps(payload))["id"] == job_id
     assert payload["state"] == "queued"
+
+
+# ---------------------------------------------------------------------------
+# Connection lifecycle
+# ---------------------------------------------------------------------------
+
+def test_close_leaves_no_wal_and_next_call_reopens(queue):
+    job_id = queue.submit("study", {})
+    assert sqlite_side_files(queue.path)      # WAL mode, held open
+    queue.close()
+    assert sqlite_side_files(queue.path) == []
+    assert queue.get(job_id).state == "queued"
+    with queue:
+        assert queue.claim("w1").id == job_id
+    assert sqlite_side_files(queue.path) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors through /proc (Linux)")
+def test_dropped_queues_close_at_once(tmp_path):
+    """With the cycle collector off, 50 open/use/drop cycles must not
+    leave a descriptor (or a WAL) behind."""
+    path = str(tmp_path / "jobs.db")
+    before = open_fd_count()
+    gc.disable()
+    try:
+        for _ in range(50):
+            queue = JobQueue(path)
+            job_id = queue.submit("study", {})
+            assert queue.claim("w1").id == job_id
+            del queue
+        assert open_fd_count() == before
+    finally:
+        gc.enable()
+    assert sqlite_side_files(path) == []
+
+
+def test_submit_is_visible_at_once_to_another_process(queue):
+    job_id = queue.submit("study", {"capacities": [128]})
+    reader = python_process(
+        "import sys\n"
+        "from repro.jobs import JobQueue\n"
+        "job = JobQueue(sys.argv[1]).get(sys.argv[2])\n"
+        "print(job.state, job.spec['capacities'][0])",
+        queue.path, job_id)
+    out, err = reader.communicate(timeout=120)
+    assert reader.returncode == 0, err
+    assert out.split() == ["queued", "128"]
+
+
+_CLAIM_ALL = """
+import json, sys
+from repro.jobs import JobQueue
+queue = JobQueue(sys.argv[1])
+print("ready", flush=True)
+sys.stdin.readline()
+claimed = []
+while True:
+    job = queue.claim(sys.argv[2])
+    if job is None:
+        break
+    claimed.append(job.id)
+print(json.dumps(claimed))
+"""
+
+
+def test_two_processes_claim_each_job_once(queue):
+    """Two worker processes drain one queue file at the same moment
+    (released together once both are ready) while this process holds
+    its own connection open."""
+    job_ids = {queue.submit("study", {"n": index}) for index in range(200)}
+    workers = [python_process(_CLAIM_ALL, queue.path, "w%d" % index)
+               for index in range(2)]
+    for worker in workers:
+        assert worker.stdout.readline().strip() == "ready"
+    for worker in workers:
+        worker.stdin.write("go\n")
+        worker.stdin.flush()
+    claimed = []
+    for worker in workers:
+        out, err = worker.communicate(timeout=120)
+        assert worker.returncode == 0, err
+        claimed += json.loads(out)
+    assert len(claimed) == len(job_ids)
+    assert set(claimed) == job_ids
+    assert queue.counts()["running"] == len(job_ids)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_opens_its_own_connection(queue):
+    first = queue.submit("study", {})
+    inherited = queue._db
+
+    def child():
+        job = queue.claim("child")
+        return (job is not None and job.id == first
+                and queue._db is not None and queue._db is not inherited)
+
+    assert succeeds_in_fork(child)
+    assert queue._db is inherited
+    assert queue.get(first).worker == "child"
+    second = queue.submit("study", {})
+    assert queue.claim("parent").id == second
+
+
+def test_threads_share_one_queue_and_store_connection(tmp_path):
+    """Eight threads (more than the cores) drive one queue object and
+    one store object on one file, switching every microsecond: every
+    job is claimed once and every checkpoint lands, so no call ran on
+    the shared connection inside another's transaction."""
+    path = str(tmp_path / "jobs.db")
+    queue, store = JobQueue(path), ExperimentStore(path)
+    job_ids = {queue.submit("study", {"n": index}) for index in range(80)}
+    claimed, errors = [], []
+
+    def worker(name):
+        try:
+            while True:
+                job = queue.claim(name)
+                if job is None:
+                    return
+                store.put("cell-%s" % job.id, {"by": name})
+                assert queue.heartbeat(job.id, name, progress={"n": 1})
+                assert store.has("cell-%s" % job.id)
+                assert queue.complete(job.id, name, result_key=job.id)
+                claimed.append(job.id)
+        except Exception as exc:      # reported below, with its thread
+            errors.append("%s: %r" % (name, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=("w%d" % i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(claimed) == sorted(job_ids)
+    assert queue.counts()["done"] == len(job_ids)
+    assert store.count("cell") == len(job_ids)

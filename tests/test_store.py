@@ -1,9 +1,16 @@
 """Content-addressed experiment store: keys, round trips, lifecycle."""
 
+import gc
+import json
 import math
+import os
+import struct
+import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.runner import StudyTask, execute_study_task
 from repro.opt import DesignSpace
@@ -17,6 +24,13 @@ from repro.store import (
     result_to_payload,
     study_cell_key,
     sweep_key,
+)
+
+from .conftest import (
+    open_fd_count,
+    python_process,
+    sqlite_side_files,
+    succeeds_in_fork,
 )
 
 
@@ -223,3 +237,101 @@ def test_store_shared_across_instances(tmp_path):
     path = str(tmp_path / "store.db")
     ExperimentStore(path).put("cell-1", {"v": 7})
     assert ExperimentStore(path).get("cell-1") == {"v": 7}
+
+
+@pytest.fixture(scope="module")
+def float_store_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("floats") / "store.db")
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False), min_size=1,
+                       max_size=8))
+@example(values=[5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0])
+@example(values=[sys.float_info.max, -sys.float_info.max,
+                 float("inf"), -float("inf")])
+def test_every_non_nan_float_round_trips_bitwise(float_store_path, values):
+    """Finite floats (subnormals and -0.0 included) and +-inf come back
+    bit for bit, through the held connection and a fresh store."""
+    def bits(floats):
+        return struct.pack("<%dd" % len(floats), *floats)
+
+    expected = bits(values)
+    key = "cell-%s" % expected.hex()
+    store = ExperimentStore(float_store_path)
+    store.put(key, {"values": values})
+    assert bits(store.get(key)["values"]) == expected
+    fresh = ExperimentStore(float_store_path).get(key)
+    assert bits(fresh["values"]) == expected
+    store.close()
+
+
+# ---------------------------------------------------------------------------
+# Connection lifecycle
+# ---------------------------------------------------------------------------
+
+def test_close_leaves_no_wal_and_next_call_reopens(store):
+    store.put("cell-1", {"v": 1})
+    assert sqlite_side_files(store.path)      # WAL mode, held open
+    store.close()
+    assert sqlite_side_files(store.path) == []
+    assert store.get("cell-1") == {"v": 1}
+    store.close()
+    store.close()                             # idempotent
+    assert sqlite_side_files(store.path) == []
+
+
+def test_with_block_closes_the_store(tmp_path):
+    path = str(tmp_path / "store.db")
+    with ExperimentStore(path) as store:
+        store.put("cell-1", {"v": 1})
+    assert sqlite_side_files(path) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors through /proc (Linux)")
+def test_dropped_stores_close_at_once(tmp_path):
+    """With the cycle collector off, 50 open/use/drop cycles must not
+    leave a descriptor (or a WAL) behind: dropping a store closes its
+    connection without waiting for a garbage collection."""
+    path = str(tmp_path / "store.db")
+    before = open_fd_count()
+    gc.disable()
+    try:
+        for index in range(50):
+            store = ExperimentStore(path)
+            store.put("cell-%d" % index, {"i": index})
+            assert store.get("cell-%d" % index) == {"i": index}
+            del store
+        assert open_fd_count() == before
+    finally:
+        gc.enable()
+    assert sqlite_side_files(path) == []
+
+
+def test_put_is_visible_at_once_to_another_process(store):
+    store.put("cell-1", {"edp": 1.5e-25, "n": [1, 2]})
+    reader = python_process(
+        "import json, sys\n"
+        "from repro.store import ExperimentStore\n"
+        "print(json.dumps(ExperimentStore(sys.argv[1]).get(sys.argv[2])))",
+        store.path, "cell-1")
+    out, err = reader.communicate(timeout=120)
+    assert reader.returncode == 0, err
+    assert json.loads(out) == {"edp": 1.5e-25, "n": [1, 2]}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_opens_its_own_connection(store):
+    store.put("cell-parent", {"who": "parent"})
+    inherited = store._db
+
+    def child():
+        store.put("cell-child", {"who": "child"})
+        return store._db is not None and store._db is not inherited
+
+    assert succeeds_in_fork(child)
+    assert store._db is inherited
+    assert store.get("cell-child") == {"who": "child"}
+    store.put("cell-parent-2", {"who": "parent"})
+    assert store.count() == 3
