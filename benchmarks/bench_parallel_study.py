@@ -11,10 +11,7 @@ PRs can track the search-performance trajectory:
   acceptance gate tracks;
 * ``pruning.*`` — production against reference on every study cell:
   wall time plus the fraction of the space the row gate evaluated;
-* ``matrix.*`` — the full 20-cell study, serial and parallel;
-* ``arena.*`` — shared-memory session transport: publish once, attach
-  zero-copy, versus the warm-cache ``Session.create`` a process worker
-  would otherwise pay.
+* ``matrix.*`` — the full 20-cell study, serial and parallel.
 """
 
 from __future__ import annotations
@@ -24,15 +21,9 @@ import os
 import platform
 import time
 
-from repro.analysis.experiments import (
-    CAPACITIES_BYTES,
-    FLAVORS,
-    METHODS,
-    Session,
-)
+from repro.analysis.experiments import CAPACITIES_BYTES, FLAVORS, METHODS
 from repro.analysis.runner import run_study
 from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
-from repro.shm import SessionArena
 from repro.units import capacity_label
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -120,34 +111,6 @@ def _bench_pruning(paper_session):
     return cells
 
 
-def _time_arena(paper_session, repeats=5):
-    """Publish/attach/rebuild wall times for the session arena [s]."""
-    publish = attach = float("inf")
-    nbytes = 0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        arena = SessionArena.publish(paper_session)
-        publish = min(publish, time.perf_counter() - start)
-        nbytes = arena.nbytes
-        try:
-            start = time.perf_counter()
-            attached = SessionArena.attach(arena.name)
-            attached.to_session()
-            attach = min(attach, time.perf_counter() - start)
-            attached.close()
-        finally:
-            arena.dispose()
-    # The alternative a process worker pays without the arena: rebuild
-    # the session from the (warm) on-disk characterization cache.
-    create = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        Session.create(cache_path=paper_session.cache.path,
-                       voltage_mode=paper_session.voltage_mode)
-        create = min(create, time.perf_counter() - start)
-    return publish, attach, create, nbytes
-
-
 def bench_parallel_study_matrix(paper_session, report_writer):
     cpus = os.cpu_count() or 1
     workers = min(REQUESTED_WORKERS, max(cpus, 1))
@@ -155,8 +118,6 @@ def bench_parallel_study_matrix(paper_session, report_writer):
     single_loop, single_production, single_yield = _time_single(
         paper_session)
     pruning_cells = _bench_pruning(paper_session)
-    arena_publish, arena_attach, warm_create, arena_nbytes = (
-        _time_arena(paper_session))
 
     serial = run_study(session=paper_session, workers=1)
     parallel = run_study(session=paper_session, workers=workers,
@@ -195,13 +156,6 @@ def bench_parallel_study_matrix(paper_session, report_writer):
                 c["evaluated_fraction"] for c in pruning_cells.values()
                 if c["capacity_bytes"] == 16384),
         },
-        "arena": {
-            "nbytes": arena_nbytes,
-            "publish_seconds": arena_publish,
-            "attach_seconds": arena_attach,
-            "warm_create_seconds": warm_create,
-            "attach_speedup_vs_create": warm_create / arena_attach,
-        },
         "matrix": {
             "tasks": len(serial.timings),
             "serial_seconds": serial.total_seconds,
@@ -233,10 +187,6 @@ def bench_parallel_study_matrix(paper_session, report_writer):
         "yield-target constraint 16KB/HVT/M2 (SECDED, warm MC): "
         "%.1f ms (%.2fx vs the plain search)"
         % (single_yield * 1e3, single_yield / single_production),
-        "session arena (%.1f KB): publish %.2f ms, attach+rebuild "
-        "%.2f ms vs warm Session.create %.1f ms (%.0fx)"
-        % (arena_nbytes / 1024.0, arena_publish * 1e3, arena_attach * 1e3,
-           warm_create * 1e3, warm_create / arena_attach),
         "full matrix (%d tasks): serial %.2f s, parallel %.2f s "
         "(%d workers, %.2fx)"
         % (len(serial.timings), serial.total_seconds,
@@ -263,9 +213,5 @@ def bench_parallel_study_matrix(paper_session, report_writer):
         assert cell["production_ms"] <= cell["reference_ms"] * 2.0, label
     assert (baseline["pruning"]["total_production_seconds"]
             < baseline["pruning"]["total_reference_seconds"])
-    # Attaching the arena must at least keep pace with rebuilding from
-    # the on-disk cache (its real win is deduplicating the LUT memory
-    # across workers, so a small timing margin is enough here).
-    assert arena_attach < warm_create * 1.25
     if cpus >= 2 and parallel.workers >= 2:
         assert speedup > 1.5

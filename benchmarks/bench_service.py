@@ -1,14 +1,15 @@
-"""Optimization-service benchmark: dynamic batching on vs off.
+"""Optimization-service benchmark: Monte Carlo coalescing on vs off.
 
 Standalone script (not a pytest benchmark) so CI can run it directly::
 
     PYTHONPATH=src python benchmarks/bench_service.py --quick
 
-Boots a real server twice — once with the dynamic batcher enabled
-(max_wait window, batches up to ``max_batch``) and once with it
-disabled (every request dispatches alone) — and drives each with the
-same closed-loop mixed workload from N concurrent clients: unique-seed
-Monte Carlo draws (engine work that coalesces), design-point
+Boots a real server twice — once with coalescing on (``max_batch=8``:
+Monte Carlo draws that arrive while their group's solve is in flight
+leave together, up to 8, when it finishes) and once with it off
+(``max_batch=1``: every request dispatches alone) — and drives each
+with the same closed-loop mixed workload from N concurrent clients:
+unique-seed Monte Carlo draws (engine work that coalesces), design-point
 evaluations (a few distinct designs, so the result cache sees repeats),
 and a sprinkle of optimize calls (cache hits after first touch).
 
@@ -93,7 +94,6 @@ def _run_scenario(label, session, sizing, batching, seed_base):
     config = ServiceConfig(
         port=0, executor="thread", workers=max(2, sizing["clients"] // 2),
         max_batch=8 if batching else 1,
-        max_wait_ms=5.0 if batching else 0.0,
         cache_path=CACHE_PATH,
     )
     with ServerThread(config, session=session) as running:
@@ -161,7 +161,7 @@ def _run_pareto_scenario(label, session, store_path):
         return perf.get_registry().snapshot()["counters"].get(name, 0)
 
     config = ServiceConfig(
-        port=0, executor="thread", workers=2, max_wait_ms=5.0,
+        port=0, executor="thread", workers=2,
         cache_path=CACHE_PATH, store_path=store_path,
     )
     before_sweeps = counter("service.engine.pareto_sweeps")

@@ -29,7 +29,8 @@ Subpackages
 ``repro.analysis``
     Experiment drivers regenerating every figure and table.
 ``repro.service``
-    An HTTP optimization service with dynamic batching and caching.
+    An HTTP optimization service with result caching and coalesced
+    Monte Carlo solves.
 ``repro.jobs``
     Durable job queue + workers: checkpointed, crash-resumable study
     sweeps (SQLite-backed, lease-based claiming).

@@ -7,12 +7,9 @@ state — the characterization LUTs and the memoized yield margins — so
 the matrix parallelizes embarrassingly.  The executors:
 
 * ``executor="process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  whose workers map the parent's shared-memory session arena
-  (:class:`repro.shm.SessionArena`) in their initializer and rebuild
-  their session as zero-copy views over its LUT grids — no pickling,
-  no re-characterization; if the arena cannot be published or mapped
-  they fall back to building from the (warm) characterization cache.
-  The parent pre-computes the yield margins for the
+  whose workers each build their session from the (warm)
+  characterization cache in their initializer — no pickling, no
+  re-characterization.  The parent pre-computes the yield margins for the
   whole V_SSC candidate axis once and ships the memo to every worker
   (:meth:`YieldConstraint.seed_margin_memo`), so no process ever re-runs
   a butterfly the study already ran.
@@ -40,7 +37,6 @@ from dataclasses import dataclass, field
 from .. import perf
 from ..errors import StudyTaskError
 from ..opt import DesignSpace, ExhaustiveOptimizer, make_policy
-from ..shm import SessionArena
 from .experiments import (
     CAPACITIES_BYTES,
     DEFAULT_CACHE_PATH,
@@ -218,34 +214,14 @@ def _objective_kind(objective):
     return objective if isinstance(objective, str) else objective[0]
 
 
-def _worker_init(cache_path, voltage_mode, space, margin_memos,
-                 arena_name=None):
-    """Build one shared read-only session per worker process.
-
-    With ``arena_name`` the worker maps the parent's published
-    :class:`SessionArena` and rebuilds its session directly over the
-    shared LUT grids (zero copies, zero characterization).  Any attach
-    failure falls back to the cache-backed cold build — the arena is a
-    fast path, never a correctness dependency.
-    """
+def _worker_init(cache_path, voltage_mode, space, margin_memos):
+    """Build one shared read-only session per worker process, from the
+    characterization cache, seeded with the parent's margin memos."""
     # Fork-started workers inherit the parent's telemetry registry;
     # clear it so the first task's snapshot is this worker's delta only.
     perf.get_registry().reset()
-    session = None
-    if arena_name:
-        try:
-            with perf.timed("arena.attach"):
-                arena = SessionArena.attach(arena_name)
-                session = arena.to_session()
-        except Exception:
-            session = None
-        else:
-            # The session's LUTs are views into the mapping; keep the
-            # arena alive for the worker's lifetime.
-            _WORKER_STATE["arena"] = arena
-    if session is None:
-        session = Session.create(cache_path=cache_path,
-                                 voltage_mode=voltage_mode)
+    session = Session.create(cache_path=cache_path,
+                             voltage_mode=voltage_mode)
     for flavor, memo in margin_memos.items():
         session.constraint(flavor).seed_margin_memo(memo)
     _WORKER_STATE["session"] = session
@@ -457,41 +433,27 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
                 timings[task.key] = TaskTiming(task, seconds,
                                                result.n_evaluated, 0)
     elif executor == "process":
-        # Publish the parent's session once; workers map it zero-copy.
-        # Publishing is best-effort — on failure the workers cold-build
-        # from the cache exactly as before.
-        arena = None
-        try:
-            with perf.timed("arena.publish"):
-                arena = SessionArena.publish(session, margin_memos)
-        except Exception:
-            arena = None
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(cache_path, session.voltage_mode, space,
-                          margin_memos,
-                          arena.name if arena is not None else None),
-            ) as pool:
-                futures = {
-                    pool.submit(_run_task_in_worker, task, keep_landscape,
-                                objective): task
-                    for task in tasks
-                }
-                for future, task in futures.items():
-                    try:
-                        result, seconds, pid, snapshot = future.result()
-                    except Exception as exc:
-                        _cancel_pending(futures)
-                        raise _task_failure(task, exc) from exc
-                    results[task.key] = result
-                    timings[task.key] = TaskTiming(task, seconds,
-                                                   result.n_evaluated, pid)
-                    perf.get_registry().merge(snapshot)
-        finally:
-            if arena is not None:
-                arena.dispose()
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_worker_init,
+            initargs=(cache_path, session.voltage_mode, space,
+                      margin_memos),
+        ) as pool:
+            futures = {
+                pool.submit(_run_task_in_worker, task, keep_landscape,
+                            objective): task
+                for task in tasks
+            }
+            for future, task in futures.items():
+                try:
+                    result, seconds, pid, snapshot = future.result()
+                except Exception as exc:
+                    _cancel_pending(futures)
+                    raise _task_failure(task, exc) from exc
+                results[task.key] = result
+                timings[task.key] = TaskTiming(task, seconds,
+                                               result.n_evaluated, pid)
+                perf.get_registry().merge(snapshot)
     else:
         raise ValueError(
             "unknown executor %r (expected 'auto', 'serial', 'thread', "

@@ -201,8 +201,8 @@ def maximum_wl_underdrive(library, cell, delta,
         if butterfly(cell, bias, access_on=True).snm >= delta:
             return float(round(v_wl / resolution) * resolution)
     raise _scan_failed(
-        "RSNM does not reach %.0f mV even at V_WL = 100 mV" % (delta * 1e3,),
-        levels, bias)
+        "RSNM does not reach %.0f mV even at V_WL = %.0f mV"
+        % (delta * 1e3, levels[-1] * 1e3), levels, bias)
 
 
 def minimum_negative_bl(library, cell, delta,

@@ -24,10 +24,14 @@ from ..errors import CharacterizationError
 from .bias import CellBias
 from .snm import half_circuit_output
 
-#: Fixed-point damping and convergence controls.
+#: Fixed-point damping and convergence controls.  Next to the read
+#: collapse the contraction rate nears one (HVT at V_DDC 0.45 V, read
+#: V_WL 0.7 V needs several hundred iterations), so the cap is the
+#: write settle's.  Converged states break (scalar) or freeze (batched)
+#: early, so the cap only affects runs that would otherwise raise.
 _DAMPING = 0.5
 _TOL = 1e-7
-_MAX_ITER = 300
+_MAX_ITER = 4000
 
 #: A converged read state whose nodes sit closer than this [V] is the
 #: cell's midpoint equilibrium: the read disturb left the cell a single

@@ -349,8 +349,8 @@ def run_serve(argv):
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve /v1/optimize, /v1/evaluate and /v1/montecarlo "
-                    "over HTTP with dynamic request batching "
-                    "(see docs/SERVICE.md).",
+                    "over HTTP; Monte Carlo draws coalesce behind an "
+                    "in-flight solve (see docs/SERVICE.md).",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8787,
@@ -359,28 +359,18 @@ def run_serve(argv):
                         choices=("auto", "thread", "process"),
                         default="thread",
                         help="worker pool type: thread shares one warm "
-                             "session; process forks workers that map "
-                             "the session's shared-memory arena; auto "
-                             "picks process on multi-core hosts and "
-                             "thread on single-CPU ones")
+                             "session; process forks workers that each "
+                             "build one from the characterization "
+                             "cache; auto picks process on multi-core "
+                             "hosts and thread on single-CPU ones")
     parser.add_argument("--workers", type=int, default=0,
                         help="pool size (0 = cpu count)")
     parser.add_argument("--max-batch", type=int, default=8,
-                        help="flush a request group at this many items")
-    parser.add_argument("--max-wait-ms", type=float, default=5.0,
-                        help="max time a request waits for batch-mates "
-                             "(0 disables batching)")
+                        help="largest Monte Carlo batch that coalesces "
+                             "behind an in-flight solve (1 disables "
+                             "coalescing)")
     parser.add_argument("--max-pending", type=int, default=64,
                         help="in-flight bound; beyond it requests get 429")
-    parser.add_argument("--endpoint-max-batch", action="append",
-                        default=[], metavar="KIND=N",
-                        help="per-endpoint flush size override, e.g. "
-                             "'optimize=16' (repeatable; kinds: optimize,"
-                             " evaluate, montecarlo)")
-    parser.add_argument("--endpoint-max-wait-ms", action="append",
-                        default=[], metavar="KIND=MS",
-                        help="per-endpoint batch window override, e.g. "
-                             "'optimize=12.5' (repeatable)")
     parser.add_argument("--cache", default=".repro_cache.json",
                         help="characterization cache path ('' disables)")
     parser.add_argument("--voltage-mode", choices=("measured", "paper"),
@@ -407,27 +397,10 @@ def run_serve(argv):
             executor = "thread"
             print("single-CPU host: --executor auto selected the "
                   "shared-session thread pool")
-    overrides = {}
-    for flag, key, cast in (
-        ("--endpoint-max-batch", "max_batch", int),
-        ("--endpoint-max-wait-ms", "max_wait_ms", float),
-    ):
-        attr = flag.lstrip("-").replace("-", "_")
-        for spec in getattr(args, attr):
-            kind, _, value = spec.partition("=")
-            kind = kind.strip()
-            if not kind or not value:
-                parser.error("%s expects KIND=VALUE, got %r"
-                             % (flag, spec))
-            try:
-                overrides.setdefault(kind, {})[key] = cast(value)
-            except ValueError:
-                parser.error("%s: bad value in %r" % (flag, spec))
     config = ServiceConfig(
         host=args.host, port=args.port, executor=executor,
         workers=args.workers, max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms, max_pending=args.max_pending,
-        endpoint_overrides=overrides or None,
+        max_pending=args.max_pending,
         cache_path=args.cache, voltage_mode=args.voltage_mode,
         jobs_path=args.jobs, store_path=args.store,
         job_workers=args.job_workers, job_lease_seconds=args.job_lease,
@@ -482,9 +455,6 @@ def run_jobs(argv):
                         help="work: run one job and exit")
     parser.add_argument("--max-jobs", type=int, default=None,
                         help="work: exit after this many jobs")
-    parser.add_argument("--arena", default=None, metavar="NAME",
-                        help="work: attach the named shared-memory "
-                             "session arena (zero-copy warm start)")
     # Intermixed parsing so `jobs watch --queue x <job-id>` works (plain
     # parse_args cannot match an optional positional after options).
     args = parser.parse_intermixed_args(argv)
@@ -499,8 +469,6 @@ def run_jobs(argv):
             worker_argv += ["--once"]
         if args.max_jobs is not None:
             worker_argv += ["--max-jobs", str(args.max_jobs)]
-        if args.arena:
-            worker_argv += ["--arena", args.arena]
         return worker_main(worker_argv)
 
     queue = JobQueue(args.queue)

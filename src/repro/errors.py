@@ -114,17 +114,6 @@ class JobError(ReproError):
         self.job_id = job_id
 
 
-class ArenaError(ReproError):
-    """A shared-memory session arena could not be mapped or decoded.
-
-    Raised when the named segment does not exist, is not an arena
-    (bad magic), or was published by an incompatible arena/format
-    version.  Callers treat any :class:`ArenaError` as "fall back to a
-    cold session build" — the arena is a fast path, never a
-    correctness dependency.
-    """
-
-
 class LookupError_(ReproError):
     """A look-up table query fell outside the characterized grid.
 

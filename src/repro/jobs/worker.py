@@ -175,17 +175,11 @@ class SessionProvider:
 
     The service seeds this with its already-warm session so background
     job workers never re-characterize; a standalone worker builds from
-    the (disk-cached) characterization store on first use.  With
-    ``arena_name`` (``repro jobs work --arena``) a spec whose voltage
-    mode matches the published :class:`~repro.shm.SessionArena` is
-    served by a zero-copy arena session instead of a cold build; any
-    attach failure silently falls back.
+    the (disk-cached) characterization store on first use.
     """
 
-    def __init__(self, default_cache_path=None, arena_name=None):
+    def __init__(self, default_cache_path=None):
         self.default_cache_path = default_cache_path
-        self.arena_name = arena_name
-        self._arena = None
         self._sessions = {}
         self._lock = threading.Lock()
 
@@ -200,32 +194,12 @@ class SessionProvider:
         with self._lock:
             self._sessions[self._key(path, session.voltage_mode)] = session
 
-    def _from_arena(self, voltage_mode):
-        """An arena-backed session for matching specs, or None."""
-        if not self.arena_name:
-            return None
-        if self._arena is None:
-            from ..shm import SessionArena
-
-            try:
-                # Kept for the provider's lifetime: the sessions built
-                # from it hold views into the mapping.
-                self._arena = SessionArena.attach(self.arena_name)
-            except Exception:
-                self.arena_name = None
-                return None
-        if self._arena.voltage_mode != voltage_mode:
-            return None
-        return self._arena.to_session()
-
     def for_spec(self, spec):
         cache_path = spec.get("cache_path") or self.default_cache_path
         voltage_mode = spec.get("voltage_mode", "paper")
         key = self._key(cache_path, voltage_mode)
         with self._lock:
             session = self._sessions.get(key)
-            if session is None:
-                session = self._from_arena(voltage_mode)
             if session is None:
                 session = Session.create(cache_path=cache_path,
                                          voltage_mode=voltage_mode)
@@ -310,15 +284,13 @@ def run_worker(queue_path, store_path=None, worker_id=None,
                lease_seconds=30.0, poll_interval=0.5, max_jobs=None,
                once=False, stop=None, sessions=None,
                default_cache_path=None, throttle=0.0, log=None,
-               arena_name=None, store=None):
+               store=None):
     """The worker loop: claim -> execute -> repeat.
 
     ``once`` waits (polling) for the first claimable job, runs it, and
     returns; otherwise the loop runs until ``stop`` is set or
     ``max_jobs`` jobs finished.  ``store_path`` defaults to the queue
     path — both subsystems happily share one SQLite file.
-    ``arena_name`` points the default :class:`SessionProvider` at a
-    published shared-memory session arena (zero-copy warm start).
     ``store`` takes an open :class:`~repro.store.ExperimentStore` in
     place of ``store_path``; the service's background workers share the
     server's store that way.  The loop closes the queue, and the store
@@ -330,8 +302,7 @@ def run_worker(queue_path, store_path=None, worker_id=None,
             store = opened.enter_context(
                 ExperimentStore(store_path or queue_path))
         worker_id = worker_id or new_worker_id()
-        sessions = sessions or SessionProvider(default_cache_path,
-                                               arena_name=arena_name)
+        sessions = sessions or SessionProvider(default_cache_path)
         stats = WorkerStats(worker=worker_id)
         start = time.perf_counter()
         while True:
@@ -424,10 +395,6 @@ def main(argv=None):
     parser.add_argument("--throttle", type=float, default=0.0,
                         help="sleep this long after each computed cell "
                              "(pacing / test knob)")
-    parser.add_argument("--arena", default=None, metavar="NAME",
-                        help="attach the named shared-memory session "
-                             "arena (zero-copy warm start; falls back "
-                             "to the cache when unavailable)")
     args = parser.parse_args(argv)
 
     stop = threading.Event()
@@ -443,7 +410,6 @@ def main(argv=None):
         once=args.once, stop=stop,
         default_cache_path=args.cache or None,
         throttle=args.throttle, log=lambda line: print(line, flush=True),
-        arena_name=args.arena,
     )
     print("worker %s: %d done, %d failed, %d lost; "
           "%d cells computed, %d skipped (%.1f s)"

@@ -1,4 +1,4 @@
-"""repro.service: async EDP-optimization server with dynamic batching.
+"""repro.service: async EDP-optimization server.
 
 A stdlib-only (asyncio + json) HTTP service wrapping the repository's
 optimization engines:
@@ -6,7 +6,8 @@ optimization engines:
 * :mod:`~repro.service.server` — the asyncio server, request routing,
   graceful drain (:class:`~repro.service.server.OptimizationServer`)
 * :mod:`~repro.service.api` — request schemas, cache keys, batch groups
-* :mod:`~repro.service.batching` — max-batch/max-wait dynamic batcher
+* :mod:`~repro.service.batching` — backlog batcher (Monte Carlo
+  coalesces behind its in-flight solve; nothing waits for a timer)
 * :mod:`~repro.service.cache` — LRU+TTL result cache and singleflight
 * :mod:`~repro.service.engines` — batch-job execution on worker pools
 * :mod:`~repro.service.metrics` — counters and latency/batch histograms

@@ -1,11 +1,11 @@
 """Batch-job execution against the optimization engines.
 
 One *job* is a plain-data dict a :class:`~repro.service.batching.BatchQueue`
-flush produced: a ``kind`` (optimize / pareto / evaluate / montecarlo),
-the
-group's shared fields, and the batched ``items``.  Jobs cross the
-executor boundary as-is — picklable both ways — and come back as one
-JSON-able payload per item, so the event loop never touches numpy.
+dispatch produced: a ``kind`` (optimize / pareto / yield / evaluate /
+montecarlo), the group's shared fields, and the batched ``items``.
+Jobs cross the executor boundary as-is — picklable both ways — and
+come back as one JSON-able payload per item, so the event loop never
+touches numpy.
 
 Worker pools reuse the study runner's machinery
 (:func:`repro.analysis.runner._worker_init`): each process builds one
@@ -335,6 +335,11 @@ _EXECUTORS = {
     "montecarlo": _montecarlo_group,
 }
 
+#: The kinds with a batched kernel: their requests coalesce behind an
+#: in-flight dispatch of their group.  Every other kind loops over its
+#: items one by one, so it dispatches alone, at once.
+COALESCING_KINDS = frozenset({"montecarlo"})
+
 
 def execute_job(session, job):
     """Run one batch job against a session; one payload per item."""
@@ -350,7 +355,7 @@ def execute_job(session, job):
 # ---------------------------------------------------------------------------
 
 #: The process-pool initializer: the study runner's, verbatim — one
-#: session per worker from the warm cache, margin memos pre-seeded.
+#: session per worker from the on-disk cache, margin memos pre-seeded.
 worker_init = study_runner._worker_init
 
 

@@ -67,6 +67,8 @@ class HttpRequest:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(400, "request body is not valid JSON: %s"
                                 % exc)
+        except RecursionError:
+            raise ProtocolError(400, "request body nests too deeply")
 
 
 async def read_request(reader):
@@ -101,18 +103,26 @@ async def read_request(reader):
         name, sep, value = line.partition(":")
         if not sep:
             raise ProtocolError(400, "malformed header line %r" % line)
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            # RFC 9112 6.3: conflicting lengths leave the framing unknown.
+            raise ProtocolError(400, "conflicting Content-Length headers")
+        headers[name] = value
     # The API ignores query strings; strip them so routing sees the path.
     path = target.split("?", 1)[0]
+    if "transfer-encoding" in headers:
+        raise ProtocolError(400, "Transfer-Encoding request bodies are "
+                                 "unsupported")
     body = b""
     length = headers.get("content-length")
     if length is not None:
-        try:
-            length = int(length)
-        except ValueError:
+        # ASCII digits only (RFC 9110 8.6): int() would also take a
+        # sign, underscores, spaces and non-ASCII digits.
+        if not (length.isascii() and length.isdigit()):
             raise ProtocolError(400, "malformed Content-Length")
-        if length < 0:
-            raise ProtocolError(400, "negative Content-Length")
+        # Too many digits for any allowed body: int() refuses strings
+        # past 4300 digits.
+        length = int(length) if len(length) < 20 else MAX_BODY_BYTES + 1
         if length > MAX_BODY_BYTES:
             raise ProtocolError(413, "request body too large")
         if length:
@@ -120,8 +130,6 @@ async def read_request(reader):
                 body = await reader.readexactly(length)
             except asyncio.IncompleteReadError:
                 raise ProtocolError(400, "connection closed mid-body")
-    elif "transfer-encoding" in headers:
-        raise ProtocolError(400, "chunked request bodies are unsupported")
     return HttpRequest(method=method, path=path, headers=headers, body=body)
 
 

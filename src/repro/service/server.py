@@ -7,7 +7,8 @@ Request lifecycle::
         -> result cache (cache.py)            hit? answer immediately
         -> experiment store (repro.store)     stored? answer from it
         -> singleflight (cache.py)            identical in flight? join it
-        -> dynamic batcher (batching.py)      coalesce compatible requests
+        -> batcher (batching.py)              Monte Carlo coalesces behind
+                                              its group's in-flight solve
         -> worker pool (engines.py)           one dispatch per batch
         -> cache fill + response
 
@@ -66,6 +67,7 @@ from .api import PARSERS, BadRequest, parse_request
 from .batching import BatchQueue, QueueFull
 from .cache import ResultCache, Singleflight
 from .engines import (
+    COALESCING_KINDS,
     best_weighted_fields,
     execute_job,
     run_job_in_worker,
@@ -79,7 +81,6 @@ from ..errors import JobError
 from ..jobs import JobQueue
 from ..jobs.worker import SessionProvider, normalize_study_spec, run_worker
 from ..opt import DesignSpace
-from ..shm import SessionArena
 from ..store import (
     ExperimentStore,
     make_provenance,
@@ -101,14 +102,8 @@ class ServiceConfig:
     executor: str = "thread"      # "thread" shares one session; "process"
                                   # forks warm workers (CPU-bound scale)
     workers: int = 0              # 0 = os.cpu_count()
-    max_batch: int = 8            # flush a group at this many items
-    max_wait_ms: float = 5.0      # ... or this long after its first item
+    max_batch: int = 8            # largest coalesced Monte Carlo batch
     max_pending: int = 64         # queued+executing bound (429 beyond)
-    #: Per-endpoint batching overrides, {kind: {"max_batch": int,
-    #: "max_wait_ms": float}} with either key optional — e.g. widen the
-    #: montecarlo window so coalesced draws fill up while evaluate
-    #: stays latency-biased.  None = queue-wide limits everywhere.
-    endpoint_overrides: dict = None
     cache_entries: int = 256      # result-cache LRU capacity
     cache_ttl: float = 300.0      # result-cache TTL [s]; None = no expiry
     cache_path: str = DEFAULT_CACHE_PATH
@@ -125,20 +120,6 @@ class ServiceConfig:
     def resolved_store_path(self):
         """The store location, when any store is configured at all."""
         return self.store_path or self.jobs_path
-
-    def batch_overrides(self):
-        """The per-kind overrides in :class:`BatchQueue` units
-        (``max_wait_ms`` becomes ``max_wait`` seconds)."""
-        overrides = {}
-        for kind, limits in (self.endpoint_overrides or {}).items():
-            converted = {}
-            if "max_batch" in limits:
-                converted["max_batch"] = limits["max_batch"]
-            if "max_wait_ms" in limits:
-                converted["max_wait"] = limits["max_wait_ms"] / 1e3
-            if converted:
-                overrides[kind] = converted
-        return overrides
 
 
 def _job_from_group(group_key, items):
@@ -198,7 +179,7 @@ def _error_response(exc):
         status = 404            # the queue knows no job by that id
     elif isinstance(exc, QueueFull):
         status = 429
-        headers["Retry-After"] = "%d" % max(int(exc.retry_after), 1)
+        headers["Retry-After"] = "%d" % exc.retry_after
     else:
         logger.error("unhandled error in a handler", exc_info=exc)
         return 500, {"error": "%s: %s" % (type(exc).__name__, exc)}, {}
@@ -219,7 +200,6 @@ class OptimizationServer:
         self._flight = Singleflight()
         self._batcher = None
         self._pool = None
-        self._arena = None          # SessionArena for process workers
         self._server = None
         self._writers = set()
         self._conn_tasks = set()
@@ -253,21 +233,13 @@ class OptimizationServer:
             )
         workers = config.resolved_workers()
         if config.executor == "process":
-            memos = warm_margin_memos(self.session)
-            # Publish the warm session once; each forked worker maps it
-            # zero-copy instead of re-reading the characterization
-            # cache.  Best-effort: on failure workers cold-build.
-            try:
-                self._arena = SessionArena.publish(self.session, memos)
-            except Exception:
-                self._arena = None
+            # Each worker builds its session from the on-disk cache and
+            # takes the parent's warm margin memos.
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=worker_init,
                 initargs=(config.cache_path or None, config.voltage_mode,
-                          DesignSpace(), memos,
-                          self._arena.name if self._arena is not None
-                          else None),
+                          DesignSpace(), warm_margin_memos(self.session)),
             )
         else:
             self._pool = ThreadPoolExecutor(
@@ -276,10 +248,9 @@ class OptimizationServer:
         self._batcher = BatchQueue(
             self._dispatch,
             max_batch=config.max_batch,
-            max_wait=config.max_wait_ms / 1e3,
             max_pending=config.max_pending,
             on_batch=self.metrics.observe_batch,
-            overrides=config.batch_overrides(),
+            coalesce=COALESCING_KINDS,
         )
         self._start_jobs()
         self._server = await asyncio.start_server(
@@ -356,9 +327,6 @@ class OptimizationServer:
                 db.close()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        if self._arena is not None:
-            self._arena.dispose()
-            self._arena = None
 
     # -- dispatch ----------------------------------------------------------
 
@@ -658,13 +626,8 @@ class OptimizationServer:
             "batching": {
                 "pending": self._batcher.pending if self._batcher else 0,
                 "max_batch": self.config.max_batch,
-                "max_wait_ms": self.config.max_wait_ms,
                 "max_pending": self.config.max_pending,
-                "endpoint_overrides": {
-                    kind: dict(limits)
-                    for kind, limits in
-                    (self.config.endpoint_overrides or {}).items()
-                },
+                "coalescing_kinds": sorted(COALESCING_KINDS),
             },
         }
         gauges = {}
@@ -695,10 +658,9 @@ async def serve_forever(config, session=None):
         with contextlib.suppress(NotImplementedError):
             loop.add_signal_handler(signum, stop.set)
     print("repro service listening on http://%s:%d  "
-          "(executor=%s workers=%d batch<=%d wait<=%.1fms)"
+          "(executor=%s workers=%d batch<=%d)"
           % (config.host, server.port, config.executor,
-             config.resolved_workers(), config.max_batch,
-             config.max_wait_ms))
+             config.resolved_workers(), config.max_batch))
     await stop.wait()
     print("draining...")
     await server.drain()

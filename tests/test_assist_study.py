@@ -33,6 +33,9 @@ def test_unreachable_wl_underdrive_names_bracket_and_bias(library,
     assert error.bracket == pytest.approx((library.vdd - 0.2, library.vdd))
     assert isinstance(error.bias, CellBias)
     assert error.bias.v_wl == pytest.approx(library.vdd - 0.2)
+    # The message names the last level scanned, the bracket's low end.
+    assert "even at V_WL = %.0f mV" % (error.bracket[0] * 1e3) \
+        in str(error)
 
 
 def test_unreachable_negative_bl_names_bracket(library, hvt_cell):

@@ -88,3 +88,32 @@ def test_read_that_collapses_the_cell_is_flipped(library, hvt_cell):
     assert raised.value.bias == bias
     assert bitline_delay(library, hvt_cell, VDD, 0.0, v_wl=0.8) \
         == float("inf")
+
+
+def test_read_at_the_collapse_edge_converges_and_is_flipped(
+        library, hvt_cell, monkeypatch):
+    """At V_WL = 0.7 V the fixed point creeps toward the midpoint for
+    several hundred iterations (past a 300-iteration cap it raised).
+    It must converge to a collapsed state, bitwise the same through
+    the scalar and batched solvers, and the BL delay there is inf."""
+    from repro.assist import study
+
+    bias = CellBias.read(vdd=VDD).with_wordline(0.7)
+    # Spy on the scalar state bitline_delay solves, so the edge is
+    # solved once per solver.
+    scalar = []
+
+    def recording(cell, bias):
+        scalar.append(read_state(cell, bias=bias))
+        return scalar[-1]
+
+    monkeypatch.setattr(study, "read_state", recording)
+    assert bitline_delay(library, hvt_cell, VDD, 0.0, v_wl=0.7) \
+        == float("inf")
+    (state,) = scalar
+    assert state.flipped
+    assert abs(state.v_qb - state.v_q) < 1e-3
+    v_q, v_qb, flipped, i_read = read_state_batch(hvt_cell, bias, 1)
+    assert flipped.tolist() == [True]
+    assert (v_q[0], v_qb[0], i_read[0]) == (state.v_q, state.v_qb,
+                                            state.i_read)

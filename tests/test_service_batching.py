@@ -1,4 +1,11 @@
-"""Dynamic batcher behavior (repro.service.batching)."""
+"""Backlog batching (repro.service.batching).
+
+Kinds without a batched kernel dispatch the moment they are enqueued;
+a coalescing kind dispatches at once when its group is idle, and what
+arrives during its group's dispatch leaves as one batch when that
+dispatch finishes.  The scenarios hold dispatches open on an
+:class:`asyncio.Event` instead of sleeping.
+"""
 
 from __future__ import annotations
 
@@ -8,163 +15,180 @@ import pytest
 
 from repro.service.batching import BatchQueue, QueueFull
 
+MC = ("montecarlo", "hvt", ("hsnm",))
+EV = ("evaluate", "hvt")
+
 
 class Recorder:
-    """A dispatch stub that records every batch it executes."""
+    """A dispatch stub that records every batch and holds each one
+    open until :attr:`release` is set."""
 
-    def __init__(self, delay=0.0, fail_on=None):
+    def __init__(self, fail_on=None):
         self.batches = []
-        self.delay = delay
+        self.release = asyncio.Event()
         self.fail_on = fail_on      # group_key that should raise
 
     async def __call__(self, group_key, items):
         self.batches.append((group_key, list(items)))
-        if self.delay:
-            await asyncio.sleep(self.delay)
-        if self.fail_on is not None and group_key == self.fail_on:
+        await self.release.wait()
+        if group_key == self.fail_on:
             raise RuntimeError("engine exploded")
         return ["r:%s" % item for item in items]
 
 
-def run(coro):
-    return asyncio.run(coro)
+async def settle():
+    """Let every ready dispatch task start."""
+    for _ in range(3):
+        await asyncio.sleep(0)
+
+
+def run_held(keyed_items, fail_on=None, **queue_options):
+    """Enqueue ``(group_key, item)`` pairs on a montecarlo-coalescing
+    queue, note the batches in flight, release them, and return
+    ``(in_flight, batches, results, pending)``; results (exceptions
+    included) are in enqueue order."""
+    async def scenario():
+        dispatch = Recorder(fail_on=fail_on)
+        queue = BatchQueue(dispatch, coalesce={"montecarlo"},
+                           **queue_options)
+        futures = [queue.enqueue(key, item) for key, item in keyed_items]
+        await settle()
+        in_flight = list(dispatch.batches)
+        dispatch.release.set()
+        results = await asyncio.gather(*futures, return_exceptions=True)
+        return in_flight, dispatch.batches, results, queue.pending
+
+    return asyncio.run(scenario())
+
+
+def test_non_coalescing_kinds_dispatch_at_once():
+    in_flight, _, results, pending = run_held([(EV, i) for i in range(3)])
+    # Three batches of one, all in flight together.
+    assert in_flight == [(EV, [0]), (EV, [1]), (EV, [2])]
+    assert results == ["r:0", "r:1", "r:2"]
+    assert pending == 0
+
+
+def test_idle_coalescing_group_dispatches_at_once():
+    in_flight, _, results, _ = run_held([(MC, 0)])
+    assert in_flight == [(MC, [0])]
+    assert results == ["r:0"]
+
+
+def test_arrivals_during_a_dispatch_leave_as_one_batch():
+    in_flight, batches, results, pending = run_held(
+        [(MC, i) for i in range(4)])
+    # Nothing left while the first solve ran; then one ordered batch.
+    assert in_flight == [(MC, [0])]
+    assert batches == [(MC, [0]), (MC, [1, 2, 3])]
+    assert results == ["r:0", "r:1", "r:2", "r:3"]
+    assert pending == 0
 
 
 def test_max_batch_triggers_immediate_flush():
-    async def scenario():
-        dispatch = Recorder()
-        queue = BatchQueue(dispatch, max_batch=3, max_wait=60.0)
-        futures = [queue.enqueue(("g",), i) for i in range(3)]
-        results = await asyncio.gather(*futures)
-        return dispatch.batches, results
-
-    batches, results = run(scenario())
-    # One batch of three, flushed by size, long before the 60 s timer.
-    assert batches == [(("g",), [0, 1, 2])]
-    assert results == ["r:0", "r:1", "r:2"]
+    in_flight, batches, _, _ = run_held([(MC, i) for i in range(5)],
+                                        max_batch=3)
+    # The waiting batch left at 3 items, before the first finished.
+    assert in_flight == [(MC, [0]), (MC, [1, 2, 3])]
+    assert batches == [(MC, [0]), (MC, [1, 2, 3]), (MC, [4])]
 
 
-def test_max_wait_flushes_partial_batch():
-    async def scenario():
-        dispatch = Recorder()
-        queue = BatchQueue(dispatch, max_batch=100, max_wait=0.01)
-        futures = [queue.enqueue(("g",), i) for i in range(2)]
-        results = await asyncio.gather(*futures)
-        return dispatch.batches, results, queue.pending
-
-    batches, results, pending = run(scenario())
-    assert batches == [(("g",), [0, 1])]
-    assert results == ["r:0", "r:1"]
-    assert pending == 0
+def test_max_batch_one_disables_coalescing():
+    in_flight, _, _, _ = run_held([(MC, i) for i in range(3)], max_batch=1)
+    assert in_flight == [(MC, [0]), (MC, [1]), (MC, [2])]
 
 
 def test_groups_never_mix():
-    async def scenario():
-        dispatch = Recorder()
-        queue = BatchQueue(dispatch, max_batch=10, max_wait=0.01)
-        fa = [queue.enqueue(("a",), i) for i in range(2)]
-        fb = [queue.enqueue(("b",), i) for i in range(2)]
-        await asyncio.gather(*fa, *fb)
-        return sorted(dispatch.batches)
-
-    batches = run(scenario())
-    assert batches == [(("a",), [0, 1]), (("b",), [0, 1])]
-
-
-def test_zero_wait_disables_batching():
-    async def scenario():
-        dispatch = Recorder()
-        queue = BatchQueue(dispatch, max_batch=100, max_wait=0.0)
-        first = queue.enqueue(("g",), 0)
-        await first
-        second = queue.enqueue(("g",), 1)
-        await second
-        return dispatch.batches
-
-    # Each request flushes on its own soon-call: two single-item batches.
-    assert run(scenario()) == [(("g",), [0]), (("g",), [1])]
-
-
-def test_backpressure_raises_queue_full():
-    async def scenario():
-        dispatch = Recorder(delay=0.05)
-        queue = BatchQueue(dispatch, max_batch=1, max_wait=0.0,
-                           max_pending=2)
-        first = queue.enqueue(("g",), 0)
-        second = queue.enqueue(("g",), 1)
-        with pytest.raises(QueueFull) as excinfo:
-            queue.enqueue(("g",), 2)
-        assert excinfo.value.retry_after >= 0
-        results = await asyncio.gather(first, second)
-        # Capacity freed: accepted again.
-        third = await queue.enqueue(("g",), 3)
-        return results, third
-
-    results, third = run(scenario())
-    assert results == ["r:0", "r:1"]
-    assert third == "r:3"
+    """A busy montecarlo group holds back only its own arrivals."""
+    other = ("montecarlo", "hvt", ("hsnm", "rsnm"))
+    in_flight, batches, _, _ = run_held(
+        [(MC, 0), (MC, 1), (other, 0), (other, 1)])
+    assert in_flight == [(MC, [0]), (other, [0])]
+    assert sorted(batches[2:]) == [(MC, [1]), (other, [1])]
 
 
 def test_dispatch_failure_rejects_only_its_batch():
-    async def scenario():
-        dispatch = Recorder(fail_on=("bad",))
-        queue = BatchQueue(dispatch, max_batch=2, max_wait=0.01)
-        good = [queue.enqueue(("good",), i) for i in range(2)]
-        bad = [queue.enqueue(("bad",), i) for i in range(2)]
-        good_results = await asyncio.gather(*good)
-        bad_results = await asyncio.gather(*bad, return_exceptions=True)
-        return good_results, bad_results, queue.pending
-
-    good_results, bad_results, pending = run(scenario())
-    assert good_results == ["r:0", "r:1"]
-    assert all(isinstance(r, RuntimeError) for r in bad_results)
+    _, _, results, pending = run_held(
+        [(EV, 0), (MC, 0), (MC, 1)], fail_on=MC)
+    assert results[0] == "r:0"
+    assert all(isinstance(r, RuntimeError) for r in results[1:])
     assert pending == 0
 
 
+def test_raising_dispatch_releases_the_waiting_batch():
+    _, batches, results, pending = run_held([(MC, i) for i in range(3)],
+                                            fail_on=MC)
+    # The failed first dispatch still sent what waited behind it.
+    assert batches == [(MC, [0]), (MC, [1, 2])]
+    assert all(isinstance(r, RuntimeError) for r in results)
+    assert pending == 0
+
+
+def test_on_batch_callback_sees_kind_and_size():
+    seen = []
+    run_held([(MC, 0), (MC, 1), (MC, 2), (EV, 0)],
+             on_batch=lambda kind, size: seen.append((kind, size)))
+    assert seen == [("montecarlo", 1), ("evaluate", 1), ("montecarlo", 2)]
+
+
+def test_backpressure_raises_queue_full():
+    """``max_pending`` bounds queued plus executing items of every kind,
+    and the Retry-After hint is one second."""
+    async def scenario():
+        dispatch = Recorder()
+        queue = BatchQueue(dispatch, max_pending=3,
+                           coalesce={"montecarlo"})
+        # The second MC item waits behind the first: still pending.
+        accepted = [queue.enqueue(key, i)
+                    for i, key in enumerate((EV, MC, MC))]
+        for group_key in (("optimize", "hvt"), MC):
+            with pytest.raises(QueueFull) as excinfo:
+                queue.enqueue(group_key, 9)
+            assert excinfo.value.retry_after == 1
+        dispatch.release.set()
+        results = await asyncio.gather(*accepted)
+        # Capacity freed: accepted again.
+        return results, await queue.enqueue(("optimize", "hvt"), 3)
+
+    assert asyncio.run(scenario()) == (["r:0", "r:1", "r:2"], "r:3")
+
+
 def test_result_count_mismatch_rejects_batch():
-    async def bad_dispatch(group_key, items):
+    async def one_result(group_key, items):
+        await asyncio.sleep(0)
         return ["only-one"]
 
     async def scenario():
-        queue = BatchQueue(bad_dispatch, max_batch=2, max_wait=0.01)
-        futures = [queue.enqueue(("g",), i) for i in range(2)]
+        queue = BatchQueue(one_result, coalesce={"montecarlo"})
+        futures = [queue.enqueue(MC, i) for i in range(3)]
         return await asyncio.gather(*futures, return_exceptions=True)
 
-    results = run(scenario())
-    assert all(isinstance(r, RuntimeError) for r in results)
+    results = asyncio.run(scenario())
+    # The lone first item matched its one result; the coalesced pair
+    # behind it got one result for two items and failed as a whole.
+    assert results[0] == "only-one"
+    assert all(isinstance(r, RuntimeError) for r in results[1:])
 
 
 def test_drain_flushes_queued_items_and_closes():
     async def scenario():
         dispatch = Recorder()
-        queue = BatchQueue(dispatch, max_batch=100, max_wait=60.0)
-        futures = [queue.enqueue(("g",), i) for i in range(3)]
-        await queue.drain()
-        results = await asyncio.gather(*futures)
+        queue = BatchQueue(dispatch, coalesce={"montecarlo"})
+        futures = [queue.enqueue(MC, i) for i in range(3)]
+        drained = asyncio.ensure_future(queue.drain())
+        await settle()
+        # Drain sent the waiting batch without waiting for the first.
+        in_flight = list(dispatch.batches)
         with pytest.raises(RuntimeError, match="draining"):
-            queue.enqueue(("g",), 99)
-        return dispatch.batches, results
+            queue.enqueue(MC, 99)
+        dispatch.release.set()
+        await drained
+        return in_flight, await asyncio.gather(*futures), queue.pending
 
-    batches, results = run(scenario())
-    # Drain flushed the partial batch without waiting out the timer.
-    assert batches == [(("g",), [0, 1, 2])]
+    in_flight, results, pending = asyncio.run(scenario())
+    assert in_flight == [(MC, [0]), (MC, [1, 2])]
     assert results == ["r:0", "r:1", "r:2"]
-
-
-def test_on_batch_callback_sees_kind_and_size():
-    seen = []
-
-    async def scenario():
-        dispatch = Recorder()
-        queue = BatchQueue(dispatch, max_batch=2, max_wait=0.01,
-                           on_batch=lambda kind, size:
-                           seen.append((kind, size)))
-        await asyncio.gather(*[
-            queue.enqueue(("montecarlo", "hvt"), i) for i in range(2)
-        ])
-        return seen
-
-    assert run(scenario()) == [("montecarlo", 2)]
+    assert pending == 0
 
 
 def test_constructor_validation():
@@ -173,87 +197,36 @@ def test_constructor_validation():
 
     with pytest.raises(ValueError):
         BatchQueue(noop, max_batch=0)
-    with pytest.raises(ValueError):
-        BatchQueue(noop, max_wait=-1.0)
-    with pytest.raises(ValueError):
-        BatchQueue(noop, overrides={"optimize": {"max_batch": 0}})
-    with pytest.raises(ValueError):
-        BatchQueue(noop, overrides={"optimize": {"max_wait": -1.0}})
-    with pytest.raises(ValueError):
-        BatchQueue(noop, overrides={"optimize": {"bogus": 1}})
+    for removed in ({"max_wait": 0.005}, {"overrides": {}}):
+        with pytest.raises(TypeError):
+            BatchQueue(noop, **removed)
 
 
 def test_incompatible_optimize_requests_never_share_a_group():
-    """Requests that differ in any group_key dimension — flavor or
-    endpoint kind — dispatch separately; only same-group requests share
-    a dispatch.  The method and capacity ride per-item, and a legacy
-    ``engine`` field is ignored."""
+    """Requests that differ in flavor or endpoint kind land in different
+    groups, and no search kind coalesces: even two compatible optimizes
+    dispatch one by one.  Capacity and method ride per-item, and a
+    legacy ``engine`` field is ignored."""
     from repro.service.api import parse_request
 
     requests = [parse_request(route, body) for route, body in [
         ("/v1/optimize", {"capacity_bytes": 1024, "flavor": "hvt",
                           "method": "M1", "engine": "fused"}),
         ("/v1/optimize", {"capacity_bytes": 4096, "flavor": "hvt",
-                          "method": "M2",
-                          "engine": "vectorized"}),   # same group
+                          "method": "M2", "engine": "vectorized"}),
         ("/v1/optimize", {"capacity_bytes": 1024, "flavor": "lvt",
-                          "method": "M1"}),           # different flavor
+                          "method": "M1"}),
         ("/v1/pareto", {"capacity_bytes": 1024, "flavor": "hvt",
-                        "method": "M1"}),             # different kind
+                        "method": "M1"}),
+        ("/v1/evaluate", {"flavor": "hvt", "design": {
+            "n_r": 128, "n_c": 64, "n_pre": 4, "n_wr": 4,
+            "v_ddc": 0.9, "v_wl": 0.9}}),
     ]]
-    evaluate = parse_request("/v1/evaluate", {
-        "flavor": "hvt",
-        "design": {"n_r": 128, "n_c": 64, "n_pre": 4, "n_wr": 4,
-                   "v_ddc": 0.9, "v_wl": 0.9},
-    })
-
-    async def scenario():
-        dispatch = Recorder()
-        queue = BatchQueue(dispatch, max_batch=10, max_wait=0.01)
-        futures = [queue.enqueue(req.group_key(), req.item())
-                   for req in requests]
-        futures.append(queue.enqueue(evaluate.group_key(),
-                                     evaluate.item()))
-        await asyncio.gather(*futures)
-        return dispatch.batches
-
-    batches = run(scenario())
-    groups = sorted(key for key, _ in batches)
-    assert groups == [
-        ("evaluate", "hvt"),
-        ("optimize", "hvt"),
-        ("optimize", "lvt"),
-        ("pareto", "hvt"),
+    in_flight, _, _, _ = run_held(
+        [(req.group_key(), req.item()) for req in requests], max_batch=10)
+    assert [key for key, _ in in_flight] == [
+        ("optimize", "hvt"), ("optimize", "hvt"), ("optimize", "lvt"),
+        ("pareto", "hvt"), ("evaluate", "hvt"),
     ]
-    # The two compatible searches rode the one hvt optimize batch.
-    shared = dict(batches)[("optimize", "hvt")]
     assert [(item["capacity_bytes"], item["method"])
-            for item in shared] == [(1024, "M1"), (4096, "M2")]
-
-
-def test_per_endpoint_overrides_apply_per_kind():
-    async def scenario():
-        dispatch = Recorder()
-        queue = BatchQueue(
-            dispatch, max_batch=10, max_wait=60.0,
-            overrides={"optimize": {"max_batch": 2},
-                       "evaluate": {"max_wait": 0.01}},
-        )
-        assert queue.max_batch_for("optimize") == 2
-        assert queue.max_wait_for("optimize") == 60.0
-        assert queue.max_batch_for("evaluate") == 10
-        assert queue.max_wait_for("montecarlo") == 60.0
-        # optimize flushes at its overridden size bound of 2...
-        opt = [queue.enqueue(("optimize", "hvt", "fused"), i)
-               for i in range(2)]
-        # ...while evaluate flushes on its overridden (short) timer
-        # instead of the queue-wide 60 s one.
-        ev = [queue.enqueue(("evaluate", "hvt"), i) for i in range(1)]
-        await asyncio.gather(*opt, *ev)
-        return sorted(dispatch.batches)
-
-    batches = run(scenario())
-    assert batches == [
-        (("evaluate", "hvt"), [0]),
-        (("optimize", "hvt", "fused"), [0, 1]),
-    ]
+            for _, (item,) in in_flight[:2]] == [(1024, "M1"), (4096, "M2")]

@@ -20,7 +20,7 @@ SPEC = {"capacities": [128], "flavors": ["lvt"], "methods": ["M1", "M2"]}
 def service(paper_session, tmp_path_factory):
     db_path = str(tmp_path_factory.mktemp("jobs") / "jobs.db")
     config = ServiceConfig(port=0, executor="thread", workers=2,
-                           max_wait_ms=5.0, cache_path=CACHE_PATH,
+                           cache_path=CACHE_PATH,
                            jobs_path=db_path, job_workers=1,
                            job_poll_ms=50.0)
     with ServerThread(config, session=paper_session) as running:

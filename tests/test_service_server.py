@@ -7,6 +7,7 @@ localhost.  The acceptance-critical properties live here:
   invocation (singleflight);
 * a coalesced Monte Carlo batch is bit-identical to serial
   one-at-a-time calls against the engine directly;
+* process workers answer bit-identically to the thread executor;
 * /metrics accounts for requests, batches, cache hits, and engine perf.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -31,8 +33,7 @@ from .conftest import CACHE_PATH
 @pytest.fixture(scope="module")
 def service(paper_session):
     """One shared thread-executor server for the module."""
-    config = ServiceConfig(port=0, executor="thread", workers=2,
-                           max_wait_ms=5.0)
+    config = ServiceConfig(port=0, executor="thread", workers=2)
     with ServerThread(config, session=paper_session) as running:
         yield running
 
@@ -309,7 +310,6 @@ def test_pareto_store_dedups_across_exponents(paper_session, tmp_path):
     # the E^a D^b query run ONE sweep, and the server re-derives each
     # answer's best_weighted pick from the stored plain-data front.
     config = ServiceConfig(port=0, executor="thread", workers=2,
-                           max_wait_ms=5.0,
                            store_path=str(tmp_path / "store.db"))
     with ServerThread(config, session=paper_session) as running:
         before = counter_value("service.engine.pareto_sweeps")
@@ -387,7 +387,7 @@ def test_yield_store_dedups_repeat_cells(paper_session, tmp_path):
     # content-addressed like /v1/optimize and /v1/pareto).
     store_path = str(tmp_path / "store.db")
     config = ServiceConfig(port=0, executor="thread", workers=2,
-                           max_wait_ms=5.0, store_path=store_path)
+                           store_path=store_path)
     with ServerThread(config, session=paper_session) as running:
         with ServiceClient(port=running.port) as c:
             first = c.yield_study(512, flavor="hvt", method="M2")
@@ -449,10 +449,10 @@ EVALUATE_DESIGN = {"n_r": 64, "n_c": 32, "n_pre": 2, "n_wr": 2,
 ], ids=["negative-seed", "nan-float", "infinite-float", "float-overflow"])
 def test_bad_input_is_400_and_spares_its_batch_mates(paper_session, route,
                                                      bad, good):
-    # A wide batch window, so a bad body that got past validation would
-    # share one dispatch with the good one.
-    config = ServiceConfig(port=0, executor="thread", workers=1,
-                           max_wait_ms=200.0)
+    # One worker, so a bad body that got past validation could end up
+    # waiting behind, or (Monte Carlo) sharing a dispatch with, the
+    # good one.
+    config = ServiceConfig(port=0, executor="thread", workers=1)
     with ServerThread(config, session=paper_session) as running:
         def post(body):
             with ServiceClient(port=running.port) as c:
@@ -471,11 +471,12 @@ def test_bad_input_is_400_and_spares_its_batch_mates(paper_session, route,
 # ---------------------------------------------------------------------------
 
 def test_coalesced_montecarlo_is_bit_identical_to_serial(paper_session):
-    # A dedicated server with a generous batch window so the three
-    # concurrent draws coalesce into one vectorized solve.
+    # A large first draw holds its group's dispatch open (a few hundred
+    # ms); the two draws sent while it runs coalesce into one vectorized
+    # solve that leaves when it finishes.
     config = ServiceConfig(port=0, executor="thread", workers=2,
-                           max_wait_ms=250.0, max_batch=8)
-    specs = [(6, 11), (4, 7), (5, 0)]
+                           max_batch=8)
+    specs = [(400, 11), (4, 7), (5, 0)]
     with ServerThread(config, session=paper_session) as running:
         before = counter_value("service.engine.mc_coalesced_batches")
 
@@ -487,10 +488,20 @@ def test_coalesced_montecarlo_is_bit_identical_to_serial(paper_session):
                                     include_samples=True)
 
         with ThreadPoolExecutor(max_workers=3) as pool:
-            served = list(pool.map(call, specs))
+            first = pool.submit(call, specs[0])
+            with ServiceClient(port=running.port) as c:
+                deadline = time.monotonic() + 30
+                while (c.healthz()["pending"] < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.002)
+            late = list(pool.map(call, specs[1:]))
+            served = [first.result()] + late
         after = counter_value("service.engine.mc_coalesced_batches")
+        with ServiceClient(port=running.port) as c:
+            mc_batches = c.metrics()["batch_sizes"]["montecarlo"]
 
-    assert after - before >= 1, "batch window missed: no coalesced solve"
+    assert after - before == 1, "the two late draws did not coalesce"
+    assert (mc_batches["count"], mc_batches["max"]) == (2, 2)
     cell = SRAM6TCell.from_library(paper_session.library, "hvt")
     vdd = paper_session.library.vdd
     for (n, seed), payload in zip(specs, served):
@@ -506,13 +517,10 @@ def test_coalesced_montecarlo_is_bit_identical_to_serial(paper_session):
 
 def test_fused_optimize_requests_policy_batch_bit_identically(
         paper_session):
-    # A dedicated server with a generous optimize batch window (via the
-    # per-endpoint override) so both methods' concurrent requests ride
-    # one dispatch; each must still answer its own search exactly.
-    config = ServiceConfig(
-        port=0, executor="thread", workers=2, max_wait_ms=5.0,
-        endpoint_overrides={"optimize": {"max_wait_ms": 250.0}},
-    )
+    # Optimize has no batched kernel: two concurrent requests of one
+    # group are two dispatches of one, and each answers its own search
+    # exactly.
+    config = ServiceConfig(port=0, executor="thread", workers=2)
     with ServerThread(config, session=paper_session) as running:
         def call(method):
             with ServiceClient(port=running.port) as c:
@@ -521,9 +529,9 @@ def test_fused_optimize_requests_policy_batch_bit_identically(
         with ThreadPoolExecutor(max_workers=2) as pool:
             served = list(pool.map(call, ("M1", "M2")))
         with ServiceClient(port=running.port) as c:
-            overrides = c.metrics()["batching"]["endpoint_overrides"]
+            batches = c.metrics()["batch_sizes"]["optimize"]
 
-    assert overrides == {"optimize": {"max_wait_ms": 250.0}}
+    assert (batches["count"], batches["max"]) == (2, 1)
     from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
     optimizer = ExhaustiveOptimizer(
         paper_session.model("hvt"), DesignSpace(),
@@ -593,6 +601,33 @@ def test_montecarlo_summary_fields(client):
 
 
 # ---------------------------------------------------------------------------
+# Process executor
+# ---------------------------------------------------------------------------
+
+def test_process_executor_answers_like_the_thread_executor(paper_session,
+                                                           client):
+    """Process workers build their session from the on-disk cache and
+    take the parent's margin memos; every answer is bit-identical to
+    the shared-session thread executor's."""
+    def ask(c):
+        return [c.optimize(1024, flavor="hvt", method="M2"),
+                c.optimize(256, flavor="lvt", method="M1"),
+                c.evaluate(EVALUATE_DESIGN, flavor="lvt"),
+                c.evaluate(dict(EVALUATE_DESIGN, v_ssc=-0.1), flavor="hvt")]
+
+    config = ServiceConfig(port=0, executor="process", workers=2,
+                           cache_path=CACHE_PATH)
+    with ServerThread(config, session=paper_session) as running:
+        with ServiceClient(port=running.port) as c:
+            assert c.healthz()["executor"] == "process"
+            served = ask(c)
+    expected = ask(client)
+    for payload in served + expected:
+        payload.pop("meta")
+    assert served == expected
+
+
+# ---------------------------------------------------------------------------
 # Backpressure and drain
 # ---------------------------------------------------------------------------
 
@@ -645,7 +680,9 @@ def test_metrics_accounts_for_traffic(client):
     assert metrics["batch_sizes"]["optimize"]["count"] >= 1
     assert metrics["cache"]["hits"] >= 1
     assert metrics["singleflight"]["flights"] >= 1
-    assert metrics["batching"]["max_batch"] == 8
+    assert metrics["batching"] == {"pending": 0, "max_batch": 8,
+                                   "max_pending": 64,
+                                   "coalescing_kinds": ["montecarlo"]}
 
     # Engine perf merged into the payload (thread executor records in
     # the server process; "workers" holds process-pool deltas).
