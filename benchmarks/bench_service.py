@@ -12,6 +12,9 @@ with the same closed-loop mixed workload from N concurrent clients:
 unique-seed Monte Carlo draws (engine work that coalesces), design-point
 evaluations (a few distinct designs, so the result cache sees repeats),
 and a sprinkle of optimize calls (cache hits after first touch).
+Both servers share one session, on which the mix's optimize cells run
+once, unmeasured, before either scenario starts, so neither pays the
+session's first searches.
 
 Writes the machine-readable ``BENCH_service.json`` baseline (repo
 root): exact p50/p95/p99 latency from the raw samples, throughput, the
@@ -35,6 +38,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.analysis.experiments import Session
+from repro.analysis.runner import StudyTask, execute_study_task
 from repro.service import ServerThread, ServiceClient, ServiceConfig
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -79,6 +83,16 @@ def _worker(port, worker_id, sizing, seed_base):
                     metrics=("hsnm",))
             latencies.append(time.perf_counter() - start)
     return latencies
+
+
+def _warm_up(session):
+    """Run the mix's optimize cells once on the shared session,
+    unmeasured.  The first search of a cell fills the session's margin
+    memo; without this the batching-on scenario, which runs first,
+    would absorb those cold searches and the on/off ratio would measure
+    the order of the scenarios instead of coalescing."""
+    for capacity in OPTIMIZE_CAPACITIES:
+        execute_study_task(session, None, StudyTask(capacity, "hvt", "M2"))
 
 
 def _percentile(samples, q):
@@ -244,6 +258,9 @@ def main(argv=None):
 
     print("building session (warm characterization cache)...")
     session = Session.create(cache_path=CACHE_PATH, voltage_mode="paper")
+    print("warming the session: %d optimize cells, unmeasured..."
+          % len(OPTIMIZE_CAPACITIES))
+    _warm_up(session)
 
     print("driving %d clients x %d requests per scenario..."
           % (sizing["clients"], sizing["requests"]))

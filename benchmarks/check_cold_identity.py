@@ -16,7 +16,8 @@ field.
 This is the only check that runs the simulator end to end against the
 committed answers: the tier-1 suite reads the committed cache instead of
 characterizing, and the benchmark's cold workload covers one flavor's
-INV+NAND2 slice.
+INV+NAND2 slice.  Each flavor's line gives its wall time and the number
+of process-pool workers its cold run used (0: every stage ran inline).
 
 Exit codes: 0 = every entry equal, 1 = a mismatch or a missing entry.
 """
@@ -28,6 +29,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 TRACKED_CACHE = os.path.join(_HERE, "..", ".repro_cache.json")
@@ -60,6 +62,25 @@ def first_difference(fresh, tracked, path=""):
     return None
 
 
+@contextmanager
+def pool_sizes():
+    """Record ``max_workers`` of every process pool built in the block."""
+    from concurrent.futures import process
+
+    sizes = []
+    init = process.ProcessPoolExecutor.__init__
+
+    def spy(self, max_workers=None, *args, **kwargs):
+        sizes.append(max_workers)
+        init(self, max_workers, *args, **kwargs)
+
+    process.ProcessPoolExecutor.__init__ = spy
+    try:
+        yield sizes
+    finally:
+        process.ProcessPoolExecutor.__init__ = init
+
+
 def cold_cache(flavors, path):
     """Characterize ``flavors`` into an empty cache at ``path``."""
     from repro.devices.library import DeviceLibrary
@@ -69,10 +90,12 @@ def cold_cache(flavors, path):
     library = DeviceLibrary.default_7nm()
     cache = CharacterizationCache(path)
     for flavor in flavors:
-        start = time.perf_counter()
-        characterize(library, flavor, cache=cache)
-        print("%s: characterized cold in %.1f s"
-              % (flavor, time.perf_counter() - start))
+        with pool_sizes() as sizes:
+            start = time.perf_counter()
+            characterize(library, flavor, cache=cache)
+            seconds = time.perf_counter() - start
+        print("%s: characterized cold in %.1f s with %d pool workers"
+              % (flavor, seconds, sum(sizes)))
     with open(path) as handle:
         return json.load(handle)
 

@@ -15,7 +15,6 @@ from .characterize import (
     ArrayCharacterization,
     CharacterizationGrids,
     characterize,
-    characterize_gates,
     characterize_write_delay_scale,
 )
 from .decoder import DecoderModel, build_decoder_model
@@ -56,7 +55,6 @@ __all__ = [
     "build_superbuffer_circuit",
     "build_tg_discharge_circuit",
     "characterize",
-    "characterize_gates",
     "characterize_i_on_tg",
     "characterize_inverter",
     "characterize_nand",

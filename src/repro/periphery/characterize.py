@@ -13,11 +13,21 @@ write-delay LUT is therefore scaled by a single global factor anchoring
 the 6T-HVT no-assist point to the paper's 1.5 ps; the V_WL dependence
 (the shape that matters to the optimizer) comes entirely from our
 simulations.  See EXPERIMENTS.md.
+
+A cold characterization has one dependency between its simulating
+stages: the negative-BL flip sweep fixes the V_WL axis of the
+wordline-overdrive write batch.  That chain runs in the caller while a
+process pool runs every other stage (the gate fits, the negative-BL
+write batch, the write-delay anchor, the TG drive, the sense amplifier
+and the I_read grid); see :func:`_run_stages`.  Every stage is a pure
+function of its arguments, so the pooled and the inline run give the
+same bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -126,46 +136,15 @@ class ArrayCharacterization:
     e_write_negbl: LUT1D
 
 
-def characterize_write_delay_scale(library, cache=None):
+def characterize_write_delay_scale(library):
     """Global write-delay anchoring factor (HVT no-assist -> 1.5 ps)."""
-    def compute():
-        cell = SRAM6TCell.from_library(library, "hvt")
-        event = cell_write_event(cell, v_wl=library.vdd, vdd=library.vdd)
-        if not event.completed:
-            raise RuntimeError(
-                "HVT no-assist write did not complete; cannot anchor"
-            )
-        return PAPER_WRITE_DELAY_NO_ASSIST / event.delay
-
-    if cache is None:
-        return compute()
-    key = "%s:write_delay_scale" % VERSION
-    return cache.get_or_compute(key, compute)
-
-
-def characterize_gates(library, grids=None, cache=None):
-    """Unit inverter + NAND characterizations (shared by both flavors)."""
-    grids = grids or CharacterizationGrids()
-
-    def compute():
-        inv = characterize_inverter(library)
-        nands = {
-            fan_in: characterize_nand(library, fan_in)
-            for fan_in in grids.nand_fan_ins
-        }
-        return {
-            "inv": _gate_to_dict(inv),
-            "nands": {str(k): _gate_to_dict(v) for k, v in nands.items()},
-        }
-
-    if cache is None:
-        data = compute()
-    else:
-        key = "%s:gates" % VERSION
-        data = cache.get_or_compute(key, compute)
-    inv = _gate_from_dict(data["inv"])
-    nands = {int(k): _gate_from_dict(v) for k, v in data["nands"].items()}
-    return inv, nands
+    cell = SRAM6TCell.from_library(library, "hvt")
+    event = cell_write_event(cell, v_wl=library.vdd, vdd=library.vdd)
+    if not event.completed:
+        raise RuntimeError(
+            "HVT no-assist write did not complete; cannot anchor"
+        )
+    return PAPER_WRITE_DELAY_NO_ASSIST / event.delay
 
 
 def characterize(library, flavor, cache=None, grids=None):
@@ -191,12 +170,48 @@ def _characterize_cold(library, flavor, cache, grids, key):
     geometry = ArrayGeometry()
     caps = DeviceCaps.from_library(library)
 
-    inv, nands = characterize_gates(library, grids, cache)
+    # Only the caller touches the cache.  The unit gates and the
+    # write-delay anchor are shared by both flavors: simulate them only
+    # when the cache does not hold them yet.
+    gates_key = "%s:gates" % VERSION
+    scale_key = "%s:write_delay_scale" % VERSION
+    # Membership before get, as in characterize(): the membership test
+    # is the lookup that cache hit/miss accounting counts.
+    cached = {} if cache is None else {
+        key: cache.get(key) for key in (gates_key, scale_key)
+        if key in cache}
+    gates, scale = cached.get(gates_key), cached.get(scale_key)
+    stages = []
+    if gates is None:
+        stages.append(("inv", characterize_inverter, (library,)))
+        stages += [("nand%d" % fan_in, characterize_nand, (library, fan_in))
+                   for fan_in in grids.nand_fan_ins]
+    stages += [
+        ("sense", characterize_senseamp, (library, DELTA_V_SENSE)),
+        ("tg", characterize_i_on_tg, (library,)),
+    ]
+    if scale is None:
+        stages.append(("scale", characterize_write_delay_scale, (library,)))
+    stages += [
+        ("i_read", _read_current_stage, (cell, grids, vdd)),
+        ("chain", _flip_write_chain, (cell, grids, vdd)),
+        ("negbl", _negative_bl_write_stage, (cell, grids, vdd)),
+    ]
+    done = _run_stages(stages, caller="chain")
+
+    if gates is None:
+        gates = _gates_to_dict(done["inv"], {
+            fan_in: done["nand%d" % fan_in] for fan_in in grids.nand_fan_ins
+        })
+        if cache is not None:
+            cache.put(gates_key, gates)
+    if scale is None:
+        scale = done["scale"]
+        if cache is not None:
+            cache.put(scale_key, scale)
+    inv, nands = _gates_from_dict(gates)
     driver = SuperbufferModel(unit_inverter=inv)
     decoder = build_decoder_model(inv, nands, driver.input_capacitance)
-    sense = characterize_senseamp(library, DELTA_V_SENSE)
-    i_tg = characterize_i_on_tg(library)
-    scale = characterize_write_delay_scale(library, cache)
 
     # Table-2 drive currents as LUTs over their assist voltage.
     pfet = FinFET(library.pfet_lvt, 1)
@@ -221,17 +236,68 @@ def _characterize_cold(library, flavor, cache, grids, key):
         [pfet.ion(float(v)) for v in v_ddc_axis],
         name="i_wl",
     )
-
-    # Cell-level LUTs, each sweep one flattened lane batch.
-    with perf.timed("characterize.i_read"):
-        i_read_grid = read_current_grid(cell, v_ddc_axis, v_ssc_axis,
-                                        vdd=vdd)
-    i_read = LUT2D(v_ddc_axis, v_ssc_axis, i_read_grid, name="i_read")
+    i_read = LUT2D(v_ddc_axis, v_ssc_axis, done["i_read"], name="i_read")
     p_leak = cell_leakage_power(cell, vdd)
 
-    # Negative-BL write assist: the flip voltage across the assist
-    # levels.  The axis ends at 0.0, so its last lane is the no-assist
-    # flip voltage (bit-equal to a scalar bisection at v_bl_low = 0).
+    flips, v_wl_axis, d_write_raw, e_write = done["chain"]
+    d_write = LUT1D(v_wl_axis, [d * scale for d in d_write_raw],
+                    name="d_write_sram")
+    e_write_lut = LUT1D(v_wl_axis, e_write, name="e_write_sram")
+    v_bl_axis = np.asarray(grids.v_bl)
+    d_negbl_raw, e_negbl = done["negbl"]
+    v_flip_vs_vbl = LUT1D(v_bl_axis, flips, name="v_wl_flip_vs_vbl")
+    d_write_negbl = LUT1D(v_bl_axis, [d * scale for d in d_negbl_raw],
+                          name="d_write_negbl")
+    e_write_negbl = LUT1D(v_bl_axis, e_negbl, name="e_write_negbl")
+
+    result = ArrayCharacterization(
+        flavor=flavor,
+        vdd=vdd,
+        delta_v_sense=DELTA_V_SENSE,
+        geometry=geometry,
+        caps=caps,
+        i_on_pfet=i_on_pfet(library),
+        i_on_tg=done["tg"],
+        i_wl=i_wl,
+        i_cvdd=i_cvdd,
+        i_cvss=i_cvss,
+        i_read=i_read,
+        p_leak_sram=p_leak,
+        decoder=decoder,
+        driver=driver,
+        sense=done["sense"],
+        d_write_sram=d_write,
+        e_write_sram=e_write_lut,
+        write_delay_scale=scale,
+        v_wl_flip=float(flips[-1]),
+        v_wl_flip_vs_vbl=v_flip_vs_vbl,
+        d_write_negbl=d_write_negbl,
+        e_write_negbl=e_write_negbl,
+    )
+    if cache is not None:
+        cache.put(key, _to_dict(result))
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Simulating stages (module-level, so a process pool can run them)
+# ---------------------------------------------------------------------------
+
+def _read_current_stage(cell, grids, vdd):
+    """I_read over (V_DDC, V_SSC), one flattened lane batch."""
+    with perf.timed("characterize.i_read"):
+        return read_current_grid(cell, np.asarray(grids.v_ddc),
+                                 np.asarray(grids.v_ssc), vdd=vdd)
+
+
+def _flip_write_chain(cell, grids, vdd):
+    """The negative-BL flip sweep, then the wordline-overdrive write
+    batch over the V_WL axis that sweep fixes.
+
+    The V_BL axis ends at 0.0, so the sweep's last lane is the no-assist
+    flip voltage (bit-equal to a scalar bisection at v_bl_low = 0).
+    Returns ``(flips, v_wl_axis, raw write delays, write energies)``.
+    """
     v_bl_axis = np.asarray(grids.v_bl)
     with perf.timed("characterize.v_flip"):
         flips = list(flip_wordline_voltage_batch(
@@ -243,64 +309,88 @@ def _characterize_cold(library, flavor, cache, grids, key):
     v_wl_axis = np.linspace(v_wl_lo, grids.v_wl_max, grids.v_wl_points)
     with perf.timed("characterize.d_write"):
         events = cell_write_event_batch(cell, v_wl_axis, vdd=vdd)
-    d_write_raw, e_write = [], []
     for v_wl, event in zip(v_wl_axis, events):
         if not event.completed:
             raise RuntimeError(
                 "write did not complete at V_WL=%.3f (flip at %.3f)"
                 % (v_wl, v_flip)
             )
-        d_write_raw.append(event.delay)
-        e_write.append(event.energy)
-    d_write = LUT1D(v_wl_axis, [d * scale for d in d_write_raw],
-                    name="d_write_sram")
-    e_write_lut = LUT1D(v_wl_axis, e_write, name="e_write_sram")
+    return (flips, v_wl_axis, [event.delay for event in events],
+            [event.energy for event in events])
 
-    # Negative-BL write delay/energy at nominal WL across the levels.
+
+def _negative_bl_write_stage(cell, grids, vdd):
+    """Raw write delay and energy at nominal WL across the negative-BL
+    levels; returns ``(raw delays, energies)``."""
+    v_bl_axis = np.asarray(grids.v_bl)
     with perf.timed("characterize.negbl"):
-        negbl_events = cell_write_event_batch(
+        events = cell_write_event_batch(
             cell, np.full(len(v_bl_axis), float(vdd)), vdd=vdd,
             v_bl_low=v_bl_axis,
         )
-    d_negbl, e_negbl = [], []
-    for v_bl, event in zip(v_bl_axis, negbl_events):
+    for v_bl, event in zip(v_bl_axis, events):
         if not event.completed:
             raise RuntimeError(
                 "negative-BL write did not complete at V_BL=%.3f" % v_bl
             )
-        d_negbl.append(event.delay * scale)
-        e_negbl.append(event.energy)
-    v_flip_vs_vbl = LUT1D(v_bl_axis, flips, name="v_wl_flip_vs_vbl")
-    d_write_negbl = LUT1D(v_bl_axis, d_negbl, name="d_write_negbl")
-    e_write_negbl = LUT1D(v_bl_axis, e_negbl, name="e_write_negbl")
+    return ([event.delay for event in events],
+            [event.energy for event in events])
 
-    result = ArrayCharacterization(
-        flavor=flavor,
-        vdd=vdd,
-        delta_v_sense=DELTA_V_SENSE,
-        geometry=geometry,
-        caps=caps,
-        i_on_pfet=i_on_pfet(library),
-        i_on_tg=i_tg,
-        i_wl=i_wl,
-        i_cvdd=i_cvdd,
-        i_cvss=i_cvss,
-        i_read=i_read,
-        p_leak_sram=p_leak,
-        decoder=decoder,
-        driver=driver,
-        sense=sense,
-        d_write_sram=d_write,
-        e_write_sram=e_write_lut,
-        write_delay_scale=scale,
-        v_wl_flip=v_flip,
-        v_wl_flip_vs_vbl=v_flip_vs_vbl,
-        d_write_negbl=d_write_negbl,
-        e_write_negbl=e_write_negbl,
-    )
-    if cache is not None:
-        cache.put(key, _to_dict(result))
-    return result
+
+def _pool_workers(n_stages):
+    """Worker processes for ``n_stages`` pooled stages: one CPU stays
+    with the caller, and a caller that is itself a multiprocessing
+    child (a daemonic pool worker cannot fork its own) gets none."""
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        return 0
+    return max(0, min((os.cpu_count() or 1) - 1, n_stages))
+
+
+def _pooled_stage(function, args):
+    """Run one stage in a pool worker; returns ``(result, perf delta)``.
+
+    A fork-started worker inherits the caller's telemetry registry and
+    may run several stages, so the registry is cleared first: each
+    snapshot the caller merges holds this stage's entries only.
+    """
+    registry = perf.get_registry()
+    registry.reset()
+    result = function(*args)
+    return result, registry.snapshot()
+
+
+def _run_stages(stages, caller):
+    """Run ``(name, function, args)`` stages; returns ``{name: result}``.
+
+    The stage named ``caller`` runs in the calling process while a
+    process pool runs the rest, and the workers' telemetry is merged
+    into the caller's.  With no worker to spare every stage runs inline,
+    in list order.  A stage that raises re-raises here, with its own
+    type, after the pending stages are cancelled.
+    """
+    workers = _pool_workers(len(stages) - 1)
+    if workers == 0:
+        return {name: function(*args) for name, function, args in stages}
+    # Imported here, not at module level, so a warm start never pays
+    # for the process-pool machinery.
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        futures = {name: pool.submit(_pooled_stage, function, args)
+                   for name, function, args in stages if name != caller}
+        done = {name: function(*args) for name, function, args in stages
+                if name == caller}
+        for name, future in futures.items():
+            done[name], snapshot = future.result()
+            perf.get_registry().merge(snapshot)
+    except BaseException:
+        pool.shutdown(wait=True, cancel_futures=True)
+        raise
+    pool.shutdown(wait=True)
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +410,20 @@ def _gate_to_dict(gate):
 
 def _gate_from_dict(data):
     return GateCharacterization(**data)
+
+
+def _gates_to_dict(inv, nands):
+    return {
+        "inv": _gate_to_dict(inv),
+        "nands": {str(k): _gate_to_dict(v) for k, v in nands.items()},
+    }
+
+
+def _gates_from_dict(data):
+    """``(inverter, {fan_in: nand})`` from a gates (or array) entry."""
+    inv = _gate_from_dict(data["inv"])
+    nands = {int(k): _gate_from_dict(v) for k, v in data["nands"].items()}
+    return inv, nands
 
 
 def _lut1d_to_dict(lut):
@@ -346,10 +450,7 @@ def _to_dict(char):
             "zs": [list(row) for row in char.i_read.zs],
         },
         "p_leak_sram": char.p_leak_sram,
-        "inv": _gate_to_dict(char.decoder.inverter),
-        "nands": {
-            str(k): _gate_to_dict(v) for k, v in char.decoder.nands.items()
-        },
+        **_gates_to_dict(char.decoder.inverter, char.decoder.nands),
         "sense": {
             "delay": char.sense.delay,
             "energy": char.sense.energy,
@@ -367,8 +468,7 @@ def _to_dict(char):
 
 
 def _from_dict(data, library, grids):
-    inv = _gate_from_dict(data["inv"])
-    nands = {int(k): _gate_from_dict(v) for k, v in data["nands"].items()}
+    inv, nands = _gates_from_dict(data)
     driver = SuperbufferModel(unit_inverter=inv)
     decoder = build_decoder_model(inv, nands, driver.input_capacitance)
     return ArrayCharacterization(

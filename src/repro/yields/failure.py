@@ -190,13 +190,37 @@ def codeword_fail_probability(p_cell, n_bits, t):
     # when the failure mass is tiny; sum the failure mass directly.
     log_p = math.log(p_cell)
     log_q = math.log1p(-p_cell)
-    terms = []
-    for i in range(t + 1, n_bits + 1):
-        log_term = (math.lgamma(n_bits + 1) - math.lgamma(i + 1)
-                    - math.lgamma(n_bits - i + 1)
-                    + i * log_p + (n_bits - i) * log_q)
-        terms.append(math.exp(log_term))
+    terms = [math.exp(_log_binomial_term(n_bits, i, log_p, log_q))
+             for i in range(t + 1, n_bits + 1)]
     return min(math.fsum(terms), 1.0)
+
+
+def _log_binomial_term(n_bits, i, log_p, log_q):
+    """log C(n, i) p^i (1-p)^(n-i)."""
+    return (math.lgamma(n_bits + 1) - math.lgamma(i + 1)
+            - math.lgamma(n_bits - i + 1)
+            + i * log_p + (n_bits - i) * log_q)
+
+
+def _log_codeword_survival(p_cell, n_bits, t):
+    """log P(at most ``t`` of ``n_bits`` independent cells fail).
+
+    ``log1p(-q)`` of the failure mass ``q`` while ``q <= 1/2``.  Above
+    that, ``1 - q`` keeps too few digits (a failure mass within an ulp
+    of 1 is not even monotone in ``p_cell``), so the survival terms are
+    summed directly, in log space so that none underflows.
+    """
+    q = codeword_fail_probability(p_cell, n_bits, t)
+    if q <= 0.5:
+        return math.log1p(-q)
+    if p_cell >= 1.0:
+        return -math.inf
+    log_p = math.log(p_cell)
+    log_q = math.log1p(-p_cell)
+    logs = [_log_binomial_term(n_bits, i, log_p, log_q)
+            for i in range(max(t, 0) + 1)]
+    peak = max(logs)
+    return peak + math.log(math.fsum(math.exp(v - peak) for v in logs))
 
 
 def word_fail_probability(p_cell, code):
@@ -213,10 +237,9 @@ def array_yield(p_cell, code, n_words):
     """P(every stored word survives) for ``n_words`` words."""
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
-    q_way = codeword_fail_probability(p_cell, code.codeword_bits, code.t)
-    if q_way >= 1.0:
-        return 0.0
-    return math.exp(n_words * code.interleave * math.log1p(-q_way))
+    log_survival = _log_codeword_survival(p_cell, code.codeword_bits,
+                                          code.t)
+    return math.exp(n_words * code.interleave * log_survival)
 
 
 def uncoded_array_yield(p_cell, n_bits):
