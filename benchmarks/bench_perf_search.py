@@ -10,7 +10,12 @@ point, rather than a harness around a one-shot experiment).
 import numpy as np
 
 from repro.array import ArrayConfig, DesignPoint, SRAMArrayModel
-from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
+from repro.opt import (
+    DesignSpace,
+    ExhaustiveOptimizer,
+    make_policy,
+    pareto_front,
+)
 
 
 def bench_single_evaluation(benchmark, paper_session):
@@ -48,6 +53,24 @@ def bench_full_optimization(benchmark, paper_session):
     result = benchmark(optimizer.optimize, 16384 * 8, policy)
     assert result.metrics.edp > 0
     assert result.n_evaluated >= 50_000
+
+
+def bench_pareto_sweep(benchmark, paper_session):
+    """The production Pareto sweep of the same 16KB configuration: its
+    dominance gate skips the rows whose every tile a scored design
+    strictly dominates, and the front stays the reference
+    landscape's."""
+    model = paper_session.model("hvt")
+    constraint = paper_session.constraint("hvt")
+    policy = make_policy("M2", paper_session.yield_levels("hvt"))
+    optimizer = ExhaustiveOptimizer(model, DesignSpace(), constraint)
+    reference = optimizer.optimize_reference(16384 * 8, policy,
+                                             keep_landscape=True)
+
+    result = benchmark(optimizer.pareto, 16384 * 8, policy)
+    assert list(result.front) == pareto_front(reference.landscape)
+    assert result.n_tiles == len(reference.landscape)
+    assert 0 < result.n_evaluated < reference.n_evaluated
 
 
 def bench_full_optimization_loop_engine(benchmark, paper_session):

@@ -16,9 +16,12 @@ differences between the committed baseline and the CI runner, leaving
 only genuine code regressions.
 
 Before timing, the production answer must equal the reference's on the
-gate cell — a wrong answer is a correctness bug, not a perf
-regression.  The yield-target constraint rides the same machine factor
-as an extra leg, after re-checking that a non-correcting code
+gate cell, and the production Pareto front (whose dominance gate skips
+rows) must equal the front of the reference's full landscape over the
+same number of tiles — a wrong answer is a correctness bug, not a perf
+regression.  The Pareto sweep's time and skipped rows are printed with
+no threshold.  The yield-target constraint rides the same machine
+factor as an extra leg, after re-checking that a non-correcting code
 reproduces the fixed-delta argmin exactly.  Legs whose baseline fields
 are missing skip gracefully.
 
@@ -129,7 +132,12 @@ def main():
                      "single.loop_seconds")
 
     from repro.analysis.experiments import Session
-    from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
+    from repro.opt import (
+        DesignSpace,
+        ExhaustiveOptimizer,
+        make_policy,
+        pareto_front,
+    )
 
     session = Session.create(cache_path=CACHE_PATH, voltage_mode="paper")
     optimizer = ExhaustiveOptimizer(
@@ -137,16 +145,29 @@ def main():
     policy = make_policy("M2", session.yield_levels("hvt"))
 
     failed = False
-    reference = optimizer.optimize_reference(16384 * 8, policy)
+    reference = optimizer.optimize_reference(16384 * 8, policy,
+                                             keep_landscape=True)
     production = optimizer.optimize(16384 * 8, policy)
     if (production.design != reference.design
             or production.metrics.edp != reference.metrics.edp):
         print("  parity: production DIVERGED from the reference "
               "(design %s vs %s)" % (production.design, reference.design))
         failed = True
+    pareto = optimizer.pareto(16384 * 8, policy)
+    if (list(pareto.front) != pareto_front(reference.landscape)
+            or pareto.n_tiles != len(reference.landscape)):
+        print("  pareto parity: production front DIVERGED from the "
+              "reference landscape's front (%d vs %d points, %d vs %d "
+              "tiles)" % (len(pareto.front),
+                          len(pareto_front(reference.landscape)),
+                          pareto.n_tiles, len(reference.landscape)))
+        failed = True
+    rows = len(optimizer.space.row_counts(16384 * 8))
+    rows_scored = pareto.n_evaluated * rows // reference.n_evaluated
 
     searches = [lambda: optimizer.optimize_reference(16384 * 8, policy),
-                lambda: optimizer.optimize(16384 * 8, policy)]
+                lambda: optimizer.optimize(16384 * 8, policy),
+                lambda: optimizer.pareto(16384 * 8, policy)]
     base_yield = single.get("yield_constraint_seconds")
     if base_yield:
         # Its warm-up inside _best_of pays the Monte Carlo statistics.
@@ -164,8 +185,10 @@ def main():
                             machine_factor))
     failed = _leg("production", base_production, measured[1],
                   machine_factor) or failed
+    print("  pareto (no threshold): measured %.2f ms, %d of %d rows "
+          "skipped" % (measured[2] * 1e3, rows - rows_scored, rows))
     if base_yield:
-        failed = _leg("yield-constraint", base_yield, measured[2],
+        failed = _leg("yield-constraint", base_yield, measured[3],
                       machine_factor) or failed
     else:
         print("  yield-constraint: baseline predates the yield leg — "

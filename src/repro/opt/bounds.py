@@ -23,13 +23,20 @@ The mixed-corner evaluation reuses the production arithmetic verbatim:
 :meth:`SRAMArrayModel.evaluate_bounds` computes the shared Table-2
 precursors at the fin maxima and runs the ordinary core evaluation on a
 fin-minima design.  One broadcast call bounds every tile of a search at
-once — the bound tensor has one element per tile (a few hundred), so
-its cost is negligible next to a single real tile evaluation.
+once.  The bound tensor has one element per tile (at most a few
+hundred), but the call is not free: its two small evaluations pay the
+model's per-call overhead, which dominates at this size.  Over the 11
+capacities 64 B-64 KB (LVT/HVT x M1/M2, EDP and Pareto searches) on a
+2-vCPU x86-64 VM with numpy 2.4.6, one bound call took 0.54-0.64 ms
+on average against 0.97 ms for one row's ``evaluate`` (880 and 1,540
+calls), so the bounds pay off once they skip one row per search.
 
 A bound is *admissible* (never exceeds the true tile minimum), so
 skipping a row whose every tile bound strictly exceeds the incumbent
 EDP can never discard the optimum — the search stays bit-identical to
-the exhaustive reference.
+the exhaustive reference — and skipping a row whose every tile bound
+point a scored design strictly dominates can never change the Pareto
+front.
 """
 
 from __future__ import annotations

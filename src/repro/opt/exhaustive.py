@@ -13,15 +13,27 @@ at most ``25 x 1000`` elements, so every temporary stays cache-sized,
 and the organization-independent Table-2 precursors are computed once
 per search and shared across its rows.
 
-Without a landscape the sweep is *bound-gated*: one
-:func:`~repro.opt.bounds.tile_lower_bounds` call bounds every
-``(n_r, V_SSC)`` tile, the row holding the smallest bound is evaluated
-first to seed an incumbent, and any other row whose smallest bound
-strictly exceeds the incumbent is skipped.  A skipped row's designs all
-score above the incumbent, so the optimum and every tie with it lie in
-the evaluated rows, where the final scan replays the reference's
-r-major/s-minor strict-``<`` order.  A landscape or Pareto search
-evaluates every row.
+An EDP search without a landscape and a Pareto search are
+*bound-gated*: one :func:`~repro.opt.bounds.tile_lower_bounds` call
+bounds the delay, energy and EDP of every ``(n_r, V_SSC)`` tile, the
+row holding the smallest EDP bound is evaluated first, and the other
+rows follow in row order, each skipped when its objective's test rules
+it out:
+
+* EDP: the row's smallest EDP bound strictly exceeds the incumbent.  A
+  skipped row's designs all score above it, so the optimum and every
+  tie with it lie in the evaluated rows, where the final scan replays
+  the reference's r-major/s-minor strict-``<`` order.
+* Pareto: a landscape point of an evaluated row strictly dominates the
+  bound point ``(d_lb, e_lb)`` of every tile of the row.  Each tile's
+  landscape point is then strictly dominated too, so it is neither a
+  front point nor an exact duplicate of one; removing such points
+  changes neither the front nor which duplicate wins its tie, and
+  :func:`~repro.opt.pareto.pareto_front` of the evaluated rows, in
+  r-major/s-minor order, equals the full landscape's front.
+
+A landscape search (``optimize(keep_landscape=True)``) evaluates every
+row.
 
 :meth:`ExhaustiveOptimizer.optimize_reference` keeps the original
 per-``(n_r, V_SSC)`` slice loop as the executable spec: the production
@@ -29,6 +41,8 @@ search returns bit-identical designs, metrics, margins, and landscapes.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +52,40 @@ from ..errors import DesignSpaceError
 from .bounds import tile_lower_bounds
 from .pareto import ParetoSearchResult, pareto_front
 from .results import LandscapePoint, OptimizationResult
+
+
+class _Row(NamedTuple):
+    """One scored row's slice bests, one entry per feasible V_SSC."""
+
+    edp: np.ndarray
+    d_array: np.ndarray
+    e_total: np.ndarray
+    n_pre: np.ndarray
+    n_wr: np.ndarray
+
+
+def _edp_ruled_out(bounds, r, scored):
+    """Row ``r``'s smallest EDP bound strictly exceeds the incumbent,
+    the smallest EDP scored so far.  Strict: a row whose bound equals
+    the incumbent could tie, and ties resolve by visit order among the
+    scored rows."""
+    return bounds.edp[r].min() > min(row.edp.min() for row in scored)
+
+
+def _front_ruled_out(bounds, r, scored):
+    """Every tile of row ``r`` has its bound point ``(d_lb, e_lb)``
+    strictly dominated by a scored landscape point: no worse in delay
+    and energy, and better in at least one."""
+    d = np.concatenate([row.d_array for row in scored])
+    e = np.concatenate([row.e_total for row in scored])
+    d_lb = bounds.d_array[r][:, None]
+    e_lb = bounds.e_total[r][:, None]
+    dominated = (d <= d_lb) & (e <= e_lb) & ((d < d_lb) | (e < e_lb))
+    return bool(dominated.any(axis=1).all())
+
+
+#: The gated objectives' skip tests, ``test(bounds, r, scored_rows)``.
+_SKIP_TESTS = {"edp": _edp_ruled_out, "pareto": _front_ruled_out}
 
 
 class ExhaustiveOptimizer:
@@ -57,8 +105,9 @@ class ExhaustiveOptimizer:
         rows actually evaluated (all of them when ``keep_landscape``).
         """
         with perf.timed("optimizer.search"):
-            best, landscape, n_evaluated = self._sweep(
-                capacity_bits, policy, keep_landscape
+            best, landscape, n_evaluated, _ = self._sweep(
+                capacity_bits, policy,
+                "landscape" if keep_landscape else "edp",
             )
         perf.count("optimizer.evaluations", n_evaluated)
         return self._finalize(capacity_bits, policy, best, landscape,
@@ -83,16 +132,16 @@ class ExhaustiveOptimizer:
 
     def pareto(self, capacity_bits, policy):
         """Energy-delay Pareto front of one capacity under one policy:
-        every row is evaluated and the front is
-        :func:`~repro.opt.pareto.pareto_front` of the landscape.
+        :func:`~repro.opt.pareto.pareto_front` of the scored rows'
+        landscape, element-wise equal to the full landscape's front.
 
         Returns a :class:`ParetoSearchResult`; raises
         :class:`DesignSpaceError` when no candidate satisfies the yield
         constraint.
         """
         with perf.timed("optimizer.pareto"):
-            best, landscape, n_evaluated = self._sweep(
-                capacity_bits, policy, keep_landscape=True
+            best, landscape, n_evaluated, n_tiles = self._sweep(
+                capacity_bits, policy, "pareto"
             )
         perf.count("optimizer.evaluations", n_evaluated)
         if best is None:
@@ -103,7 +152,7 @@ class ExhaustiveOptimizer:
             method=policy.method,
             front=tuple(pareto_front(landscape)),
             n_evaluated=n_evaluated,
-            n_tiles=len(landscape),
+            n_tiles=n_tiles,
         )
 
     @staticmethod
@@ -163,12 +212,19 @@ class ExhaustiveOptimizer:
 
     # -- the production row sweep ------------------------------------------
 
-    def _sweep(self, capacity_bits, policy, keep_landscape):
-        """``(best, landscape, n_evaluated)`` of the row sweep; ``best``
-        is None when no V_SSC candidate is feasible."""
+    def _sweep(self, capacity_bits, policy, objective):
+        """``(best, landscape, n_evaluated, n_tiles)`` of the row sweep;
+        ``best`` is None when no V_SSC candidate is feasible, and
+        ``n_tiles`` counts every ``(n_r, V_SSC)`` tile, scored or not.
+
+        ``objective`` picks the rows: ``"landscape"`` scores every row
+        and returns the whole landscape; ``"edp"`` and ``"pareto"``
+        skip the rows their test in :data:`_SKIP_TESTS` rules out, and
+        ``"pareto"`` returns the scored rows' landscape.
+        """
         feasible = self._feasible_v_ssc(policy)
         if feasible.size == 0:
-            return None, [], 0
+            return None, [], 0, 0
         rows = self.space.row_counts(capacity_bits)
         n_pre = np.asarray(self.space.n_pre_values)
         n_wr = np.asarray(self.space.n_wr_values)
@@ -180,9 +236,7 @@ class ExhaustiveOptimizer:
         shared = {}
 
         def evaluate_row(n_r):
-            """One model call, reduced to the row's slice bests: the
-            EDP array, and ``(N_pre, N_wr, edp, d_array, e_total)``
-            lists, one entry per V_SSC slice."""
+            """One model call, reduced to the row's slice bests."""
             design = DesignPoint(
                 n_r=n_r, n_c=capacity_bits // n_r,
                 n_pre=n_pre.reshape(-1, 1), n_wr=n_wr.reshape(1, -1),
@@ -201,47 +255,47 @@ class ExhaustiveOptimizer:
                 for value in (metrics.edp, metrics.d_array,
                               metrics.e_total)
             )
-            return edp, (n_pre[i].tolist(), n_wr[j].tolist(),
-                         edp.tolist(), d_array.tolist(), e_total.tolist())
+            return _Row(edp, d_array, e_total, n_pre[i], n_wr[j])
 
-        def point(r, s):
-            pre, wr, edp, d_array, e_total = evaluated[r][1]
-            return LandscapePoint(
-                n_r=rows[r], v_ssc=v_ssc[s], n_pre=pre[s], n_wr=wr[s],
-                edp=edp[s], d_array=d_array[s], e_total=e_total[s],
-            )
+        def points(r):
+            """Row ``r``'s landscape points, in V_SSC order."""
+            row = evaluated[r]
+            return [
+                LandscapePoint(n_r=rows[r], v_ssc=v, n_pre=pre, n_wr=wr,
+                               edp=edp, d_array=d, e_total=e)
+                for v, pre, wr, edp, d, e in zip(v_ssc, *(
+                    value.tolist() for value in (
+                        row.n_pre, row.n_wr, row.edp, row.d_array,
+                        row.e_total)))
+            ]
 
         evaluated = {}
-        if keep_landscape:
+        if objective == "landscape":
             for r, n_r in enumerate(rows):
                 evaluated[r] = evaluate_row(n_r)
         else:
-            row_bounds = tile_lower_bounds(
+            bounds = tile_lower_bounds(
                 self.model, self.space, capacity_bits, policy, feasible
-            ).edp.min(axis=1)
-            first = int(np.argmin(row_bounds))
-            evaluated[first] = evaluate_row(rows[first])
-            incumbent = evaluated[first][0].min()
-            for r, n_r in enumerate(rows):
-                # Strict: a row whose bound equals the incumbent could
-                # tie, and ties resolve by visit order among evaluated
-                # rows.
-                if r == first or row_bounds[r] > incumbent:
+            )
+            skip = _SKIP_TESTS[objective]
+            # The row holding the smallest EDP bound seeds the scored
+            # set; the others follow in row order.
+            first = int(np.argmin(bounds.edp.min(axis=1)))
+            for r in [first] + [r for r in range(len(rows)) if r != first]:
+                if evaluated and skip(bounds, r, evaluated.values()):
                     continue
-                evaluated[r] = evaluate_row(n_r)
-                incumbent = min(incumbent, evaluated[r][0].min())
+                evaluated[r] = evaluate_row(rows[r])
             perf.count("optimizer.rows_skipped", len(rows) - len(evaluated))
         order = sorted(evaluated)
         # np.argmin returns the first minimum in r-major/s-minor order:
         # the reference's strict-< improvement scan.
-        k = int(np.concatenate([evaluated[r][0] for r in order]).argmin())
-        best = point(order[k // feasible.size], k % feasible.size)
+        k = int(np.concatenate([evaluated[r].edp for r in order]).argmin())
+        best = points(order[k // feasible.size])[k % feasible.size]
         landscape = []
-        if keep_landscape:
-            landscape = [point(r, s)
-                         for r in order for s in range(feasible.size)]
+        if objective != "edp":
+            landscape = [p for r in order for p in points(r)]
         n_evaluated = len(order) * feasible.size * n_pre.size * n_wr.size
-        return best, landscape, n_evaluated
+        return best, landscape, n_evaluated, len(rows) * feasible.size
 
     # -- the reference -----------------------------------------------------
 

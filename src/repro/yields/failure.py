@@ -264,22 +264,33 @@ def uncoded_p_fail_budget(y_target, n_bits):
 def coded_p_fail_budget(y_target, code, n_words):
     """Largest ``p_cell`` with ``array_yield(p, code, n_words) >= Y``.
 
-    Closed form for non-correcting codes; bisection on the monotone
-    codeword failure mass otherwise.
+    While the per-codeword failure budget ``q_max`` is at most 1/2: a
+    closed form for non-correcting codes, and otherwise a bisection
+    that tests the codeword failure mass against ``q_max``.  Above 1/2
+    that mass keeps too few digits (within an ulp of 1 it is not even
+    monotone in ``p_cell``), so for every code the bisection tests the
+    log survival mass, the quantity :func:`array_yield` composes,
+    against the per-codeword log-yield target instead.
     """
     if not 0.0 < y_target < 1.0:
         raise ValueError("y_target must be in (0, 1), got %r"
                          % (y_target,))
     n_codewords = n_words * code.interleave
     # Per-codeword failure budget from Y = (1 - q)^M.
-    q_max = -math.expm1(math.log(y_target) / n_codewords)
+    log_survival_min = math.log(y_target) / n_codewords
+    q_max = -math.expm1(log_survival_min)
     n_cw = code.codeword_bits
-    if code.t <= 0:
+    if code.t <= 0 and q_max <= 0.5:
         return -math.expm1(math.log1p(-q_max) / n_cw)
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if codeword_fail_probability(mid, n_cw, code.t) <= q_max:
+        if q_max <= 0.5:
+            within = codeword_fail_probability(mid, n_cw, code.t) <= q_max
+        else:
+            within = (_log_codeword_survival(mid, n_cw, code.t)
+                      >= log_survival_min)
+        if within:
             lo = mid
         else:
             hi = mid

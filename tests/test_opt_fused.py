@@ -95,7 +95,7 @@ def test_three_way_parity_on_study_matrix(paper_session, flavor, policy,
     sweep = optimizer.pareto(bits, voltage_policy)
     assert list(sweep.front) == pareto_front(reference.landscape)
     assert sweep.n_tiles == len(reference.landscape)
-    assert sweep.n_evaluated == reference.n_evaluated
+    assert 0 < sweep.n_evaluated <= reference.n_evaluated
 
 
 def test_fused_infeasible_space_raises(paper_session):

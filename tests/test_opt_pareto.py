@@ -1,9 +1,11 @@
-"""Pareto-front extraction, the front sweep, weighted optima."""
+"""Pareto-front extraction, the front sweep and its dominance gate,
+weighted optima."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import perf
 from repro.analysis.experiments import (
     CAPACITIES_BYTES,
     FLAVORS,
@@ -17,6 +19,9 @@ from repro.opt import (
     pareto_front,
 )
 from repro.opt.results import LandscapePoint
+
+from .test_opt_fused import _policy
+from .test_opt_pruned import ECC_CONFIGS, _model
 
 STUDY_CELLS = [
     (flavor, method, capacity)
@@ -164,7 +169,7 @@ def test_pruned_pareto_matches_landscape_front(paper_session, flavor,
                               keep_landscape=True)
     assert list(sweep.front) == pareto_front(full.landscape)
     assert sweep.n_tiles == len(full.landscape)
-    assert sweep.n_evaluated == full.n_evaluated
+    assert 0 < sweep.n_evaluated <= full.n_evaluated
 
 
 def test_pareto_front_members_are_feasible_landscape_points(
@@ -197,3 +202,64 @@ def test_pareto_capacity_bytes_property(paper_session):
     assert sweep.capacity_bytes == 128
     assert sweep.capacity_bits == 128 * 8
     assert sweep.flavor == "hvt" and sweep.method == "M2"
+
+
+# ---------------------------------------------------------------------------
+# The dominance gate: pareto() skips a row when a scored design strictly
+# dominates the bound point (d_lb, e_lb) of every one of its tiles.
+# ---------------------------------------------------------------------------
+
+def _rows_skipped():
+    return perf.get_registry().snapshot()["counters"].get(
+        "optimizer.rows_skipped", 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flavor=st.sampled_from(FLAVORS),
+       capacity_bytes=st.sampled_from([64 << k for k in range(11)]),
+       policy_name=st.sampled_from(("M1", "M2", "M2-NBL")),
+       ecc=st.sampled_from(sorted(ECC_CONFIGS)))
+def test_gated_front_equals_the_reference_front(paper_session, flavor,
+                                                capacity_bytes,
+                                                policy_name, ecc):
+    """The gate drops only strictly dominated tiles, so the front, its
+    EDP optimum and the tile count are the full landscape's, while the
+    scored and skipped rows add up to every row."""
+    optimizer = ExhaustiveOptimizer(_model(paper_session, flavor, ecc),
+                                    DesignSpace(),
+                                    paper_session.constraint(flavor))
+    policy = _policy(paper_session, flavor, policy_name)
+    bits = capacity_bytes * 8
+    reference = optimizer.optimize_reference(bits, policy,
+                                             keep_landscape=True)
+    before = _rows_skipped()
+    sweep = optimizer.pareto(bits, policy)
+    skipped = _rows_skipped() - before
+
+    assert list(sweep.front) == pareto_front(reference.landscape)
+    assert sweep.n_tiles == len(reference.landscape)
+    assert 0 < sweep.n_evaluated <= reference.n_evaluated
+    assert (min(p.edp for p in sweep.front)
+            == optimizer.optimize(bits, policy).metrics.edp)
+    rows = len(optimizer.space.row_counts(bits))
+    per_row = reference.n_evaluated // rows
+    assert sweep.n_evaluated % per_row == 0
+    assert sweep.n_evaluated // per_row + skipped == rows
+
+
+@pytest.mark.parametrize("capacity_bytes,scored,rows", [
+    (16384, 2, 4),
+    (512, 1, 9),
+])
+def test_gate_scores_only_undominated_rows(paper_session, capacity_bytes,
+                                           scored, rows):
+    """HVT/M2 cells whose front lies in a few rows: the gate scores
+    only those."""
+    optimizer = _optimizer(paper_session, "hvt")
+    policy = make_policy("M2", paper_session.yield_levels("hvt"))
+    bits = capacity_bytes * 8
+    full = optimizer.optimize(bits, policy, keep_landscape=True)
+    sweep = optimizer.pareto(bits, policy)
+    assert len(optimizer.space.row_counts(bits)) == rows
+    assert sweep.n_evaluated * rows == full.n_evaluated * scored
+    assert list(sweep.front) == pareto_front(full.landscape)

@@ -5,8 +5,10 @@ sampler's weights, over random draws.
 check chosen points; these check what every input must obey: array
 yield falls as the cell failure probability rises, for every code
 ``make_code`` accepts, with the right values at the ends and the
-identity for ``code="none"``; the defensive mixture's log-weights stay
-under ``-log a``, and the Kish effective sample size lies in [1, n].
+identity for ``code="none"``; a per-cell failure budget meets its
+yield target and shrinks as the target rises; the defensive mixture's
+log-weights stay under ``-log a``, and the Kish effective sample size
+lies in [1, n].
 """
 
 import math
@@ -22,7 +24,11 @@ from repro.cell.importance import (
     mixture_log_weights,
 )
 from repro.yields.ecc import make_code
-from repro.yields.failure import array_yield, uncoded_array_yield
+from repro.yields.failure import (
+    array_yield,
+    coded_p_fail_budget,
+    uncoded_array_yield,
+)
 
 #: Relative slack of the yield comparisons.  A yield is a product of up
 #: to millions of per-codeword survivals, each a few ulps off, so two
@@ -82,6 +88,23 @@ def test_no_code_is_the_uncoded_yield(word_bits, words, p):
     coded = array_yield(p, code, words)
     uncoded = uncoded_array_yield(p, words * code.codeword_bits)
     assert math.isclose(coded, uncoded, rel_tol=REL_TOL, abs_tol=0.0)
+
+
+#: Yield targets log-uniform over [1e-300, 0.999].
+yield_targets = st.floats(math.log(1e-300), math.log(0.999)).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(code=codes(), words=n_words, y=yield_targets, z=yield_targets)
+# One (72,64) codeword at Y = 1e-15: bisecting on the failure mass,
+# which is within an ulp of 1 there, gave a budget yielding 6.6e-17.
+@example(code=make_code("secded", 64), words=1, y=1e-15, z=1e-12)
+def test_budget_meets_its_yield_target(code, words, y, z):
+    budget = coded_p_fail_budget(y, code, words)
+    assert array_yield(budget, code, words) >= y * (1.0 - REL_TOL)
+    lo, hi = min(y, z), max(y, z)
+    assert (coded_p_fail_budget(hi, code, words)
+            <= coded_p_fail_budget(lo, code, words))
 
 
 @settings(max_examples=200, deadline=None)
