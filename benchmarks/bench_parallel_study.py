@@ -76,9 +76,8 @@ def _time_single(paper_session, repeats=9):
         capacity_bits=16384 * 8,
         word_bits=paper_session.config.word_bits,
         trust_fixed_rails=base.trust_fixed_rails,
-        flip_lookup=base.flip_lookup,
+        base=base,
     )
-    constraint.seed_margin_memo(base.export_margin_memo())
     searches = _cell_searches(paper_session, "hvt", "M2", 16384)
     yield_search = _cell_searches(paper_session, "hvt", "M2", 16384,
                                   constraint)[1]
@@ -120,8 +119,7 @@ def bench_parallel_study_matrix(paper_session, report_writer):
     pruning_cells = _bench_pruning(paper_session)
 
     serial = run_study(session=paper_session, workers=1)
-    parallel = run_study(session=paper_session, workers=workers,
-                         executor="process")
+    parallel = run_study(session=paper_session, workers=workers)
     speedup = serial.total_seconds / parallel.total_seconds
 
     baseline = {
@@ -161,7 +159,6 @@ def bench_parallel_study_matrix(paper_session, report_writer):
             "serial_seconds": serial.total_seconds,
             "parallel_seconds": parallel.total_seconds,
             "parallel_workers": parallel.workers,
-            "parallel_executor": parallel.executor,
             "parallel_speedup": speedup,
             "per_task_ms": {
                 t.task.label: round(t.seconds * 1e3, 3)

@@ -56,7 +56,6 @@ def run_sweep(sizing, code, y_target, workers, sampler, ci_target,
     run = run_study(
         capacities=sizing["capacities"], flavors=sizing["flavors"],
         methods=("M2",), workers=workers,
-        executor="serial" if workers == 1 else "auto",
         cache_path=CACHE_PATH, voltage_mode="paper",
         objective="yield", code=code, y_target=y_target,
         sampler=sampler, ci_target=ci_target, max_samples=max_samples,

@@ -90,9 +90,8 @@ def _yield_search(session, policy):
             capacity_bits=16384 * 8,
             word_bits=session.config.word_bits,
             trust_fixed_rails=base_constraint.trust_fixed_rails,
-            flip_lookup=base_constraint.flip_lookup,
+            base=base_constraint,
         )
-        constraint.seed_margin_memo(base_constraint.export_margin_memo())
         return constraint
 
     fixed_ref = search(base_constraint)()

@@ -44,9 +44,7 @@ from ..devices.calibration import device_ratios, fit_power_law
 from ..devices.library import DeviceLibrary
 from ..lut.cache import CharacterizationCache
 from ..opt.constraints import YieldConstraint
-from ..opt.exhaustive import ExhaustiveOptimizer
-from ..opt.methods import YieldLevels, make_policy
-from ..opt.space import DesignSpace
+from ..opt.methods import YieldLevels
 from ..periphery.characterize import characterize
 from ..units import capacity_label
 from .tables import paper_vs_measured, render_dict_table
@@ -489,25 +487,13 @@ class SweepResult:
 
 def optimize_all(session, capacities=CAPACITIES_BYTES,
                  keep_landscape=False):
-    """Run the exhaustive optimizer over the full evaluation matrix.
+    """Run the exhaustive optimizer over the full evaluation matrix, in
+    the caller: the sweep of :func:`repro.analysis.runner.run_study`
+    at ``workers=1``."""
+    from .runner import run_study
 
-    Serial reference driver; :func:`repro.analysis.runner.run_study`
-    produces the same sweep across a worker pool.
-    """
-    space = DesignSpace()
-    results = {}
-    for flavor in FLAVORS:
-        model = session.model(flavor)
-        constraint = session.constraint(flavor)
-        optimizer = ExhaustiveOptimizer(model, space, constraint)
-        levels = session.yield_levels(flavor)
-        for method in METHODS:
-            policy = make_policy(method, levels)
-            for capacity in capacities:
-                results[(capacity, flavor, method)] = optimizer.optimize(
-                    capacity * 8, policy, keep_landscape=keep_landscape,
-                )
-    return SweepResult(results=results, voltage_mode=session.voltage_mode)
+    return run_study(session=session, capacities=capacities, workers=1,
+                     keep_landscape=keep_landscape).sweep
 
 
 # ---------------------------------------------------------------------------

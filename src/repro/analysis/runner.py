@@ -1,23 +1,22 @@
-"""Parallel study runner: fan the capacity x flavor x method matrix out
-over a worker pool.
+"""Study runner: the capacity x flavor x method matrix, in the caller
+or across a process pool.
 
 A full Table-4 / Figure-7 study is 20 independent exhaustive searches
 (5 capacities x 2 flavors x 2 methods).  They share only *read-only*
 state — the characterization LUTs and the memoized yield margins — so
-the matrix parallelizes embarrassingly.  The executors:
+``workers`` alone decides where they run:
 
-* ``executor="process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  whose workers each build their session from the (warm)
-  characterization cache in their initializer — no pickling, no
-  re-characterization.  The parent pre-computes the yield margins for the
-  whole V_SSC candidate axis once and ships the memo to every worker
-  (:meth:`YieldConstraint.seed_margin_memo`), so no process ever re-runs
-  a butterfly the study already ran.
-* ``executor="thread"`` — a thread pool sharing the parent session
-  directly.  The heavy lifting is numpy broadcasting, which releases
-  the GIL, so threads scale too while skipping worker start-up.
-* ``executor="serial"`` — the plain loop (what
-  :func:`repro.analysis.optimize_all` does), useful as the baseline.
+* in the caller, when ``workers`` is 1, when the study has one task, or
+  on a one-CPU host, where a pool would serialize on the same core and
+  still pay worker start-up;
+* otherwise in a :class:`~concurrent.futures.ProcessPoolExecutor` of
+  ``min(workers, tasks)`` workers (:func:`session_pool`).  The caller
+  memoizes the margins of every search in play once
+  (:func:`warm_session`), and each worker receives that warmed session,
+  minus its characterization cache, through the pool initializer: it
+  answers with the caller's library, array configuration and voltage
+  mode, and never re-runs a characterization or a butterfly the caller
+  already paid for.
 
 Results are keyed by ``(capacity, flavor, method)`` and assembled into a
 :class:`SweepResult` after every future resolves, so the outcome is
@@ -31,8 +30,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 
 from .. import perf
 from ..errors import StudyTaskError
@@ -168,11 +167,8 @@ class StudyRunResult:
     sweep: SweepResult
     timings: list = field(default_factory=list)
     total_seconds: float = 0.0
+    #: Pool workers, or 1 when the study ran in the caller.
     workers: int = 1
-    executor: str = "serial"
-    #: Why an ``executor="auto"`` request was downgraded (e.g. a
-    #: single-CPU host), or None when the requested executor ran.
-    fallback_reason: str = None
 
     @property
     def task_seconds(self):
@@ -183,9 +179,8 @@ class StudyRunResult:
         rows = [t.row() for t in self.timings]
         text = render_dict_table(
             rows,
-            title="Study runner telemetry (%s, %d worker%s)"
-            % (self.executor, self.workers,
-               "" if self.workers == 1 else "s"),
+            title="Study runner telemetry (%d worker%s)"
+            % (self.workers, "" if self.workers == 1 else "s"),
         )
         text += (
             "\ntotal wall time: %.3f s   task time: %.3f s   "
@@ -194,8 +189,6 @@ class StudyRunResult:
                100.0 * self.task_seconds
                / (self.total_seconds * max(self.workers, 1) or 1.0))
         )
-        if self.fallback_reason:
-            text += "\nexecutor fallback: %s" % self.fallback_reason
         return text
 
 
@@ -214,54 +207,75 @@ def _objective_kind(objective):
     return objective if isinstance(objective, str) else objective[0]
 
 
-def _worker_init(cache_path, voltage_mode, space, margin_memos):
-    """Build one shared read-only session per worker process, from the
-    characterization cache, seeded with the parent's margin memos."""
-    # Fork-started workers inherit the parent's telemetry registry;
-    # clear it so the first task's snapshot is this worker's delta only.
-    perf.get_registry().reset()
-    session = Session.create(cache_path=cache_path,
-                             voltage_mode=voltage_mode)
-    for flavor, memo in margin_memos.items():
-        session.constraint(flavor).seed_margin_memo(memo)
+def _worker_init(session, space):
+    """Keep the caller's warmed session and the design space for every
+    task this worker runs."""
     _WORKER_STATE["session"] = session
     _WORKER_STATE["space"] = space
 
 
-def _run_task_in_worker(task, keep_landscape, objective="edp"):
-    session = _WORKER_STATE["session"]
-    space = _WORKER_STATE["space"]
-    result, seconds = _execute_task(session, space, task, keep_landscape,
-                                    objective)
-    # Snapshot-and-reset so each returned snapshot is a disjoint delta;
-    # the parent merges them all without double counting.
-    registry = perf.get_registry()
-    snapshot = registry.snapshot()
-    registry.reset()
+def warm_session(session, space, flavors, methods):
+    """Memoize in ``session`` the margins every search of ``flavors`` x
+    ``methods`` reads: one feasibility mask over the whole V_SSC
+    candidate axis per flavor and method.  A pool's workers inherit the
+    memo with the session instead of each re-running the butterflies."""
+    with perf.timed("study.warm_margins"):
+        for flavor in flavors:
+            constraint = session.constraint(flavor)
+            levels = session.yield_levels(flavor)
+            for method in methods:
+                policy = make_policy(method, levels)
+                constraint.satisfied_grid(
+                    policy.v_ddc,
+                    [float(v) for v in policy.v_ssc_candidates(space)],
+                    policy.v_wl, policy.v_bl,
+                )
+
+
+def session_pool(session, space, workers):
+    """A process pool of ``workers`` whose every worker runs on
+    ``session`` and ``space``.
+
+    The workers get a copy without the characterization cache: the
+    session already holds every characterization they read.  Warm it
+    first (:func:`warm_session`) so they share its margin memos too.
+    """
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init,
+        initargs=(replace(session, cache=None), space),
+    )
+
+
+def _run_task_in_worker(task, keep_landscape, objective):
+    (result, seconds), snapshot = perf.snapshot_call(
+        _execute_task, _WORKER_STATE["session"], _WORKER_STATE["space"],
+        task, keep_landscape, objective,
+    )
     return result, seconds, os.getpid(), snapshot
 
 
 def _execute_task(session, space, task, keep_landscape, objective="edp"):
+    start = time.perf_counter()
     if _objective_kind(objective) == "yield":
-        from ..yields.study import compute_yield_cell_timed
+        from ..yields.study import compute_yield_cell
 
         _, code, y_target, sampler, ci_target, max_samples = objective
-        return compute_yield_cell_timed(
+        result = compute_yield_cell(
             session, task.capacity_bytes, task.flavor, task.method,
             code=code, y_target=y_target, space=space,
             sampler=sampler, ci_target=ci_target,
             max_samples=max_samples,
         )
-    start = time.perf_counter()
-    model = session.model(task.flavor)
-    constraint = session.constraint(task.flavor)
-    optimizer = ExhaustiveOptimizer(model, space, constraint)
-    policy = make_policy(task.method, session.yield_levels(task.flavor))
-    if objective == "pareto":
-        result = optimizer.pareto(task.capacity_bytes * 8, policy)
     else:
-        result = optimizer.optimize(task.capacity_bytes * 8, policy,
-                                    keep_landscape=keep_landscape)
+        model = session.model(task.flavor)
+        constraint = session.constraint(task.flavor)
+        optimizer = ExhaustiveOptimizer(model, space, constraint)
+        policy = make_policy(task.method, session.yield_levels(task.flavor))
+        if objective == "pareto":
+            result = optimizer.pareto(task.capacity_bytes * 8, policy)
+        else:
+            result = optimizer.optimize(task.capacity_bytes * 8, policy,
+                                        keep_landscape=keep_landscape)
     return result, time.perf_counter() - start
 
 
@@ -305,19 +319,20 @@ def _cancel_pending(futures):
 # ---------------------------------------------------------------------------
 
 def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
-              methods=METHODS, workers=None, executor="auto",
-              keep_landscape=False, space=None,
-              cache_path=None, voltage_mode="paper", objective="edp",
-              code="secded", y_target=0.9, sampler="gaussian",
-              ci_target=0.1, max_samples=4096):
-    """Run the full study matrix, optionally across a worker pool.
+              methods=METHODS, workers=1, keep_landscape=False, space=None,
+              cache_path=DEFAULT_CACHE_PATH, voltage_mode="paper",
+              objective="edp", code="secded", y_target=0.9,
+              sampler="gaussian", ci_target=0.1, max_samples=4096):
+    """Run the study matrix, in the caller or across a process pool.
 
-    ``workers=None`` uses ``os.cpu_count()``; ``workers=1`` (or
-    ``executor="serial"``) runs in-process.  ``executor="auto"`` picks a
-    process pool when more than one worker is requested.  Returns a
-    :class:`StudyRunResult` whose ``sweep`` is byte-for-byte the same
-    :class:`SweepResult` a serial :func:`optimize_all` would produce,
-    regardless of worker count or completion order.
+    ``workers=1`` (the default) runs every task in the caller; more
+    fans the matrix over a :func:`session_pool` of ``min(workers,
+    tasks)`` processes, except on a one-CPU host or for a one-task
+    study, which run in the caller too.  Returns a
+    :class:`StudyRunResult` whose ``sweep`` is the same
+    :class:`SweepResult` whatever the worker count or completion order.
+    Without a ``session`` one is built from ``cache_path`` (a falsy
+    path characterizes without a cache, as in :meth:`Session.create`).
 
     ``objective="pareto"`` swaps each cell's min-EDP search for a
     :meth:`~repro.opt.ExhaustiveOptimizer.pareto` sweep; the returned
@@ -360,53 +375,20 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
         objective = ("yield", code, float(y_target), sampler,
                      float(ci_target), int(max_samples))
     if session is None:
-        session = Session.create(
-            cache_path=cache_path or DEFAULT_CACHE_PATH,
-            voltage_mode=voltage_mode,
-        )
-    if cache_path is None and session.cache is not None:
-        cache_path = session.cache.path
+        session = Session.create(cache_path=cache_path,
+                                 voltage_mode=voltage_mode)
     space = space or DesignSpace()
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(int(workers), 1)
-    fallback_reason = None
-    if executor == "auto":
-        executor = "process" if workers > 1 else "serial"
-        if executor == "process" and (os.cpu_count() or 1) == 1:
-            # A pool on a single hardware thread serializes on the same
-            # core and still pays worker start-up; run in-process.
-            # Explicit executor="process" requests are honored as-is.
-            executor = "serial"
-            fallback_reason = (
-                "auto executor fell back to serial: os.cpu_count() == 1 "
-                "(%d workers requested)" % workers
-            )
-    if workers == 1:
-        executor = "serial"
     tasks = study_matrix(capacities, flavors, methods)
-    workers = min(workers, len(tasks))
+    workers = max(min(int(workers), len(tasks)), 1)
+    if (os.cpu_count() or 1) == 1:
+        workers = 1
 
-    # Warm and export the margin memos once, in the parent: feasibility
-    # masks over the whole V_SSC axis for every flavor in play.
-    margin_memos = {}
-    with perf.timed("study.warm_margins"):
-        for flavor in set(task.flavor for task in tasks):
-            constraint = session.constraint(flavor)
-            levels = session.yield_levels(flavor)
-            for method in set(task.method for task in tasks):
-                policy = make_policy(method, levels)
-                constraint.satisfied_grid(
-                    policy.v_ddc,
-                    [float(v) for v in policy.v_ssc_candidates(space)],
-                    policy.v_wl, policy.v_bl,
-                )
-            margin_memos[flavor] = constraint.export_margin_memo()
+    warm_session(session, space, flavors, methods)
 
     start = time.perf_counter()
     results = {}
     timings = {}
-    if executor == "serial":
+    if workers == 1:
         for task in tasks:
             try:
                 result, seconds = _execute_task(session, space, task,
@@ -416,29 +398,8 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
             results[task.key] = result
             timings[task.key] = TaskTiming(task, seconds,
                                            result.n_evaluated, 0)
-    elif executor == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_execute_task, session, space, task,
-                            keep_landscape, objective): task
-                for task in tasks
-            }
-            for future, task in futures.items():
-                try:
-                    result, seconds = future.result()
-                except Exception as exc:
-                    _cancel_pending(futures)
-                    raise _task_failure(task, exc) from exc
-                results[task.key] = result
-                timings[task.key] = TaskTiming(task, seconds,
-                                               result.n_evaluated, 0)
-    elif executor == "process":
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(cache_path, session.voltage_mode, space,
-                      margin_memos),
-        ) as pool:
+    else:
+        with session_pool(session, space, workers) as pool:
             futures = {
                 pool.submit(_run_task_in_worker, task, keep_landscape,
                             objective): task
@@ -454,11 +415,6 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
                 timings[task.key] = TaskTiming(task, seconds,
                                                result.n_evaluated, pid)
                 perf.get_registry().merge(snapshot)
-    else:
-        raise ValueError(
-            "unknown executor %r (expected 'auto', 'serial', 'thread', "
-            "or 'process')" % (executor,)
-        )
     total_seconds = time.perf_counter() - start
     perf.get_registry().add_time("study.run_study", total_seconds)
     perf.count("study.tasks", len(tasks))
@@ -480,7 +436,5 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
         sweep=sweep,
         timings=ordered_timings,
         total_seconds=total_seconds,
-        workers=workers if executor != "serial" else 1,
-        executor=executor,
-        fallback_reason=fallback_reason,
+        workers=workers,
     )

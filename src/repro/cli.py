@@ -34,9 +34,10 @@ pool.
 content-addressed experiment store directly (submit/status/watch/
 cancel/work and ls/show/gc) — see ``docs/JOBS.md``.
 
-``--workers N`` fans the optimization matrix (table4 / fig7 / headline)
-over a worker pool (see :mod:`repro.analysis.runner`); ``--profile``
-prints the :mod:`repro.perf` telemetry report after the run.
+``--workers N`` fans the optimization matrix (table4 / fig7 / headline,
+pareto, yield) over a process pool (see :mod:`repro.analysis.runner`);
+``--profile`` prints the :mod:`repro.perf` telemetry report after the
+run.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .analysis import (
     fig2_cell_vdd_scaling,
     fig3_read_assists,
     fig5_write_assists,
-    optimize_all,
     run_selfcheck,
     run_study,
     temperature_study,
@@ -73,18 +73,6 @@ EXPERIMENTS = ("calibration", "fig2", "fig3", "fig5", "table4", "fig7",
 #: What "all" expands to (the paper's artifacts).
 PAPER_SET = ("calibration", "fig2", "fig3", "fig5", "table4", "fig7",
              "headline")
-
-
-def _run_sweep(session, options):
-    """The Table-4/Figure-7 sweep, parallel when workers were requested."""
-    workers = getattr(options, "workers", 1) if options else 1
-    if workers and workers > 1:
-        run = run_study(
-            session=session, workers=workers,
-            executor=getattr(options, "executor", "auto"),
-        )
-        return run.sweep
-    return optimize_all(session)
 
 
 def run_montecarlo(options):
@@ -146,7 +134,8 @@ def run_experiment(name, session, options=None):
         result = fig5_write_assists(session)
         return result, result.report()
     if name in ("table4", "fig7", "headline"):
-        sweep = _run_sweep(session, options)
+        sweep = run_study(session=session,
+                          workers=options.workers if options else 1).sweep
         if name == "table4":
             return sweep, sweep.report()
         if name == "fig7":
@@ -200,9 +189,6 @@ def run_pareto(argv):
                         help="b in the E^a * D^b pick (default 1)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker count (1 = serial)")
-    parser.add_argument("--executor",
-                        choices=("auto", "serial", "thread", "process"),
-                        default="auto")
     parser.add_argument("--cache", default=".repro_cache.json",
                         help="characterization cache path ('' disables)")
     parser.add_argument("--voltage-mode", choices=("measured", "paper"),
@@ -219,9 +205,8 @@ def run_pareto(argv):
     methods = _parse_csv(args.methods) if args.methods else METHODS
     run = run_study(
         capacities=capacities, flavors=flavors, methods=methods,
-        workers=args.workers, executor=args.executor,
-        cache_path=args.cache or None, voltage_mode=args.voltage_mode,
-        objective="pareto",
+        workers=args.workers, cache_path=args.cache,
+        voltage_mode=args.voltage_mode, objective="pareto",
     )
     sweep = run.sweep
     print(sweep.report())
@@ -293,9 +278,6 @@ def run_yield(argv):
                              "the rare-event samplers (default 4096)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker count (1 = serial)")
-    parser.add_argument("--executor",
-                        choices=("auto", "serial", "thread", "process"),
-                        default="auto")
     parser.add_argument("--cache", default=".repro_cache.json",
                         help="characterization cache path ('' disables)")
     parser.add_argument("--voltage-mode", choices=("measured", "paper"),
@@ -313,8 +295,8 @@ def run_yield(argv):
     methods = _parse_csv(args.methods) if args.methods else METHODS
     run = run_study(
         capacities=capacities, flavors=flavors, methods=methods,
-        workers=args.workers, executor=args.executor,
-        cache_path=args.cache or None, voltage_mode=args.voltage_mode,
+        workers=args.workers, cache_path=args.cache,
+        voltage_mode=args.voltage_mode,
         objective="yield", code=args.code, y_target=args.y_target,
         sampler=args.sampler, ci_target=args.ci_target,
         max_samples=args.max_samples,
@@ -360,9 +342,9 @@ def run_serve(argv):
                         default="thread",
                         help="worker pool type: thread shares one warm "
                              "session; process forks workers that each "
-                             "build one from the characterization "
-                             "cache; auto picks process on multi-core "
-                             "hosts and thread on single-CPU ones")
+                             "get a copy of it; auto picks process on "
+                             "multi-core hosts and thread on single-CPU "
+                             "ones")
     parser.add_argument("--workers", type=int, default=0,
                         help="pool size (0 = cpu count)")
     parser.add_argument("--max-batch", type=int, default=8,
@@ -656,11 +638,7 @@ def main(argv=None):
     parser.add_argument("--workers", type=int, default=1,
                         help="worker count for the optimization sweeps "
                              "(1 = serial; >1 fans the capacity x flavor "
-                             "x method matrix over a pool)")
-    parser.add_argument("--executor",
-                        choices=("auto", "serial", "thread", "process"),
-                        default="auto",
-                        help="pool type for --workers > 1")
+                             "x method matrix over a process pool)")
     parser.add_argument("--samples", type=int, default=200,
                         help="montecarlo: number of Monte Carlo samples")
     parser.add_argument("--seed", type=int, default=0,

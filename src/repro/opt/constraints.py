@@ -142,27 +142,6 @@ class YieldConstraint:
             return np.minimum(hsnm, rsnm) >= self.delta
         return np.minimum(np.minimum(hsnm, rsnm), wm) >= self.delta
 
-    # -- memo transport (sharing margins across worker processes) ----------
-
-    def export_margin_memo(self):
-        """Picklable snapshot of every memoized deterministic margin
-        (the Monte Carlo sample memos stay in this process)."""
-        return {
-            "hsnm": self._hsnm,
-            "v_flip": self._v_flip,
-            "rsnm": dict(self._rsnm_cache),
-        }
-
-    def seed_margin_memo(self, memo):
-        """Pre-load margins computed elsewhere (e.g. by the parent of a
-        worker pool), so no process recomputes a butterfly the study
-        already ran."""
-        if memo.get("hsnm") is not None:
-            self._hsnm = memo["hsnm"]
-        if memo.get("v_flip") is not None:
-            self._v_flip = memo["v_flip"]
-        self._rsnm_cache.update(memo.get("rsnm", {}))
-
 
 @dataclass
 class YieldTargetConstraint:
@@ -491,24 +470,6 @@ class YieldTargetConstraint:
         if self.trust_fixed_rails:
             return np.minimum(hsnm, rsnm) >= req
         return np.minimum(np.minimum(hsnm, rsnm), wm) >= req
-
-    # -- memo transport ----------------------------------------------------
-
-    def export_margin_memo(self):
-        memo = self.base.export_margin_memo()
-        memo["sigma"] = dict(self._stat_cache)
-        # Sampled relaxations travel as plain floats (the buffers hold
-        # live solver closures and stay process-local).
-        memo["relaxation"] = {
-            key: value[0] for key, value in self._relax_cache.items()
-        }
-        return memo
-
-    def seed_margin_memo(self, memo):
-        self.base.seed_margin_memo(memo)
-        self._stat_cache.update(memo.get("sigma", {}))
-        for key, relaxation in memo.get("relaxation", {}).items():
-            self._relax_cache.setdefault(key, (relaxation, None))
 
 
 @dataclass

@@ -8,9 +8,9 @@ increment — so the hot paths stay readable and the overhead stays at a
 pair of ``perf_counter`` calls per timed block.
 
 ``python -m repro.cli <experiment> --profile`` prints the registry's
-report after the run; worker processes of the parallel runner snapshot
-their registries and the parent merges them, so a profiled parallel
-study still accounts for every task.
+report after the run; process-pool workers return a snapshot with
+every call (:func:`snapshot_call`) and the parent merges them, so a
+profiled parallel study still accounts for every task.
 """
 
 from __future__ import annotations
@@ -168,3 +168,17 @@ def timed(name):
 def count(name, n=1):
     """Increment a counter in the global registry."""
     _GLOBAL.count(name, n)
+
+
+def snapshot_call(function, *args):
+    """``function(*args)`` and the telemetry it recorded, as
+    ``(result, snapshot)``.
+
+    The entry point of every pool worker: a fork-started worker
+    inherits its parent's registry and may run several calls, so the
+    registry is cleared first and each snapshot the parent merges holds
+    this call's entries only.
+    """
+    _GLOBAL.reset()
+    result = function(*args)
+    return result, _GLOBAL.snapshot()

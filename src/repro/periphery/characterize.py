@@ -348,19 +348,6 @@ def _pool_workers(n_stages):
     return max(0, min((os.cpu_count() or 1) - 1, n_stages))
 
 
-def _pooled_stage(function, args):
-    """Run one stage in a pool worker; returns ``(result, perf delta)``.
-
-    A fork-started worker inherits the caller's telemetry registry and
-    may run several stages, so the registry is cleared first: each
-    snapshot the caller merges holds this stage's entries only.
-    """
-    registry = perf.get_registry()
-    registry.reset()
-    result = function(*args)
-    return result, registry.snapshot()
-
-
 def _run_stages(stages, caller):
     """Run ``(name, function, args)`` stages; returns ``{name: result}``.
 
@@ -379,7 +366,7 @@ def _run_stages(stages, caller):
 
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        futures = {name: pool.submit(_pooled_stage, function, args)
+        futures = {name: pool.submit(perf.snapshot_call, function, *args)
                    for name, function, args in stages if name != caller}
         done = {name: function(*args) for name, function, args in stages
                 if name == caller}

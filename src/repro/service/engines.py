@@ -7,13 +7,12 @@ Jobs cross the executor boundary as-is — picklable both ways — and
 come back as one JSON-able payload per item, so the event loop never
 touches numpy.
 
-Worker pools reuse the study runner's machinery
-(:func:`repro.analysis.runner._worker_init`): each process builds one
-session from the warm characterization cache in its initializer and is
-seeded with the parent's margin memos (:func:`warm_margin_memos`), so
-no worker ever recomputes a butterfly the parent already ran.  The
-thread executor skips all that and shares the parent's session
-directly.
+Process pools are the study runner's
+(:func:`repro.analysis.runner.session_pool`): every worker receives
+the server's warmed session, minus its characterization cache, through
+the pool initializer, so no worker re-characterizes or recomputes a
+butterfly the server already ran.  The thread executor shares the
+server's session directly.
 
 Per-item failures (an infeasible design space, a bad capacity) are
 *data*, not exceptions — ``{"ok": False, "status": 422, ...}`` — so one
@@ -351,43 +350,12 @@ def execute_job(session, job):
 
 
 # ---------------------------------------------------------------------------
-# Process-pool plumbing (reuses the study runner's worker machinery)
+# Process-pool plumbing (the study runner's worker machinery)
 # ---------------------------------------------------------------------------
-
-#: The process-pool initializer: the study runner's, verbatim — one
-#: session per worker from the on-disk cache, margin memos pre-seeded.
-worker_init = study_runner._worker_init
-
-
-def warm_margin_memos(session, space=None, flavors=("lvt", "hvt"),
-                      methods=("M1", "M2")):
-    """Feasibility margins for every flavor x method, computed once in
-    the parent and shipped to every worker (the same pre-warm
-    :func:`repro.analysis.runner.run_study` does)."""
-    space = space or DesignSpace()
-    memos = {}
-    with perf.timed("service.warm_margins"):
-        for flavor in flavors:
-            constraint = session.constraint(flavor)
-            levels = session.yield_levels(flavor)
-            for method in methods:
-                policy = make_policy(method, levels)
-                constraint.satisfied_grid(
-                    policy.v_ddc,
-                    [float(v) for v in policy.v_ssc_candidates(space)],
-                    policy.v_wl, policy.v_bl,
-                )
-            memos[flavor] = constraint.export_margin_memo()
-    return memos
-
 
 def run_job_in_worker(job):
     """Process-pool entry: execute against the worker's session and
     return ``(payloads, perf_snapshot)`` — the snapshot is this job's
     telemetry delta, merged into the server's ``/metrics``."""
-    session = study_runner._WORKER_STATE["session"]
-    payloads = execute_job(session, job)
-    registry = perf.get_registry()
-    snapshot = registry.snapshot()
-    registry.reset()
-    return payloads, snapshot
+    return perf.snapshot_call(execute_job,
+                              study_runner._WORKER_STATE["session"], job)

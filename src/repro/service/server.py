@@ -60,7 +60,7 @@ import signal
 import threading
 import time
 import uuid
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .api import PARSERS, BadRequest, parse_request
@@ -71,12 +71,16 @@ from .engines import (
     best_weighted_fields,
     execute_job,
     run_job_in_worker,
-    warm_margin_memos,
-    worker_init,
 )
 from .http import ProtocolError, read_request, write_response
 from .metrics import ServiceMetrics
-from ..analysis.experiments import DEFAULT_CACHE_PATH, Session
+from ..analysis.experiments import (
+    DEFAULT_CACHE_PATH,
+    FLAVORS,
+    METHODS,
+    Session,
+)
+from ..analysis.runner import session_pool, warm_session
 from ..errors import JobError
 from ..jobs import JobQueue
 from ..jobs.worker import SessionProvider, normalize_study_spec, run_worker
@@ -233,14 +237,9 @@ class OptimizationServer:
             )
         workers = config.resolved_workers()
         if config.executor == "process":
-            # Each worker builds its session from the on-disk cache and
-            # takes the parent's warm margin memos.
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=worker_init,
-                initargs=(config.cache_path or None, config.voltage_mode,
-                          DesignSpace(), warm_margin_memos(self.session)),
-            )
+            space = DesignSpace()
+            warm_session(self.session, space, FLAVORS, METHODS)
+            self._pool = session_pool(self.session, space, workers)
         else:
             self._pool = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="repro-service"

@@ -40,7 +40,6 @@ fixed-delta optimum — the cross-check
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 from ..assist.study import minimum_vdd_boost
@@ -316,12 +315,3 @@ def compute_yield_cell(session, capacity_bytes, flavor, method="M2",
         yield_uncoded=yield_uncoded, fallback=fallback,
         sampler=sampler, tail=tail,
     )
-
-
-def compute_yield_cell_timed(session, capacity_bytes, flavor,
-                             method="M2", **kwargs):
-    """(result, seconds) — the study-runner dispatch wrapper."""
-    start = time.perf_counter()
-    result = compute_yield_cell(session, capacity_bytes, flavor, method,
-                                **kwargs)
-    return result, time.perf_counter() - start

@@ -1,10 +1,12 @@
 """End-to-end integration: device -> cell -> periphery -> array -> opt,
 plus the CLI entry point."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.analysis import optimize_all
+from repro.analysis import experiments, optimize_all
 from repro.array import ArrayConfig, DesignPoint, SRAMArrayModel
 from repro.cli import main as cli_main
 from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
@@ -86,9 +88,47 @@ def test_cli_table4_runs(capsys, tmp_path):
     assert rc == 0
     out = capsys.readouterr().out
     assert "Table 4" in out
-    import os
-
     assert os.path.exists(json_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table4"],
+    ["pareto", "--capacities", "128,1024", "--flavors", "hvt",
+     "--methods", "M2"],
+], ids=["table4", "pareto"])
+def test_cli_prints_the_same_in_a_pool(capsys, argv):
+    outputs = []
+    for workers in ("1", "2"):
+        assert cli_main(argv + ["--cache", CACHE_PATH,
+                                "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("command", ["table4", "pareto", "yield"])
+def test_cli_executor_flag_is_gone(command):
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main([command, "--executor", "process"])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["pareto", "yield"])
+def test_cli_empty_cache_path_disables_the_cache(
+        command, paper_session, tmp_path, monkeypatch, capsys):
+    """``--cache ''`` characterizes without a cache file, as on the
+    main parser, instead of reading and writing ./.repro_cache.json."""
+    caches = []
+
+    def characterize(library, flavor, cache=None):
+        caches.append(cache)
+        return paper_session.chars[flavor]
+
+    monkeypatch.setattr(experiments, "characterize", characterize)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main([command, "--cache", "", "--capacities", "128",
+                     "--flavors", "hvt", "--methods", "M1"]) == 0
+    assert caches == [None, None]
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_headline_measured_mode(capsys):

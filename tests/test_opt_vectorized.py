@@ -6,10 +6,13 @@ design space, not only the paper's: here a coarser V_SSC grid, fewer
 fin counts and a capped row range, with the landscape kept.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.array import ArrayConfig, SRAMArrayModel
+from repro.opt import constraints
 from repro.opt import (
     DesignSpace,
     ExhaustiveOptimizer,
@@ -133,21 +136,26 @@ def test_constraint_grid_matches_scalar(paper_session):
         assert wm[k] == s_wm
 
 
-def test_margin_memo_round_trip(library, hvt_char):
-    """export/seed ships memoized margins to a fresh constraint, which
-    then answers without recomputing butterflies."""
+def _never(*args, **kwargs):
+    raise AssertionError("recomputed a memoized margin")
+
+
+def test_margin_memo_round_trip(library, hvt_char, monkeypatch):
+    """Memoized margins travel with a pickled constraint (as a process
+    pool ships the caller's session to its workers), and the loaded
+    copy answers without recomputing butterflies."""
     source = YieldConstraint(library, "hvt", delta=0.35 * library.vdd)
     source._v_flip = hvt_char.v_wl_flip
     source.margins(0.550, -0.10, 0.550)
     source.margins(0.550, -0.20, 0.550)
-    memo = source.export_margin_memo()
-    assert len(memo["rsnm"]) == 2
+    assert len(source._rsnm_cache) == 2
 
-    target = YieldConstraint(library, "hvt", delta=0.35 * library.vdd)
-    target.seed_margin_memo(memo)
+    target = pickle.loads(pickle.dumps(source))
     assert target._rsnm_cache == source._rsnm_cache
     assert target._v_flip == source._v_flip
     assert target._hsnm == source._hsnm
+    monkeypatch.setattr(constraints, "butterfly", _never)
+    monkeypatch.setattr(constraints, "hold_snm", _never)
     assert target.margins(0.550, -0.10, 0.550) == source.margins(
         0.550, -0.10, 0.550
     )

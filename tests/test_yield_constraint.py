@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,38 +216,40 @@ class TestRequirementAndSigma:
 
 
 class TestMemoRoundtrip:
+    """A constraint's memos travel with it through ``pickle``, the way
+    a process pool ships the caller's session to its workers."""
+
     def test_sigma_key_exported_and_reseeded(self, paper_session):
         constraint = _target_constraint(paper_session, "secded",
                                         n_samples=60)
         sigma = constraint.sigma(0.55, 0.0)
-        memo = constraint.export_margin_memo()
-        assert "sigma" in memo
-        assert constraint._stat_cache.keys() == memo["sigma"].keys()
-
-        fresh = _target_constraint(paper_session, "secded",
-                                   n_samples=60)
-        fresh.seed_margin_memo(memo)
+        fresh = pickle.loads(pickle.dumps(constraint))
         assert fresh._stat_cache == constraint._stat_cache
-        # A seeded constraint answers from the memo without rerunning:
-        # ``fresh`` has its own, empty sample memo, so any solve would
-        # reach the patched solver.
-        def _boom(*args, **kwargs):        # pragma: no cover
-            raise AssertionError("Monte Carlo re-ran on a seeded memo")
+        # The loaded copy answers from its memo: any solve would reach
+        # the patched solver, as a rail pair never solved shows.
+        def _boom(*args, **kwargs):
+            raise AssertionError("Monte Carlo re-ran on a loaded memo")
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mc, "snm_samples", _boom)
             assert fresh.sigma(0.55, 0.0) == sigma
+            with pytest.raises(AssertionError):
+                fresh.sigma(0.60, -0.05)
 
-    def test_base_margin_memo_still_roundtrips(self, paper_session):
+    def test_base_margin_memo_still_roundtrips(self, paper_session,
+                                               monkeypatch):
         constraint = _target_constraint(paper_session, "secded",
                                         n_samples=60)
-        constraint.margins(0.55, 0.0, 0.55)
-        memo = constraint.export_margin_memo()
-        fresh = _target_constraint(paper_session, "secded",
-                                   n_samples=60)
-        fresh.seed_margin_memo(memo)
-        assert fresh.margins(0.55, 0.0, 0.55) \
-            == constraint.margins(0.55, 0.0, 0.55)
+        margins = constraint.margins(0.55, 0.0, 0.55)
+        fresh = pickle.loads(pickle.dumps(constraint))
+        assert fresh.base._rsnm_cache == constraint.base._rsnm_cache
+
+        def _boom(*args, **kwargs):        # pragma: no cover
+            raise AssertionError("a butterfly re-ran on a loaded memo")
+
+        monkeypatch.setattr("repro.opt.constraints.butterfly", _boom)
+        monkeypatch.setattr("repro.opt.constraints.hold_snm", _boom)
+        assert fresh.margins(0.55, 0.0, 0.55) == margins
 
 
 class TestSharedShiftMatrix:
@@ -473,20 +477,19 @@ class TestSampledRelaxation:
         assert 0.0 <= relax
         assert constraint.requirement(0.55, 0.0) <= constraint.delta
 
+
     def test_sampled_relaxation_memo_roundtrip(self, paper_session):
         constraint = _target_constraint(
             paper_session, "secded", n_samples=60, sampler="shifted",
             ci_target=0.5, max_samples=256,
         )
         relax = constraint.relaxation(0.55, 0.0)
-        memo = constraint.export_margin_memo()
-        assert memo["relaxation"] == {(0.55, 0.0): relax}
+        assert constraint._relax_cache[(0.55, 0.0)][0] == relax
 
-        fresh = _target_constraint(
-            paper_session, "secded", n_samples=60, sampler="shifted",
-            ci_target=0.5, max_samples=256,
-        )
-        fresh.seed_margin_memo(memo)
+        # The sample buffers hold live solver closures and stay in
+        # their process; the relaxation memo pickles without them.
+        fresh = pickle.loads(pickle.dumps(
+            replace(constraint, _buffer_cache={})))
         assert fresh.relaxation(0.55, 0.0) == relax
         # Answered from the memo: no buffer was ever built.
         assert fresh._buffer_cache == {}
