@@ -346,10 +346,10 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
     is then a :class:`YieldSweep` of
     :class:`~repro.yields.study.YieldCellResult` values.
     ``sampler``/``ci_target``/``max_samples`` select the margin-floor
-    relaxation estimator (``"gaussian"`` closed form, or a
-    :data:`repro.cell.importance.SAMPLERS` rare-event sampler with its
-    adaptive budget).  ``code``, ``y_target`` and the sampler knobs are
-    ignored by the other objectives.
+    relaxation estimator (:data:`repro.opt.constraints.YIELD_SAMPLERS`:
+    ``"gaussian"`` closed form, or ``"shifted"`` importance sampling
+    with its adaptive budget).  ``code``, ``y_target`` and the sampler
+    knobs are ignored by the other objectives.
     """
     if objective not in ("edp", "pareto", "yield"):
         raise ValueError(
@@ -357,18 +357,14 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
             "'yield')" % (objective,)
         )
     if objective == "yield":
-        from ..cell.importance import SAMPLERS
+        from ..opt.constraints import check_yield_sampler
         from ..yields.ecc import make_code
 
         if not 0.0 < y_target < 1.0:
             raise ValueError("y_target must be in (0, 1), got %r"
                              % (y_target,))
         make_code(code, 64)   # fail fast on an unknown code name
-        if sampler != "gaussian" and sampler not in SAMPLERS:
-            raise ValueError(
-                "unknown sampler %r (expected 'gaussian' or one of %s)"
-                % (sampler, "/".join(SAMPLERS))
-            )
+        check_yield_sampler(sampler)
         if not 0.0 < ci_target < 1.0:
             raise ValueError("ci_target must be in (0, 1), got %r"
                              % (ci_target,))

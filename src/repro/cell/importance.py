@@ -5,24 +5,23 @@ cell (a 99% array-yield target over 10^5-10^6 cells), where the
 brute-force Monte Carlo of :mod:`repro.cell.montecarlo` is hopeless: an
 empirical tail count needs ``~10/p`` margin solves per operating point.
 This module turns that into a few thousand *weighted* solves with a
-controlled confidence interval:
+controlled confidence interval.  It has two samplers:
 
-* **mean-shift importance sampling** (``sampler="shifted"``) — find the
-  dominant failure direction in the per-transistor Vt-shift space with
-  a cheap batched search (finite-difference gradient, a ray scan, a
-  boundary bisection, then coordinate-ascent refinement — every probe
-  rides the lane-batched margin solvers), recentre part of the sampling
-  mass on that most-probable failure point through a *defensive
-  mixture* ``a*N(0,s^2) + (1-a)*N(shift, s^2)`` (which caps every
-  likelihood ratio at ``1/a`` — a pure mean shift makes the
-  self-normalizing denominator diverge), and estimate the tail with
-  self-normalized likelihood-ratio weights.  An effective-sample-size
-  (ESS) diagnostic reports how much of the weighted sample actually
-  contributes.
-* **cheap baseline reducers** — ``"antithetic"`` (mirrored pairs) and
-  ``"stratified"`` (stratified projection along the failure direction,
-  exact Gaussian orthogonal complement), plus the ``"naive"`` empirical
-  counter they are measured against.
+* **mean-shift importance sampling** (``sampler="shifted"``), the
+  production sampler — find the dominant failure direction in the
+  per-transistor Vt-shift space with a cheap batched search
+  (finite-difference gradient, a ray scan, a boundary bisection, then
+  coordinate-ascent refinement — every probe rides the lane-batched
+  margin solvers), recentre part of the sampling mass on that
+  most-probable failure point through a *defensive mixture*
+  ``a*N(0,s^2) + (1-a)*N(shift, s^2)`` (which caps every likelihood
+  ratio at ``1/a`` — a pure mean shift makes the self-normalizing
+  denominator diverge), and estimate the tail with self-normalized
+  likelihood-ratio weights.  An effective-sample-size (ESS) diagnostic
+  reports how much of the weighted sample actually contributes.
+* the **naive** empirical counter (``sampler="naive"``) — unweighted
+  iid draws, kept as the reference the shifted sampler is measured
+  against (the tests and ``benchmarks/bench_yield.py``).
 
 Determinism
 -----------
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 
 import numpy as np
 
@@ -56,19 +54,21 @@ from ..devices.variation import VariationModel
 from .bias import CellBias
 from .sram6t import TRANSISTOR_ROLES
 
-_NORMAL = NormalDist()
-
 #: Two-sided 95% normal quantile used for every confidence interval.
 Z_95 = 1.959963984540054
 
 #: Atomic sample-block size of the deterministic seed streams.  The
 #: adaptive loop only ever stops at a block boundary, which is what
 #: makes its result independent of how blocks were chunked into solver
-#: calls.  Must be even (the antithetic sampler mirrors half a block).
+#: calls.
 BLOCK = 64
 
-#: Recognized samplers, cheapest-variance last.
-SAMPLERS = ("naive", "antithetic", "stratified", "shifted")
+#: Recognized samplers: the unweighted reference and the production
+#: mean-shift importance sampler.
+SAMPLERS = ("naive", "shifted")
+
+#: Per-transistor coordinates of a Vt-shift sample.
+N_TRANSISTORS = len(TRANSISTOR_ROLES)
 
 #: Mass the shifted sampler keeps on the *nominal* Gaussian (the
 #: defensive component).  Every likelihood ratio is then bounded by
@@ -160,51 +160,26 @@ def block_rng(seed, index):
     )
 
 
-def _inv_cdf(u):
-    return _NORMAL.inv_cdf(min(max(u, 1e-12), 1.0 - 1e-12))
-
-
 def draw_block(sampler, seed, index, n_transistors, sigma, block=BLOCK,
-               direction=None, shift=None):
+               shift=None):
     """Block ``index`` of a sampler's deterministic Vt-shift stream.
 
     * ``naive`` — iid ``N(0, sigma^2)`` per coordinate.
-    * ``antithetic`` — the first half of the block is iid, the second
-      half mirrors it (``z -> -z``).
-    * ``stratified`` — the projection onto ``direction`` takes one
-      jittered stratified normal quantile per row; the orthogonal
-      complement stays exactly Gaussian, so the marginal law is
-      untouched.
     * ``shifted`` — the defensive mixture: each row stays on the
       nominal Gaussian with probability :data:`DEFENSIVE_FRACTION` and
       recentres on ``shift`` otherwise (likelihood ratios are computed
       downstream from the mixture density).
     """
+    _require_sampler(sampler)
     rng = block_rng(seed, index)
     if sampler == "naive":
         return rng.normal(0.0, sigma, (block, n_transistors))
-    if sampler == "antithetic":
-        if block % 2:
-            raise ValueError("antithetic blocks must be even-sized")
-        half = rng.normal(0.0, sigma, (block // 2, n_transistors))
-        return np.vstack([half, -half])
-    if sampler == "stratified":
-        if direction is None:
-            raise ValueError("stratified sampling needs a direction")
-        direction = np.asarray(direction, dtype=float)
-        xi = rng.normal(0.0, 1.0, (block, n_transistors))
-        strata = (np.arange(block) + rng.uniform(0.0, 1.0, block)) / block
-        proj = np.array([_inv_cdf(u) for u in strata])
-        along = xi @ direction
-        return sigma * (xi + np.outer(proj - along, direction))
-    if sampler == "shifted":
-        if shift is None:
-            raise ValueError("shifted sampling needs a shift vector")
-        shifted = rng.random(block) >= DEFENSIVE_FRACTION
-        noise = rng.normal(0.0, sigma, (block, n_transistors))
-        return noise + np.outer(shifted.astype(float),
-                                np.asarray(shift, dtype=float))
-    _require_sampler(sampler)
+    if shift is None:
+        raise ValueError("shifted sampling needs a shift vector")
+    shifted = rng.random(block) >= DEFENSIVE_FRACTION
+    noise = rng.normal(0.0, sigma, (block, n_transistors))
+    return noise + np.outer(shifted.astype(float),
+                            np.asarray(shift, dtype=float))
 
 
 def mixture_log_weights(shifts, shift, sigma,
@@ -250,10 +225,18 @@ class ShiftSearch:
         return float(np.linalg.norm(self.shift))
 
 
-def find_failure_shift(solver, floor, sigma, n_transistors=None, *,
-                       direction=None, fd_step=None, max_radius=9.0,
-                       scan_points=19, bisect_iters=12, refine_passes=2,
-                       restarts=3):
+#: Mean-shift search constants: the finite-difference step [sigma], the
+#: ray scan's reach [sigma] and point count, the boundary bisection
+#: steps, the coordinate-ascent passes and the plateau restarts.
+FD_STEP = 0.1
+MAX_RADIUS = 9.0
+SCAN_POINTS = 19
+BISECT_ITERS = 12
+REFINE_PASSES = 2
+RESTARTS = 3
+
+
+def find_failure_shift(solver, floor, sigma, *, direction=None):
     """Locate the dominant failure point ``margin(shift) <= floor``.
 
     Batched stages, all riding ``solver``:
@@ -263,7 +246,7 @@ def find_failure_shift(solver, floor, sigma, n_transistors=None, *,
        when a ``direction`` hint is passed, e.g. from a neighbouring
        operating point);
     2. *ray scan + bisection* — the margin along the gradient ray AND
-       every signed coordinate ray is scanned out to ``max_radius``
+       every signed coordinate ray is scanned out to :data:`MAX_RADIUS`
        sigma in one batched call, and the crossing at the smallest
        radius is bisected to the failure boundary.  The coordinate rays
        break symmetry: a symmetric cell has a symmetric gradient, so
@@ -272,7 +255,7 @@ def find_failure_shift(solver, floor, sigma, n_transistors=None, *,
        single-device Vt excursions.  If no ray crosses (real SNM
        surfaces flatten once a different metric becomes binding), the
        gradient is re-estimated at the deepest visited point and the
-       scan *restarts* from there, up to ``restarts`` times — the
+       scan *restarts* from there, up to :data:`RESTARTS` times — the
        resulting shift follows the crooked descent path instead of a
        straight line;
     3. *coordinate ascent* — per-coordinate refinement passes shrink the
@@ -287,10 +270,9 @@ def find_failure_shift(solver, floor, sigma, n_transistors=None, *,
     then reports a tail it cannot see, with the ESS diagnostic exposing
     the miss).
     """
-    n_transistors = n_transistors or len(TRANSISTOR_ROLES)
     start_evals = solver.n_evals
-    zeros = np.zeros(n_transistors)
-    h = fd_step if fd_step is not None else 0.1 * sigma
+    zeros = np.zeros(N_TRANSISTORS)
+    h = FD_STEP * sigma
 
     def outcome(shift, crossed, margin):
         shift = np.asarray(shift, dtype=float)
@@ -303,10 +285,10 @@ def find_failure_shift(solver, floor, sigma, n_transistors=None, *,
         )
 
     def downhill(base):
-        eye = np.eye(n_transistors) * h
+        eye = np.eye(N_TRANSISTORS) * h
         probes = solver(np.vstack([base + eye, base - eye]))
-        grad = (probes[:n_transistors]
-                - probes[n_transistors:]) / (2.0 * h)
+        grad = (probes[:N_TRANSISTORS]
+                - probes[N_TRANSISTORS:]) / (2.0 * h)
         norm = float(np.linalg.norm(grad))
         return None if norm == 0.0 else -grad / norm
 
@@ -322,18 +304,18 @@ def find_failure_shift(solver, floor, sigma, n_transistors=None, *,
         norm = float(np.linalg.norm(direction))
         direction = direction / norm if norm > 0.0 else None
 
-    radii = sigma * np.linspace(0.5, max_radius, scan_points)
+    radii = sigma * np.linspace(0.5, MAX_RADIUS, SCAN_POINTS)
     base, base_margin = zeros, center
     best, best_margin = zeros, center
     shift = None
-    for attempt in range(restarts + 1):
+    for attempt in range(RESTARTS + 1):
         if direction is None:
             direction = downhill(base)
         rays = [] if direction is None else [direction]
         if attempt == 0:
             # Signed coordinate rays: the symmetry breakers (and the
             # natural single-device failure modes).
-            eye = np.eye(n_transistors)
+            eye = np.eye(N_TRANSISTORS)
             rays.extend(eye)
             rays.extend(-eye)
         if not rays:
@@ -343,22 +325,22 @@ def find_failure_shift(solver, floor, sigma, n_transistors=None, *,
             base[None, :] + radii[:, None] * ray[None, :]
             for ray in rays
         ])
-        scan = solver(points).reshape(len(rays), scan_points)
+        scan = solver(points).reshape(len(rays), SCAN_POINTS)
         fails = scan <= floor
         if np.any(fails):
             # The crossing at the smallest radius — closest to the
             # most probable failure point.
             per_ray = np.where(fails.any(axis=1),
-                               fails.argmax(axis=1), scan_points)
+                               fails.argmax(axis=1), SCAN_POINTS)
             ray_index = int(np.argmin(
-                np.where(per_ray < scan_points, radii[np.minimum(
-                    per_ray, scan_points - 1)], np.inf)))
+                np.where(per_ray < SCAN_POINTS, radii[np.minimum(
+                    per_ray, SCAN_POINTS - 1)], np.inf)))
             direction = np.asarray(rays[ray_index], dtype=float)
             first = int(per_ray[ray_index])
             lo = 0.0 if first == 0 else float(radii[first - 1])
             hi = float(radii[first])
             hi_margin = float(scan[ray_index, first])
-            for _ in range(bisect_iters):
+            for _ in range(BISECT_ITERS):
                 mid = 0.5 * (lo + hi)
                 margin = float(
                     solver((base + mid * direction)[None, :])[0])
@@ -384,9 +366,9 @@ def find_failure_shift(solver, floor, sigma, n_transistors=None, *,
         return outcome(best, False, best_margin)
 
     factors = np.array([0.0, 0.5, 0.75, 1.25])
-    for _ in range(refine_passes):
+    for _ in range(REFINE_PASSES):
         improved = False
-        for j in range(n_transistors):
+        for j in range(N_TRANSISTORS):
             if shift[j] == 0.0:
                 continue
             candidates = np.tile(shift, (factors.size, 1))
@@ -506,23 +488,20 @@ class TailSampleBuffer:
     """
 
     def __init__(self, solver, *, sampler="shifted", sigma_vt=None,
-                 n_transistors=None, seed=0, block=BLOCK,
-                 search_floor=0.0, direction=None, shift=None):
+                 seed=0, block=BLOCK, search_floor=0.0, direction=None):
         _require_sampler(sampler)
-        if block < 2 or block % 2:
-            raise ValueError("block must be an even count >= 2, got %r"
+        if block < 1:
+            raise ValueError("block must be a count >= 1, got %r"
                              % (block,))
         self.solver = solver
         self.sampler = sampler
         self.sigma_vt = (VariationModel().sigma_vt if sigma_vt is None
                          else float(sigma_vt))
-        self.n_transistors = n_transistors or len(TRANSISTOR_ROLES)
         self.seed = int(seed)
         self.block = int(block)
-        #: Floor the mean-shift / direction search aims at.
+        #: Floor the mean-shift search aims at.
         self.search_floor = float(search_floor)
         self._direction_hint = direction
-        self._shift_hint = shift
         self.search = None          # ShiftSearch once prepared
         self.n_search_evals = 0
         self._margins = np.empty(0)
@@ -534,41 +513,17 @@ class TailSampleBuffer:
     @property
     def shift(self):
         return (self.search.shift if self.search is not None
-                else np.zeros(self.n_transistors))
-
-    @property
-    def direction(self):
-        return (self.search.direction if self.search is not None
-                else np.zeros(self.n_transistors))
+                else np.zeros(N_TRANSISTORS))
 
     def prepare(self):
-        """Run the (once-only) shift / direction search if needed."""
-        if self.search is not None or self.sampler in ("naive",
-                                                       "antithetic"):
-            return
-        if self._shift_hint is not None and self.sampler == "shifted":
-            shift = np.asarray(self._shift_hint, dtype=float)
-            norm = float(np.linalg.norm(shift))
-            self.search = ShiftSearch(
-                shift=shift,
-                direction=shift / norm if norm else shift,
-                n_evals=0, crossed=True, boundary_margin=math.nan,
-            )
+        """Run the once-only mean-shift search (shifted sampler only)."""
+        if self.search is not None or self.sampler == "naive":
             return
         start = self.solver.n_evals
-        search = find_failure_shift(
+        self.search = find_failure_shift(
             self.solver, self.search_floor, self.sigma_vt,
-            self.n_transistors, direction=self._direction_hint,
+            direction=self._direction_hint,
         )
-        if self.sampler == "stratified":
-            # Direction only; the sampling stays centred at the origin.
-            search = ShiftSearch(
-                shift=np.zeros(self.n_transistors),
-                direction=search.direction, n_evals=search.n_evals,
-                crossed=search.crossed,
-                boundary_margin=search.boundary_margin,
-            )
-        self.search = search
         self.n_search_evals = self.solver.n_evals - start
 
     # -- growth ------------------------------------------------------------
@@ -597,9 +552,8 @@ class TailSampleBuffer:
             count = min(chunk_blocks, want - first)
             blocks = [
                 draw_block(
-                    self.sampler, self.seed, first + i,
-                    self.n_transistors, self.sigma_vt, self.block,
-                    direction=self.direction, shift=self.shift,
+                    self.sampler, self.seed, first + i, N_TRANSISTORS,
+                    self.sigma_vt, self.block, shift=self.shift,
                 )
                 for i in range(count)
             ]
@@ -647,35 +601,6 @@ class TailSampleBuffer:
                 ci = Z_95 * math.sqrt(var)
             else:
                 p, ci = 0.0, 3.0 / max(ess, 1.0)
-        elif self.sampler == "antithetic":
-            half = self.block // 2
-            pairs = fails.reshape(-1, self.block)
-            means = 0.5 * (pairs[:, :half] + pairs[:, half:]).ravel()
-            p = float(np.mean(means))
-            ess = float(n)
-            if p <= 0.0:
-                ci = 3.0 / n
-            else:
-                ci = (Z_95 * float(np.std(means, ddof=1))
-                      / math.sqrt(means.size))
-                if ci == 0.0 and p < 1.0:
-                    # Degenerate pair means; fall back to binomial.
-                    ci = Z_95 * math.sqrt(p * (1.0 - p) / n)
-        elif self.sampler == "stratified":
-            means = fails.reshape(-1, self.block).mean(axis=1)
-            p = float(np.mean(means))
-            ess = float(n)
-            if p <= 0.0:
-                ci = 3.0 / n
-            else:
-                # The stratified estimate is quantized at 1/block per
-                # block (only the boundary stratum is random), so the
-                # observed block-mean variance can be exactly zero;
-                # keep a resolution floor of half a stratum per block.
-                nb = means.size
-                var = float(np.var(means, ddof=1)) / nb
-                res = (0.5 / self.block) ** 2 / nb
-                ci = Z_95 * math.sqrt(var + res)
         else:
             p = float(np.mean(fails))
             ess = float(n)
@@ -690,7 +615,7 @@ class TailSampleBuffer:
         )
 
     def estimate_to_ci(self, floor, ci_target=0.1, max_samples=4096,
-                       min_samples=None, chunk=None):
+                       chunk=None):
         """Grow the buffer until the relative 95% CI half-width at
         ``floor`` is at most ``ci_target`` (or ``max_samples`` solved).
 
@@ -702,10 +627,9 @@ class TailSampleBuffer:
         up in the eval telemetry but never in the estimate).
         """
         block = self.block
-        lo_b = max(2, -(-int(min_samples or 0) // block))
-        hi_b = max(-(-int(max_samples) // block), lo_b)
+        hi_b = max(-(-int(max_samples) // block), 2)
         chunk_blocks = max(1, -(-int(chunk or 4 * block) // block))
-        b = lo_b
+        b = 2
         while True:
             if self._blocks() < b:
                 grow = min(max(b, self._blocks() + chunk_blocks), hi_b)
@@ -777,27 +701,22 @@ class TailSampleBuffer:
 # ---------------------------------------------------------------------------
 
 def estimate_tail(solver, floor, *, sampler="shifted", sigma_vt=None,
-                  ci_target=0.1, max_samples=4096, min_samples=None,
-                  seed=0, block=BLOCK, chunk=None, n_transistors=None,
-                  direction=None, shift=None, search_floor=None):
+                  ci_target=0.1, max_samples=4096, seed=0, block=BLOCK,
+                  chunk=None):
     """Estimate ``P(margin < floor)`` with an adaptive sample budget.
 
-    Builds a :class:`TailSampleBuffer` for ``sampler`` and runs its
-    :meth:`~TailSampleBuffer.estimate_to_ci` loop.  ``search_floor``
-    overrides the floor the mean-shift search aims at (default: the
-    queried floor); pass ``direction``/``shift`` hints to skip parts of
-    the search (e.g. reusing a neighbouring operating point's result).
+    Builds a :class:`TailSampleBuffer` for ``sampler`` whose mean-shift
+    search aims at ``floor`` and runs its
+    :meth:`~TailSampleBuffer.estimate_to_ci` loop.
     """
     buffer = TailSampleBuffer(
-        solver, sampler=sampler, sigma_vt=sigma_vt,
-        n_transistors=n_transistors, seed=seed, block=block,
-        search_floor=floor if search_floor is None else search_floor,
-        direction=direction, shift=shift,
+        solver, sampler=sampler, sigma_vt=sigma_vt, seed=seed,
+        block=block, search_floor=floor,
     )
     with perf.timed("importance.estimate.%s" % sampler):
         estimate = buffer.estimate_to_ci(
             floor, ci_target=ci_target, max_samples=max_samples,
-            min_samples=min_samples, chunk=chunk,
+            chunk=chunk,
         )
     perf.count("importance.estimates")
     return estimate

@@ -24,11 +24,11 @@ built-in simulator (a few minutes) and caches the results; later runs
 are fast.
 
 ``serve`` starts the optimization service (:mod:`repro.service`): an
-asyncio HTTP server exposing /v1/optimize, /v1/evaluate and
-/v1/montecarlo with dynamic request batching, a result cache, and
-/metrics telemetry — see ``docs/SERVICE.md``.  With ``--jobs PATH`` it
-also exposes the durable jobs API (/v1/jobs) with a background worker
-pool.
+asyncio HTTP server exposing /v1/optimize, /v1/pareto, /v1/yield,
+/v1/evaluate and /v1/montecarlo with Monte Carlo batching, a result
+cache, and /metrics telemetry — see ``docs/SERVICE.md``.  With
+``--jobs PATH`` it also exposes the durable jobs API (/v1/jobs) with a
+background worker pool.
 
 ``jobs`` and ``store`` drive the durable queue and the
 content-addressed experiment store directly (submit/status/watch/
@@ -242,6 +242,7 @@ def run_yield(argv):
     column and ECC logic term charged.
     """
     from .analysis.experiments import CAPACITIES_BYTES, FLAVORS, METHODS
+    from .opt.constraints import YIELD_SAMPLERS
 
     parser = argparse.ArgumentParser(
         prog="repro yield",
@@ -262,20 +263,17 @@ def run_yield(argv):
     parser.add_argument("--y-target", type=float, default=0.9,
                         help="array yield target in (0, 1) "
                              "(default 0.9)")
-    parser.add_argument("--sampler",
-                        choices=("gaussian", "naive", "antithetic",
-                                 "stratified", "shifted"),
+    parser.add_argument("--sampler", choices=YIELD_SAMPLERS,
                         default="gaussian",
                         help="margin-floor relaxation estimator: "
-                             "gaussian closed form (default) or a "
-                             "rare-event sampler (shifted = mean-shift "
-                             "importance sampling)")
+                             "gaussian closed form (default) or shifted "
+                             "(mean-shift importance sampling)")
     parser.add_argument("--ci-target", type=float, default=0.1,
                         help="relative 95%% CI half-width the sampled "
                              "relaxation targets (default 0.1)")
     parser.add_argument("--max-samples", type=int, default=4096,
                         help="adaptive sample cap per rail pair for "
-                             "the rare-event samplers (default 4096)")
+                             "--sampler shifted (default 4096)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker count (1 = serial)")
     parser.add_argument("--cache", default=".repro_cache.json",
@@ -330,9 +328,10 @@ def run_serve(argv):
 
     parser = argparse.ArgumentParser(
         prog="repro serve",
-        description="Serve /v1/optimize, /v1/evaluate and /v1/montecarlo "
-                    "over HTTP; Monte Carlo draws coalesce behind an "
-                    "in-flight solve (see docs/SERVICE.md).",
+        description="Serve /v1/optimize, /v1/pareto, /v1/yield, "
+                    "/v1/evaluate and /v1/montecarlo over HTTP, plus "
+                    "/v1/jobs with --jobs; Monte Carlo draws coalesce "
+                    "behind an in-flight solve (see docs/SERVICE.md).",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8787,

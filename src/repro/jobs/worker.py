@@ -215,9 +215,11 @@ def execute_study_job(job, queue, store, worker_id, sessions,
                       lease_seconds=30.0, stop=None, throttle=0.0,
                       log=None):
     """Run one claimed study job to completion (or until ownership is
-    lost).  Returns ``"done"``, ``"lost"`` (cancelled / lease stolen),
-    or ``"stopped"`` (graceful worker shutdown; the lease will expire
-    and the job will be re-queued)."""
+    lost).  Returns ``(outcome, computed, skipped)``: the outcome is
+    ``"done"``, ``"lost"`` (cancelled / lease stolen), or ``"stopped"``
+    (graceful worker shutdown; the lease will expire and the job will
+    be re-queued), and the counts are this job's cells computed and
+    found already stored."""
     spec = normalize_study_spec(job.spec)
     session = sessions.for_spec(spec)
     space = DesignSpace()
@@ -226,8 +228,9 @@ def execute_study_job(job, queue, store, worker_id, sessions,
     computed = skipped = 0
     for index, (task, key) in enumerate(cells):
         if stop is not None and stop.is_set():
-            return "stopped"
-        if store.has(key):
+            return "stopped", computed, skipped
+        cached = store.has(key)
+        if cached:
             skipped += 1
             perf.count("jobs.cells_skipped")
         else:
@@ -249,18 +252,18 @@ def execute_study_job(job, queue, store, worker_id, sessions,
                                progress=progress):
             # Cancelled, or the lease expired and another worker owns
             # the job now.  Either way: stop; the store keeps our cells.
-            return "lost"
+            return "lost", computed, skipped
         if log is not None:
             log("  [%d/%d] %s %s" % (index + 1, total, task.label,
-                                     "cached" if store.has(key)
-                                     and not computed else "done"))
+                                     "cached" if cached else "done"))
     key = sweep_key(spec)
     store.put(key, {"spec": spec, "cells": [k for _, k in cells]},
               make_provenance(inputs={"job": job.id, "spec": {
                   k: v for k, v in spec.items() if k != "cache_path"}},
                   worker=worker_id))
-    return "done" if queue.complete(job.id, worker_id,
-                                    result_key=key) else "lost"
+    outcome = "done" if queue.complete(job.id, worker_id,
+                                       result_key=key) else "lost"
+    return outcome, computed, skipped
 
 
 _JOB_EXECUTORS = {"study": execute_study_job}
@@ -268,7 +271,12 @@ _JOB_EXECUTORS = {"study": execute_study_job}
 
 @dataclass
 class WorkerStats:
-    """What one :func:`run_worker` invocation did."""
+    """What one :func:`run_worker` invocation did.
+
+    The cell counts add up what each job's executor returned, so
+    workers running side by side never count each other's cells; a job
+    that raised counts none.
+    """
 
     worker: str
     jobs_done: int = 0
@@ -327,14 +335,14 @@ def run_worker(queue_path, store_path=None, worker_id=None,
                 log("claimed %s (%s, attempt %d/%d)"
                     % (job.id, job.kind, job.attempts, job.max_attempts))
             executor = _JOB_EXECUTORS.get(job.kind)
-            before = _cell_counts()
             try:
                 if executor is None:
                     raise JobError("unknown job kind %r" % job.kind,
                                    job_id=job.id)
-                outcome = executor(job, queue, store, worker_id, sessions,
-                                   lease_seconds=lease_seconds, stop=stop,
-                                   throttle=throttle, log=log)
+                outcome, computed, skipped = executor(
+                    job, queue, store, worker_id, sessions,
+                    lease_seconds=lease_seconds, stop=stop,
+                    throttle=throttle, log=log)
             except Exception as exc:
                 state = queue.fail(job.id, worker_id,
                                    "%s: %s" % (type(exc).__name__, exc))
@@ -343,26 +351,19 @@ def run_worker(queue_path, store_path=None, worker_id=None,
                 if log is not None:
                     log("job %s failed (%s): %s" % (job.id, state, exc))
             else:
+                stats.cells_computed += computed
+                stats.cells_skipped += skipped
                 if outcome == "done":
                     stats.jobs_done += 1
                 elif outcome == "lost":
                     stats.jobs_lost += 1
                 if log is not None:
                     log("job %s %s" % (job.id, outcome))
-            after = _cell_counts()
-            stats.cells_computed += after[0] - before[0]
-            stats.cells_skipped += after[1] - before[1]
             stats.outcomes.append((job.id, outcome))
             if once:
                 break
         stats.seconds = time.perf_counter() - start
     return stats
-
-
-def _cell_counts():
-    counters = perf.get_registry().snapshot()["counters"]
-    return (counters.get("jobs.cells_computed", 0),
-            counters.get("jobs.cells_skipped", 0))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,19 @@ from ..cell.snm import butterfly, hold_snm
 from ..cell.sram6t import SRAM6TCell
 from ..cell.write import flip_wordline_voltage
 
+#: The values of the ``sampler`` setting of every ECC-yield surface
+#: (:class:`YieldTargetConstraint`, ``run_study``, ``repro yield``,
+#: ``POST /v1/yield``): how the margin-floor relaxation is measured.
+YIELD_SAMPLERS = ("gaussian", "shifted")
+
+
+def check_yield_sampler(sampler):
+    """Raise ``ValueError`` unless ``sampler`` is a
+    :data:`YIELD_SAMPLERS` value."""
+    if sampler not in YIELD_SAMPLERS:
+        raise ValueError("unknown sampler %r (expected %s)"
+                         % (sampler, " or ".join(YIELD_SAMPLERS)))
+
 
 @dataclass
 class YieldConstraint:
@@ -176,16 +189,17 @@ class YieldTargetConstraint:
     solves are shared by every yield constraint of the session; without
     one the constraint builds a private ``base`` and memo.  The
     per-pair statistics are memoized here as well.  Deterministic
-    margins delegate to ``base`` too, so all four search engines see
-    one feasibility mask and stay bit-identical.
+    margins delegate to ``base`` too, so the search and its scalar
+    reference see one feasibility mask and stay bit-identical.
 
     ``sampler`` selects how the relaxation is measured:
 
     * ``"gaussian"`` (default) — the closed-form ``delta_z * sigma``
       above; bit-identical to the historical behavior.
-    * a :data:`repro.cell.importance.SAMPLERS` name — the relaxation is
-      read off a rare-event-sampled margin distribution instead of the
-      Gaussian extrapolation::
+    * ``"shifted"`` — the relaxation is read off a margin distribution
+      sampled by mean-shift importance sampling
+      (:mod:`repro.cell.importance`) instead of the Gaussian
+      extrapolation::
 
           relaxation = Q(p_coded) - Q(p_uncoded)
 
@@ -216,7 +230,8 @@ class YieldTargetConstraint:
     #: stability; the remainder funds other correctable mechanisms
     #: (the study's relaxed sensing margin).  1.0 = margins get it all.
     margin_budget_fraction: float = 1.0
-    #: "gaussian" (closed form) or a rare-event sampler name.
+    #: A :data:`YIELD_SAMPLERS` value: "gaussian" (closed form) or
+    #: "shifted" (importance-sampled).
     sampler: str = "gaussian"
     #: Relative 95% CI half-width the sampled relaxation targets.
     ci_target: float = 0.1
@@ -240,14 +255,7 @@ class YieldTargetConstraint:
 
         if isinstance(self.code, str):
             self.code = make_code(self.code, self.word_bits)
-        if self.sampler != "gaussian":
-            from ..cell.importance import SAMPLERS
-
-            if self.sampler not in SAMPLERS:
-                raise ValueError(
-                    "unknown sampler %r (expected 'gaussian' or one of "
-                    "%s)" % (self.sampler, "/".join(SAMPLERS))
-                )
+        check_yield_sampler(self.sampler)
         if self.base is None:
             self.base = YieldConstraint(
                 library=self.library, flavor=self.flavor,
@@ -396,7 +404,7 @@ class YieldTargetConstraint:
         calls beyond the samples already drawn."""
         if self.sampler == "gaussian":
             raise ValueError(
-                "tail_estimate needs a rare-event sampler; this "
+                "tail_estimate needs sampler='shifted'; this "
                 "constraint runs with sampler='gaussian'"
             )
         buffer = self.tail_buffer(v_ddc, v_ssc)

@@ -186,8 +186,9 @@ class YieldRequest:
     method: str
     code: str
     y_target: float
-    #: Margin-floor relaxation estimator: "gaussian" (closed form) or
-    #: a rare-event sampler (repro.cell.importance.SAMPLERS).
+    #: Margin-floor relaxation estimator, one of
+    #: repro.opt.constraints.YIELD_SAMPLERS: "gaussian" (closed form)
+    #: or "shifted" (importance-sampled).
     sampler: str = "gaussian"
     ci_target: float = 0.1
     max_samples: int = 4096
@@ -213,10 +214,10 @@ class YieldRequest:
             raise BadRequest(
                 "y_target must be in (0, 1), got %r" % (y_target,)
             )
-        from ..cell.importance import BLOCK, SAMPLERS
+        from ..cell.importance import BLOCK
+        from ..opt.constraints import YIELD_SAMPLERS
 
-        sampler = _choice(body, "sampler", ("gaussian",) + SAMPLERS,
-                          "gaussian")
+        sampler = _choice(body, "sampler", YIELD_SAMPLERS, "gaussian")
         ci_target = _require(body, "ci_target", float, default=0.1)
         if not 0.0 < ci_target < 1.0:
             raise BadRequest(

@@ -205,9 +205,8 @@ def _yield_group(session, job):
                 session, item["capacity_bytes"], flavor,
                 item["method"], code=item["code"],
                 y_target=item["y_target"],
-                sampler=item.get("sampler", "gaussian"),
-                ci_target=item.get("ci_target", 0.1),
-                max_samples=item.get("max_samples", 4096),
+                sampler=item["sampler"], ci_target=item["ci_target"],
+                max_samples=item["max_samples"],
             )
         except ReproError as exc:
             payloads.append(_failed(422, str(exc)))

@@ -8,8 +8,8 @@ Python keyword, so the package is named ``repro.yields``.)
   delay and energy assembled from the characterized unit gates.
 * :mod:`repro.yields.failure` — per-cell failure probability from Monte
   Carlo margin distributions (empirical tail counts cross-checked
-  against a Gaussian-tail extrapolation, plus the rare-event sampled
-  path of :mod:`repro.cell.importance` for 1e-9 tails) and its
+  against a Gaussian-tail extrapolation; 1e-9 tails are the
+  importance sampler's, :mod:`repro.cell.importance`) and its
   composition into codeword / word / array yield with and without
   correction.
 * :mod:`repro.yields.study` — the co-optimization driver comparing the
@@ -19,25 +19,22 @@ Python keyword, so the package is named ``repro.yields``.)
 
 from .ecc import ECCCode, ECCOverhead, ecc_overhead, hamming_check_bits, \
     make_code, secded_check_bits
-from .failure import MIN_TAIL_EVENTS, FailureEstimate, TailEstimate, \
-    array_yield, coded_p_fail_budget, codeword_fail_probability, \
-    estimate_p_fail, estimate_p_fail_sampled, margin_relaxation_z, \
-    p_fail_empirical, p_fail_gaussian, relaxed_sense_voltage, \
-    sense_fail_probability, uncoded_array_yield, uncoded_p_fail_budget, \
-    word_fail_probability, z_score
+from .failure import MIN_TAIL_EVENTS, FailureEstimate, array_yield, \
+    coded_p_fail_budget, codeword_fail_probability, estimate_p_fail, \
+    margin_relaxation_z, p_fail_empirical, p_fail_gaussian, \
+    relaxed_sense_voltage, sense_fail_probability, uncoded_array_yield, \
+    uncoded_p_fail_budget, word_fail_probability, z_score
 
 __all__ = [
     "ECCCode",
     "ECCOverhead",
     "FailureEstimate",
     "MIN_TAIL_EVENTS",
-    "TailEstimate",
     "array_yield",
     "coded_p_fail_budget",
     "codeword_fail_probability",
     "ecc_overhead",
     "estimate_p_fail",
-    "estimate_p_fail_sampled",
     "hamming_check_bits",
     "make_code",
     "margin_relaxation_z",

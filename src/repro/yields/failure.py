@@ -18,12 +18,12 @@ cannot be read), so ``p_fail = P(margin < floor)``.  Two estimators:
 
 :func:`estimate_p_fail` exposes both and selects the empirical count
 only when enough tail events were actually observed; the tests
-cross-check the two in the observable regime.  For the deep tail a
-third, *sampled* path (:func:`estimate_p_fail_sampled`, or
-``estimate_p_fail(..., sampler=...)`` with a margin solver) runs the
-rare-event engine of :mod:`repro.cell.importance` and returns a
-:class:`~repro.cell.importance.TailEstimate` carrying confidence-
-interval fields.
+cross-check the two in the observable regime.  The deep tail, where
+neither is trustworthy, belongs to the mean-shift importance sampler
+(:func:`repro.cell.importance.estimate_tail`, whose
+:class:`~repro.cell.importance.TailEstimate` carries confidence-
+interval fields), which the ECC yield constraint runs under
+``sampler="shifted"``.
 
 Composition
 -----------
@@ -46,8 +46,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-
-from ..cell.importance import TailEstimate, estimate_tail
 
 _NORMAL = NormalDist()
 
@@ -108,9 +106,7 @@ class FailureEstimate:
 MIN_TAIL_EVENTS = 8
 
 
-def estimate_p_fail(samples, floor, min_tail=MIN_TAIL_EVENTS, *,
-                    solver=None, sampler=None, ci_target=0.1,
-                    max_samples=4096, seed=0):
+def estimate_p_fail(samples, floor, min_tail=MIN_TAIL_EVENTS):
     """Per-cell failure probability with estimator selection.
 
     Empirical when at least ``min_tail`` samples fell below ``floor``
@@ -119,24 +115,7 @@ def estimate_p_fail(samples, floor, min_tail=MIN_TAIL_EVENTS, *,
     deep-yield search lives in, where the extrapolation is always
     finite (zero-variance vectors step at the sample mean, see
     :func:`p_fail_gaussian`).
-
-    Passing ``sampler`` (one of :data:`repro.cell.importance.SAMPLERS`)
-    together with a margin ``solver`` switches to the rare-event
-    engine instead: ``samples`` is ignored and the returned value is a
-    :class:`~repro.cell.importance.TailEstimate` with CI fields
-    (``p_fail``/``ci_half``/``ess``/``converged``) — the path that
-    stays meaningful down to 1e-9 tails.
     """
-    if sampler is not None:
-        if solver is None:
-            raise ValueError(
-                "sampler=%r needs a margin solver (samples alone "
-                "cannot resolve a deep tail)" % (sampler,)
-            )
-        return estimate_p_fail_sampled(
-            solver, floor, sampler=sampler, ci_target=ci_target,
-            max_samples=max_samples, seed=seed,
-        )
     values = np.asarray(samples, dtype=float)
     if values.size == 0:
         raise ValueError("estimate_p_fail needs at least one sample")
@@ -147,23 +126,6 @@ def estimate_p_fail(samples, floor, min_tail=MIN_TAIL_EVENTS, *,
     return FailureEstimate(
         empirical=empirical, gaussian=gaussian,
         n_samples=int(values.size), tail_count=tail, source=source,
-    )
-
-
-def estimate_p_fail_sampled(solver, floor, sampler="shifted",
-                            ci_target=0.1, max_samples=4096, seed=0,
-                            **kwargs):
-    """Rare-event :class:`~repro.cell.importance.TailEstimate` of
-    ``P(margin < floor)`` through a margin solver.
-
-    A thin front door over :func:`repro.cell.importance.estimate_tail`
-    (adaptive budget loop, deterministic block streams, the full
-    sampler menu) re-exported here so yield-layer callers get the
-    sampled estimator next to the empirical/Gaussian ones.
-    """
-    return estimate_tail(
-        solver, floor, sampler=sampler, ci_target=ci_target,
-        max_samples=max_samples, seed=seed, **kwargs
     )
 
 

@@ -112,8 +112,9 @@ class YieldCellResult:
     #: True when the relaxed search fell back to the baseline rails
     #: (relaxed-level measurement or search infeasible).
     fallback: bool = False
-    #: Relaxation estimator: "gaussian" (closed form) or a rare-event
-    #: sampler name (:data:`repro.cell.importance.SAMPLERS`).
+    #: Relaxation estimator
+    #: (:data:`repro.opt.constraints.YIELD_SAMPLERS`): "gaussian"
+    #: (closed form) or "shifted" (importance-sampled).
     sampler: str = "gaussian"
     #: Sampled :class:`~repro.cell.importance.TailEstimate` of the
     #: functional tail ``P(margin < 0)`` at the relaxed optimum's rails
@@ -211,7 +212,7 @@ def compute_yield_cell(session, capacity_bytes, flavor, method="M2",
 
     ``sampler`` selects the margin-floor relaxation estimator:
     ``"gaussian"`` keeps the closed-form ``delta_z * sigma`` path
-    bit-for-bit; a rare-event sampler name runs the importance-sampled
+    bit-for-bit; ``"shifted"`` runs the importance-sampled
     margin-floor solve of :class:`~repro.opt.constraints.
     YieldTargetConstraint` (one shared sample buffer per rail pair,
     adaptive budget up to ``max_samples`` per pair targeting relative

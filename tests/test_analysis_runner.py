@@ -207,8 +207,12 @@ def test_sweep_report_still_works(paper_session):
     ({"objective": "yield", "ci_target": 1.0}, ValueError),
     ({"objective": "yield", "code": "parity-x9"}, DesignSpaceError),
     ({"objective": "yield", "sampler": "tarot"}, ValueError),
+    ({"objective": "yield", "sampler": "naive"}, ValueError),
+    ({"objective": "yield", "sampler": "antithetic"}, ValueError),
+    ({"objective": "yield", "sampler": "stratified"}, ValueError),
 ], ids=["objective", "y_target-0", "y_target-1", "ci_target-0",
-        "ci_target-1", "code", "sampler"])
+        "ci_target-1", "code", "sampler", "sampler-naive",
+        "sampler-antithetic", "sampler-stratified"])
 def test_bad_arguments_rejected(paper_session, arguments, error):
     """Rejected before any task runs."""
     with pytest.raises(error):

@@ -112,6 +112,13 @@ def test_cli_executor_flag_is_gone(command):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("sampler", ["naive", "antithetic", "stratified"])
+def test_cli_yield_accepts_only_gaussian_or_shifted(sampler):
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["yield", "--sampler", sampler])
+    assert excinfo.value.code == 2
+
+
 @pytest.mark.parametrize("command", ["pareto", "yield"])
 def test_cli_empty_cache_path_disables_the_cache(
         command, paper_session, tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Worker loop: spec validation, execution, checkpointing, dedup."""
 
+import threading
+
 import pytest
 
 from repro.analysis.runner import StudyTask, execute_study_task
@@ -190,8 +192,61 @@ def test_cancelled_job_is_lost_not_done(db_path, warm_sessions):
     queue.cancel(job_id)
     outcome = execute_study_job(job, queue, store, "t-w1",
                                 warm_sessions)
-    assert outcome == "lost"
+    # The first cell is computed before the heartbeat sees the cancel.
+    assert outcome == ("lost", 1, 0)
     assert queue.get(job_id).state == "cancelled"
+
+
+def test_concurrent_workers_count_only_their_own_cells(tmp_path,
+                                                       warm_sessions):
+    """Two workers running side by side in one process each report the
+    cells of their own job."""
+    lockstep = threading.Barrier(2, timeout=60)
+
+    def log(line):
+        # Both workers log the same four lines (the claim, one per
+        # cell, the outcome); meeting at each keeps both jobs in flight
+        # at once.
+        lockstep.wait()
+
+    specs = [dict(SPEC, capacities=[128]), dict(SPEC, capacities=[256])]
+    stats = [None, None]
+
+    def work(index):
+        path = str(tmp_path / ("jobs-%d.db" % index))
+        JobQueue(path).submit("study", specs[index])
+        stats[index] = run_worker(path, once=True, poll_interval=0.05,
+                                  sessions=warm_sessions, log=log)
+
+    threads = [threading.Thread(target=work, args=(index,))
+               for index in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [(s.jobs_done, s.cells_computed, s.cells_skipped)
+            for s in stats] == [(1, 2, 0), (1, 2, 0)]
+
+
+def test_log_labels_each_cell_by_its_own_outcome(db_path, warm_sessions,
+                                                 paper_session):
+    """A stored cell logs ``cached`` even when a computed cell came
+    first, and a computed one logs ``done``."""
+    store = ExperimentStore(db_path)
+    cells = study_cell_keys(paper_session, normalize_study_spec(SPEC))
+    task, key = cells[1]
+    result, _ = execute_study_task(paper_session, DesignSpace(), task)
+    store.put(key, result_to_payload(result))
+
+    JobQueue(db_path).submit("study", SPEC)
+    lines = []
+    stats = run_worker(db_path, once=True, poll_interval=0.05,
+                       sessions=warm_sessions, log=lines.append)
+    assert (stats.cells_computed, stats.cells_skipped) == (1, 1)
+    assert [line.split()[1:] for line in lines
+            if line.startswith("  [")] == [["128B/LVT/M1", "done"],
+                                           ["128B/LVT/M2", "cached"]]
 
 
 def test_unknown_job_kind_fails(db_path, warm_sessions):

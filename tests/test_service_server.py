@@ -379,6 +379,13 @@ def test_yield_invalid_inputs_are_400(client):
         check=False)
     assert status == 400
     assert "y_target" in payload["error"]
+    for sampler in ("bogus", "naive", "antithetic", "stratified"):
+        status, payload, _ = client.request(
+            "POST", "/v1/yield",
+            body={"capacity_bytes": 1024, "sampler": sampler},
+            check=False)
+        assert status == 400
+        assert "sampler" in payload["error"]
 
 
 def test_yield_store_dedups_repeat_cells(paper_session, tmp_path):

@@ -437,8 +437,11 @@ class TestSampledRelaxation:
     """The rare-event sampler behind the margin-floor solve."""
 
     def test_unknown_sampler_rejected(self, paper_session):
-        with pytest.raises(ValueError):
-            _target_constraint(paper_session, "secded", sampler="bogus")
+        # Only gaussian and shifted are samplers of the yield study.
+        for sampler in ("bogus", "naive", "antithetic", "stratified"):
+            with pytest.raises(ValueError):
+                _target_constraint(paper_session, "secded",
+                                   sampler=sampler)
 
     def test_gaussian_mode_has_no_tail_estimate(self, paper_session):
         constraint = _target_constraint(paper_session, "secded",

@@ -8,21 +8,28 @@ yield falls as the cell failure probability rises, for every code
 identity for ``code="none"``; a per-cell failure budget meets its
 yield target and shrinks as the target rises; the defensive mixture's
 log-weights stay under ``-log a``, and the Kish effective sample size
-lies in [1, n].
+lies in [1, n].  And the two margin-floor relaxations read one margin
+function: the importance sampler's solver answers the Gaussian
+relaxation's Monte Carlo draw with its samples, bit for bit.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cell.bias import CellBias
 from repro.cell.importance import (
     DEFENSIVE_FRACTION,
     MarginSolver,
     TailSampleBuffer,
+    cell_margin_solver,
     mixture_log_weights,
 )
+from repro.cell.montecarlo import MarginSampleMemo
+from repro.cell.sram6t import SRAM6TCell
 from repro.yields.ecc import make_code
 from repro.yields.failure import (
     array_yield,
@@ -124,17 +131,35 @@ def test_log_weights_never_exceed_the_defensive_bound(seed, sigma,
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**16),
-       shift_scale=st.sampled_from([0.0, 1e-3, 0.01, 0.05, 0.2]),
+       search_floor=st.floats(0.0, 0.06),
        blocks=st.integers(2, 40),
        floor=st.floats(-0.05, 0.1))
-def test_shifted_ess_lies_between_one_and_n(seed, shift_scale, blocks,
+def test_shifted_ess_lies_between_one_and_n(seed, search_floor, blocks,
                                             floor):
+    # The search floor sets the shift: none from 0.05 up, where the
+    # origin already fails, and a longer one the lower the floor.
     rng = np.random.default_rng(seed)
     gain = rng.normal(size=6)
     solver = MarginSolver(lambda shifts: 0.05 - 0.1 * shifts @ gain)
     buffer = TailSampleBuffer(
         solver, sampler="shifted", sigma_vt=0.02, seed=seed, block=8,
-        shift=rng.normal(size=6) * shift_scale)
+        search_floor=search_floor)
     buffer.ensure(8 * blocks)
     estimate = buffer.estimate(floor)
     assert 1.0 <= estimate.ess <= estimate.n_samples
+
+
+@pytest.mark.parametrize("flavor", ["hvt", "lvt"])
+@pytest.mark.parametrize("v_ddc,v_ssc", [(0.55, 0.0), (0.64, -0.1)])
+def test_sampled_and_gaussian_relaxations_read_one_margin_function(
+        library, flavor, v_ddc, v_ssc):
+    """``YieldTargetConstraint`` takes the Gaussian relaxation's sigma
+    from a ``MarginSampleMemo`` and the sampled one from
+    ``cell_margin_solver``; at the memo's own draw the two agree."""
+    cell = SRAM6TCell.from_library(library, flavor)
+    vdd = library.vdd
+    memo = MarginSampleMemo(cell, vdd, 40, 0)
+    solver = cell_margin_solver(
+        cell, vdd, CellBias.read(vdd=vdd, v_ddc=v_ddc, v_ssc=v_ssc))
+    sampled = solver(memo.shift_matrix)
+    assert sampled.tobytes() == memo.min_margin(v_ddc, v_ssc).tobytes()

@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from repro.yields.ecc import make_code
-from repro.cell.importance import MarginSolver, TailEstimate
 from repro.yields.failure import (
     MIN_TAIL_EVENTS,
-    estimate_p_fail_sampled,
     array_yield,
     coded_p_fail_budget,
     codeword_fail_probability,
@@ -106,43 +104,6 @@ class TestEstimators:
         assert est.source == "gaussian"
         assert 0.0 <= est.p_fail < 0.01
         assert math.isfinite(est.p_fail)
-
-
-class TestSampledPath:
-    """estimate_p_fail's rare-event branch (TailEstimate with CI)."""
-
-    def _solver(self):
-        g = np.array([1.0, 0.3, 0.7, 0.2, 0.5, 0.4])
-        return MarginSolver(lambda z: 0.12 - z @ g)
-
-    def test_sampler_without_solver_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_p_fail(None, 0.0, sampler="shifted")
-
-    def test_sampler_branch_returns_tail_estimate(self):
-        est = estimate_p_fail(
-            None, 0.0, solver=self._solver(), sampler="shifted",
-            ci_target=0.3, max_samples=2048, seed=7,
-        )
-        assert isinstance(est, TailEstimate)
-        assert est.sampler == "shifted"
-        assert est.source == "sampled"
-        assert 0.0 < est.p_fail < 1.0
-        assert est.ci_half > 0.0
-        assert est.ci_low <= est.p_fail <= est.ci_high
-
-    def test_front_door_matches_direct(self):
-        direct = estimate_p_fail_sampled(
-            self._solver(), 0.0, sampler="shifted", ci_target=0.3,
-            max_samples=2048, seed=7,
-        )
-        routed = estimate_p_fail(
-            None, 0.0, solver=self._solver(), sampler="shifted",
-            ci_target=0.3, max_samples=2048, seed=7,
-        )
-        assert routed.p_fail == direct.p_fail
-        assert routed.ci_half == direct.ci_half
-        assert routed.n_samples == direct.n_samples
 
 
 class TestComposition:
