@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
+from ..devices.model import FinFET, parameter_columns, terminal_current
 from ..errors import CharacterizationError
 from .bias import CellBias
 
@@ -36,11 +38,26 @@ DEFAULT_POINTS = 121
 #: Bisection convergence for the half-circuit output voltage [V].
 _BISECT_TOL = 1e-7
 
+#: Largest per-device block (elements of one device's current) that the
+#: half-circuit solve evaluates as one stacked device-kernel call; larger
+#: blocks call the kernel once per device.  Stacking pays at small blocks,
+#: where numpy's per-call overhead dominates, and loses once the stacked
+#: temporaries outgrow the cache: the ``margins`` leg of
+#: ``benchmarks/bench_montecarlo.py`` times both sides (docs/PERF.md §9).
+_STACK_MAX_BLOCK = 1536
+
+#: The half circuit's devices in stack order; the net current leaving
+#: the output node is ``(pd + pu) - ax``.
+_STACK_ROLES = ("pd", "pu", "ax")
+
 
 def _half_circuit_current(cell, side, v_in, v_out, bias, access_on):
     """Net current leaving the output node of one half circuit [A].
 
     ``side`` is "l" (output Q, input QB) or "r" (output QB, input Q).
+    One device-kernel call per device: the path for blocks above
+    :data:`_STACK_MAX_BLOCK`, and the reference whose bits
+    :func:`_stacked_current` reproduces.
     """
     pu = cell.device("pu_" + side)
     pd = cell.device("pd_" + side)
@@ -56,6 +73,70 @@ def _half_circuit_current(cell, side, v_in, v_out, bias, access_on):
     # drain equals current *out of* the output node, hence the sign.
     out -= ax.current(v_wl, v_bl, v_out)
     return out
+
+
+def _stacked_current(devices, v_in, bias, v_wl, v_bl, shape):
+    """Net out-current of one half circuit as a function of ``v_out``,
+    evaluating its three devices in one kernel call per step.
+
+    ``devices`` are the pull-down, pull-up and access FinFETs; their
+    terminals are stacked on a leading axis of ``(3,) + shape`` arrays
+    whose fixed rows are written here once, so a step rewrites only the
+    three ``v_out`` rows.  Every element runs the operation sequence of
+    :func:`_half_circuit_current` (``FinFET.current`` per device, then
+    ``(pd + pu) - ax``), so the two return the same bits.
+    """
+    ndim = len(shape)
+
+    def lead(column):
+        # A (3, ...) parameter block padded to broadcast over ``shape``.
+        return column.reshape(column.shape[:1]
+                              + (1,) * (ndim + 1 - column.ndim)
+                              + column.shape[1:])
+
+    columns = parameter_columns([device.params for device in devices])
+    params = SimpleNamespace(**{
+        name: lead(column) for name, column in vars(columns).items()})
+    polarity = lead(np.array([[d.polarity_sign] for d in devices]))
+    nfin = lead(np.array([[float(d.nfin)] for d in devices]))
+    stacked = (len(devices),) + shape
+    v_g, v_d, v_s = np.empty(stacked), np.empty(stacked), np.empty(stacked)
+    # (gate, drain, source) of pd: (in, out, CVSS); pu: (in, out, CVDD);
+    # ax: (WL, BL, out).
+    v_g[0] = v_g[1] = v_in
+    v_g[2] = v_wl
+    v_d[2] = v_bl
+    v_s[0] = bias.v_ssc
+    v_s[1] = bias.v_ddc
+
+    def current(v_out):
+        v_d[0] = v_d[1] = v_s[2] = v_out
+        out = terminal_current(v_g, v_d, v_s, params, polarity) * nfin
+        return (out[0] + out[1]) - out[2]
+
+    return current
+
+
+def _net_current(cell, side, v_in, bias, access_on, lo_bound, hi_bound):
+    """``v_out -> net current leaving the output node`` for one solve.
+
+    One stacked kernel call per evaluation when the cell's devices are
+    FinFETs and one device's block has at most :data:`_STACK_MAX_BLOCK`
+    elements, else :func:`_half_circuit_current` (one call per device).
+    Both give the same bits.
+    """
+    devices = [cell.device(role + "_" + side) for role in _STACK_ROLES]
+    if all(isinstance(device, FinFET) for device in devices):
+        v_bl = bias.v_bl if side == "l" else bias.v_blb
+        v_wl = bias.v_wl if access_on else 0.0
+        shape = np.broadcast_shapes(
+            v_in.shape, np.shape(lo_bound), np.shape(hi_bound),
+            np.shape(v_wl), np.shape(v_bl),
+            *(np.shape(device.params.vt) for device in devices))
+        if math.prod(shape) <= _STACK_MAX_BLOCK:
+            return _stacked_current(devices, v_in, bias, v_wl, v_bl, shape)
+    return lambda v_out: _half_circuit_current(cell, side, v_in, v_out,
+                                               bias, access_on)
 
 
 def _bisection_counts(spans):
@@ -96,6 +177,11 @@ def solve_half_circuit(cell, side, v_in, bias, access_on):
       iteration count the scalar path would compute, with finished
       lanes frozen, so every element follows the scalar op sequence
       bitwise.
+
+    Each bracket check and bisection step evaluates the three devices
+    in one stacked kernel call, or one call per device once a device's
+    block exceeds :data:`_STACK_MAX_BLOCK` elements (:func:`_net_current`);
+    the two give the same bits.
     """
     v_in = np.asarray(v_in, dtype=float)
     scalar = v_in.ndim == 0
@@ -109,12 +195,10 @@ def solve_half_circuit(cell, side, v_in, bias, access_on):
     hi_bound = np.maximum(
         np.maximum(bias.v_ddc, bias.v_bl), bias.v_blb
     ) + 0.1
-    f_lo = _half_circuit_current(
-        cell, side, v_in, lo_bound + 0.0 * v_in, bias, access_on
-    )
-    f_hi = _half_circuit_current(
-        cell, side, v_in, hi_bound + 0.0 * v_in, bias, access_on
-    )
+    current = _net_current(cell, side, v_in, bias, access_on,
+                           lo_bound, hi_bound)
+    f_lo = current(lo_bound + 0.0 * v_in)
+    f_hi = current(hi_bound + 0.0 * v_in)
     if np.any(f_lo > 0) or np.any(f_hi < 0):
         bracket = (float(np.min(lo_bound)), float(np.max(hi_bound)))
         raise CharacterizationError(
@@ -128,9 +212,7 @@ def solve_half_circuit(cell, side, v_in, bias, access_on):
     for step in range(int(counts.max())):
         running = step < counts
         mid = 0.5 * (lo + hi)
-        high_side = _half_circuit_current(
-            cell, side, v_in, mid, bias, access_on
-        ) > 0
+        high_side = current(mid) > 0
         hi = np.where(running & high_side, mid, hi)
         lo = np.where(running & ~high_side, mid, lo)
     result = 0.5 * (lo + hi)
@@ -153,10 +235,18 @@ def vtc(cell, side, bias, access_on, points=DEFAULT_POINTS,
 
     Returns ``(v_in, v_out)`` arrays.  The sweep spans the cell's internal
     swing (``v_ssc`` to ``v_ddc``) unless explicit bounds are given.
+    Per-lane rails (``(k, 1)`` columns) sweep each lane over its own
+    swing: ``v_in`` is then ``(k, points)``, and each row holds the bits
+    of the scalar sweep at that lane's rails.
     """
     v_lo = bias.v_ssc if v_lo is None else v_lo
     v_hi = bias.v_ddc if v_hi is None else v_hi
-    v_in = np.linspace(v_lo, v_hi, points)
+    if np.ndim(v_lo) or np.ndim(v_hi):
+        v_lo, v_hi = np.broadcast_arrays(v_lo, v_hi)
+        v_in = np.ascontiguousarray(np.linspace(
+            v_lo.ravel(), v_hi.ravel(), points, axis=-1))
+    else:
+        v_in = np.linspace(v_lo, v_hi, points)
     v_out = solve_half_circuit(cell, side, v_in, bias, access_on)
     return v_in, v_out
 
@@ -241,14 +331,17 @@ def butterfly(cell, bias, access_on, points=DEFAULT_POINTS):
 
 
 def snm_samples(cell, bias, access_on, points=DEFAULT_POINTS):
-    """Noise margin of every sample of a batched cell at once [V].
+    """Noise margin of every lane of a batched solve at once [V].
 
-    ``cell`` carries batched per-sample parameters (see
-    :meth:`repro.devices.params.FinFETParams.with_vt_shifts`); both VTC
-    bisections evaluate all samples simultaneously, then the largest
-    inscribed square is extracted per sample.  Returns an ``(n,)`` array
+    A lane is a Monte Carlo sample of a batched ``cell`` (per-sample
+    parameters, see
+    :meth:`repro.devices.params.FinFETParams.with_vt_shifts`) or one
+    operating point of array-valued ``bias`` rails (``(k, 1)`` columns,
+    each lane sweeping its own swing, see :func:`vtc`).  Both VTC
+    bisections evaluate all lanes simultaneously, then the largest
+    inscribed square is extracted per lane.  Returns an ``(n,)`` array
     that is bitwise equal to calling ``butterfly(...).snm`` on each
-    sample's scalar cell.
+    sample's scalar cell, or at each lane's scalar bias.
     """
     qb_axis, q_of_qb = vtc(cell, "l", bias, access_on, points)
     q_of_qb = np.atleast_2d(q_of_qb)
@@ -257,12 +350,15 @@ def snm_samples(cell, bias, access_on, points=DEFAULT_POINTS):
     else:
         q_axis, qb_of_q = vtc(cell, "r", bias, access_on, points)
         qb_of_q = np.atleast_2d(qb_of_q)
-    # Eye extraction is 1-D interpolation, so it runs per sample — cheap
+    # One sweep axis for every sample, or one row per rail lane.
+    qb_axis = np.broadcast_to(qb_axis, q_of_qb.shape)
+    q_axis = np.broadcast_to(q_axis, qb_of_q.shape)
+    # Eye extraction is 1-D interpolation, so it runs per lane — cheap
     # next to the bisections (O(points log points) vs O(iters * devices)).
     snm = np.empty(q_of_qb.shape[0])
     for k in range(q_of_qb.shape[0]):
         lobe_a, lobe_b = _largest_squares(
-            qb_axis, q_of_qb[k], qb_of_q[k], q_axis
+            qb_axis[k], q_of_qb[k], qb_of_q[k], q_axis[k]
         )
         snm[k] = min(lobe_a, lobe_b)
     return snm

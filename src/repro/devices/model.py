@@ -150,18 +150,24 @@ _KERNEL_PARAMS = ("vt", "b", "alpha", "gamma_s", "i_floor", "lambda_",
 
 
 def parameter_columns(param_sets):
-    """Kernel parameters of ``k`` devices as ``(k, 1)`` float columns.
+    """Kernel parameters of ``k`` devices stacked on a leading axis.
 
-    The result stands in for ``params`` when
-    :func:`terminal_current_and_derivatives` evaluates the ``k`` devices
-    in one call: row ``j`` holds ``param_sets[j]``'s values and
-    broadcasts against ``(k, lanes)`` terminal voltages.
+    The result stands in for ``params`` when :func:`terminal_current`
+    or :func:`terminal_current_and_derivatives` evaluates the ``k``
+    devices in one call: row ``j`` holds ``param_sets[j]``'s values.  A
+    scalar parameter becomes a ``(k, 1)`` float column that broadcasts
+    against ``(k, lanes)`` terminal voltages; an array-valued one (a
+    batched per-sample ``(n, 1)`` ``vt``) becomes a ``(k, n, 1)`` block.
     """
-    return SimpleNamespace(**{
-        name: np.array([getattr(p, name) for p in param_sets],
-                       dtype=float).reshape(-1, 1)
-        for name in _KERNEL_PARAMS
-    })
+    columns = {}
+    for name in _KERNEL_PARAMS:
+        values = [getattr(p, name) for p in param_sets]
+        if any(np.ndim(value) for value in values):
+            columns[name] = np.stack(np.broadcast_arrays(*values)).astype(
+                float, copy=False)
+        else:
+            columns[name] = np.array(values, dtype=float).reshape(-1, 1)
+    return SimpleNamespace(**columns)
 
 
 class FinFET:

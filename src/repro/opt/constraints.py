@@ -8,8 +8,8 @@ modes are provided; the fixed-delta mode is the default used everywhere
 
 Because RSNM depends on (V_DDC, V_SSC) — the negative-Gnd assist mildly
 changes it — the constraint precomputes RSNM over the candidate V_SSC
-values once per policy instead of re-running butterflies inside the
-search loop.
+values once per policy, in one lane-batched solve, instead of running
+butterflies inside the search loop.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from ..cell.bias import CellBias
 from ..cell.montecarlo import MarginSampleMemo, MetricSamples
-from ..cell.snm import butterfly, hold_snm
+from ..cell.snm import butterfly, hold_snm, snm_samples
 from ..cell.sram6t import SRAM6TCell
 from ..cell.write import flip_wordline_voltage
 
@@ -136,17 +136,50 @@ class YieldConstraint:
         """(HSNM, RSNM, WM) arrays across a whole V_SSC candidate axis.
 
         HSNM and WM do not depend on V_SSC, so they broadcast; RSNM is
-        looked up per level through the same memo the scalar path uses,
-        which keeps both paths numerically identical and means each
-        distinct operating point runs at most one butterfly per process.
+        looked up per level in the memo the scalar path uses.  The
+        levels it misses are solved together (:meth:`_solve_rsnm_axis`)
+        at the floats the scalar loop would have solved them at, so
+        both paths read the same bits and each distinct operating point
+        is solved at most once per process.
         """
         v_ssc_values = np.asarray(v_ssc_values, dtype=float)
-        rsnm = np.array([
-            self.rsnm(v_ddc, float(v)) for v in v_ssc_values
-        ])
+        levels = v_ssc_values.tolist()
+        ddc_key = round(v_ddc, 4)
+        try:
+            rsnm = np.array([self._rsnm_cache[(ddc_key, round(v, 4))]
+                             for v in levels])
+        except KeyError:
+            self._solve_rsnm_axis(v_ddc, levels)
+            rsnm = np.array([self._rsnm_cache[(ddc_key, round(v, 4))]
+                             for v in levels])
         hsnm = np.full(v_ssc_values.shape, self.hsnm())
         wm = np.full(v_ssc_values.shape, self.wm(v_wl, v_bl))
         return hsnm, rsnm, wm
+
+    def _solve_rsnm_axis(self, v_ddc, levels):
+        """Memoize RSNM at every V_SSC level the memo misses, in one
+        lane-batched solve (one lane per level, the rail a ``(k, 1)``
+        column through :func:`~repro.cell.snm.snm_samples`).
+
+        Each missing key is solved at the first of ``levels`` that
+        rounds to it, the float :meth:`rsnm` would have been called
+        with, and each lane equals that scalar butterfly bitwise.
+        """
+        ddc_key = round(v_ddc, 4)
+        missing = {}
+        for v in levels:
+            key = (ddc_key, round(v, 4))
+            if key not in self._rsnm_cache:
+                missing.setdefault(key, v)
+        if not missing:
+            return
+        bias = CellBias.read(
+            vdd=self.library.vdd, v_ddc=v_ddc,
+            v_ssc=np.array(list(missing.values())).reshape(-1, 1),
+        )
+        snm = snm_samples(self.cell, bias, access_on=True)
+        for key, value in zip(missing, snm.tolist()):
+            self._rsnm_cache.setdefault(key, value)
 
     def satisfied_grid(self, v_ddc, v_ssc_values, v_wl, v_bl=0.0):
         """Boolean feasibility mask over a V_SSC candidate axis."""

@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 from ..assist.study import minimum_vdd_boost
 from ..errors import CharacterizationError, DesignSpaceError
-from ..opt.constraints import YieldTargetConstraint
+from ..opt.constraints import YieldTargetConstraint, check_yield_sampler
 from ..opt.exhaustive import ExhaustiveOptimizer
 from ..opt.methods import YieldLevels, make_policy
 from ..opt.space import DesignSpace
@@ -221,6 +221,8 @@ def compute_yield_cell(session, capacity_bytes, flavor, method="M2",
     """
     from ..array.model import SRAMArrayModel
 
+    # Before the baseline search, which an unknown sampler would waste.
+    check_yield_sampler(sampler)
     space = space or DesignSpace()
     capacity_bits = capacity_bytes * 8
     code_obj = make_code(code, session.config.word_bits)

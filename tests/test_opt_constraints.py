@@ -2,7 +2,15 @@
 
 import pytest
 
+import repro.assist.study
+import repro.cell.montecarlo
+import repro.cell.snm
+import repro.opt.constraints
+from repro.analysis import Session
+from repro.analysis.runner import run_study
 from repro.opt import YieldConstraint
+
+from .conftest import CACHE_PATH
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +66,26 @@ def test_trust_fixed_rails_skips_wm(library, hvt_char):
     strict = YieldConstraint(library, "hvt", delta=0.35 * library.vdd)
     strict._v_flip = hvt_char.v_wl_flip
     assert not strict.satisfied(0.55, 0.0, 0.40)
+
+
+def test_fresh_study_solves_each_rsnm_axis_at_once(monkeypatch):
+    """A fresh session's study makes six margin solves: two HSNMs, the
+    two M1 single levels, and one lane-batched V_SSC axis per flavor,
+    not one butterfly per level."""
+    solves = []
+
+    def counted(solver):
+        def wrapper(*args, **kwargs):
+            solves.append(solver.__name__)
+            return solver(*args, **kwargs)
+        return wrapper
+
+    for module in (repro.assist.study, repro.cell.montecarlo,
+                   repro.cell.snm, repro.opt.constraints):
+        for name in ("butterfly", "snm_samples"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(getattr(module, name)))
+    session = Session.create(cache_path=CACHE_PATH, voltage_mode="paper")
+    run_study(session, capacities=(32,))
+    assert len(solves) <= 6, solves

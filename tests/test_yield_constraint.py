@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro.cell.montecarlo as mc
+from repro import perf
 from repro.analysis import Session
 from repro.opt import ExhaustiveOptimizer, MonteCarloYieldConstraint, \
     YieldConstraint, YieldTargetConstraint
@@ -442,6 +443,18 @@ class TestSampledRelaxation:
             with pytest.raises(ValueError):
                 _target_constraint(paper_session, "secded",
                                    sampler=sampler)
+
+    def test_study_rejects_unknown_sampler_before_searching(
+            self, paper_session):
+        def evaluations():
+            return perf.get_registry().snapshot()["counters"].get(
+                "optimizer.evaluations", 0)
+
+        before = evaluations()
+        with pytest.raises(ValueError, match="unknown sampler"):
+            compute_yield_cell(paper_session, 16384, "hvt", "M2",
+                               sampler="naive")
+        assert evaluations() == before
 
     def test_gaussian_mode_has_no_tail_estimate(self, paper_session):
         constraint = _target_constraint(paper_session, "secded",
