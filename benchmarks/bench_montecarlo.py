@@ -12,9 +12,11 @@ production path, recorded as ``batched``) against
 per-sample loop, recorded as ``loop``).  The reference is far too slow
 to run at the full sample count (it is the point of this benchmark), so
 each is timed at its own sample count and compared on **per-sample
-throughput**, recorded as such.  A small equal-count parity run asserts
-the two stay bit-identical, so the speedup is a pure-performance
-number.
+throughput**, recorded as such.  The two legs are timed in alternating
+chunks (chunk ``c`` draws seed ``seed + c``), so a slow phase of the
+host falls on both rather than on one.  A small equal-count parity run
+asserts the two stay bit-identical, so the speedup is a
+pure-performance number.
 
 The ``margins`` section times the margin solves a session makes on the
 half-circuit solve's production device kernel (the three devices of a
@@ -67,9 +69,12 @@ BASELINE_PATH = os.path.join(_HERE, "..", "BENCH_montecarlo.json")
 METRICS = ("hsnm", "rsnm", "wm")
 
 #: Sample counts: production runs the acceptance-gate count; the scalar
-#: reference runs a small slice and is normalized per sample.
-FULL = {"batched": 2000, "loop": 40, "parity": 6, "min_speedup": 20.0}
-QUICK = {"batched": 200, "loop": 8, "parity": 4, "min_speedup": 5.0}
+#: reference runs a small slice and is normalized per sample.  Both are
+#: split into ``chunks`` equal chunks, timed alternately.
+FULL = {"batched": 2000, "loop": 40, "parity": 6, "min_speedup": 20.0,
+        "chunks": 4}
+QUICK = {"batched": 200, "loop": 8, "parity": 4, "min_speedup": 5.0,
+         "chunks": 2}
 
 #: Schema leg name -> the Monte Carlo path it times.
 RUNNERS = {"batched": run_cell_montecarlo,
@@ -258,6 +263,21 @@ def _run(cell, leg, n_samples, seed):
     return result, time.perf_counter() - start
 
 
+def throughput_legs(cell, sizing, seed):
+    """Seconds of the ``loop`` and ``batched`` legs at their full sample
+    counts, each split into ``sizing["chunks"]`` chunks that alternate
+    between the legs (and which leg goes first)."""
+    chunks = sizing["chunks"]
+    seconds = {"loop": 0.0, "batched": 0.0}
+    for c in range(chunks):
+        for leg in (("loop", "batched") if c % 2 == 0
+                    else ("batched", "loop")):
+            _, chunk_seconds = _run(cell, leg, sizing[leg] // chunks,
+                                    seed + c)
+            seconds[leg] += chunk_seconds
+    return seconds["loop"], seconds["batched"]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -284,8 +304,7 @@ def main(argv=None):
     assert bit_identical, ("production diverged from the reference; "
                            "speedup would be meaningless")
 
-    _, loop_seconds = _run(cell, "loop", sizing["loop"], args.seed)
-    _, batched_seconds = _run(cell, "batched", sizing["batched"], args.seed)
+    loop_seconds, batched_seconds = throughput_legs(cell, sizing, args.seed)
     loop_per_sample = loop_seconds / sizing["loop"]
     batched_per_sample = batched_seconds / sizing["batched"]
     speedup = loop_per_sample / batched_per_sample
@@ -308,11 +327,13 @@ def main(argv=None):
         },
         "loop": {
             "n_samples": sizing["loop"],
+            "chunks": sizing["chunks"],
             "seconds": loop_seconds,
             "per_sample_ms": loop_per_sample * 1e3,
         },
         "batched": {
             "n_samples": sizing["batched"],
+            "chunks": sizing["chunks"],
             "seconds": batched_seconds,
             "per_sample_ms": batched_per_sample * 1e3,
         },
@@ -328,10 +349,12 @@ def main(argv=None):
         handle.write("\n")
 
     print("Monte Carlo baseline (written to %s)" % args.output)
-    print("loop:    n=%-5d %.2f s  (%.1f ms/sample)"
-          % (sizing["loop"], loop_seconds, loop_per_sample * 1e3))
-    print("batched: n=%-5d %.2f s  (%.1f ms/sample)"
-          % (sizing["batched"], batched_seconds, batched_per_sample * 1e3))
+    print("loop:    n=%-5d %.2f s  (%.1f ms/sample, %d chunks)"
+          % (sizing["loop"], loop_seconds, loop_per_sample * 1e3,
+             sizing["chunks"]))
+    print("batched: n=%-5d %.2f s  (%.1f ms/sample, %d chunks)"
+          % (sizing["batched"], batched_seconds, batched_per_sample * 1e3,
+             sizing["chunks"]))
     print("per-sample speedup: %.1fx (gate: >= %.0fx)"
           % (speedup, sizing["min_speedup"]))
     print()

@@ -5,13 +5,15 @@ Usage::
 
     PYTHONPATH=src python benchmarks/check_cold_identity.py
 
-Both flavors are characterized with the full default grids (the NAND2-5
-gate library included) into one empty temporary cache, and every entry
-of the fresh cache under the current ``VERSION`` prefix is compared
-with the same key of the committed ``.repro_cache.json``.  The
-comparison is JSON equality with no tolerance: a float that moved by one
-ulp fails.  On a mismatch the gate names the key and the first differing
-field.
+Each flavor is characterized with the full default grids (the NAND2-5
+gate library included) into its own empty temporary cache, and every
+entry of that fresh cache under the current ``VERSION`` prefix is
+compared with the same key of the committed ``.repro_cache.json``.  So
+both flavors' gate fits are compared, and both ways of making the
+write-delay anchor: HVT takes it from its write batch's no-assist lane,
+LVT from the scalar HVT write.  The comparison is JSON equality with no
+tolerance: a float that moved by one ulp fails.  On a mismatch the gate
+names the key and the first differing field.
 
 This is the only check that runs the simulator end to end against the
 committed answers: the tier-1 suite reads the committed cache instead of
@@ -81,40 +83,46 @@ def pool_sizes():
         process.ProcessPoolExecutor.__init__ = init
 
 
-def cold_cache(flavors, path):
-    """Characterize ``flavors`` into an empty cache at ``path``."""
+def cold_cache(flavor, path):
+    """Characterize ``flavor`` into an empty cache at ``path``."""
     from repro.devices.library import DeviceLibrary
     from repro.lut.cache import CharacterizationCache
     from repro.periphery.characterize import characterize
 
     library = DeviceLibrary.default_7nm()
     cache = CharacterizationCache(path)
-    for flavor in flavors:
-        with pool_sizes() as sizes:
-            start = time.perf_counter()
-            characterize(library, flavor, cache=cache)
-            seconds = time.perf_counter() - start
-        print("%s: characterized cold in %.1f s with %d pool workers"
-              % (flavor, seconds, sum(sizes)))
+    with pool_sizes() as sizes:
+        start = time.perf_counter()
+        characterize(library, flavor, cache=cache)
+        seconds = time.perf_counter() - start
+    print("%s: characterized cold in %.1f s with %d pool workers"
+          % (flavor, seconds, sum(sizes)))
     with open(path) as handle:
         return json.load(handle)
 
 
-def compare(fresh, tracked, version):
-    """Failures of the fresh ``version`` entries against ``tracked``."""
+def compare(fresh, tracked, version, flavor):
+    """Failures of the fresh ``version`` entries of one flavor's cold
+    run against ``tracked``; the shared gates and anchor must be among
+    them."""
     keys = sorted(k for k in fresh if k.startswith(version + ":"))
+    failures = ["%s: %s:%s is not in the fresh cache" % (flavor, version,
+                                                         name)
+                for name in ("gates", "write_delay_scale")
+                if "%s:%s" % (version, name) not in fresh]
     if not keys:
-        return ["the fresh cache holds no %s entries" % version]
-    failures = []
+        failures.append("%s: the fresh cache holds no %s entries"
+                        % (flavor, version))
     for key in keys:
         if key not in tracked:
-            failures.append("%s: not in the committed cache" % key)
+            failures.append("%s: %s: not in the committed cache"
+                            % (flavor, key))
             continue
         where = first_difference(fresh[key], tracked[key])
         if where is not None:
-            failures.append("%s: differs at %s" % (key, where))
+            failures.append("%s: %s: differs at %s" % (flavor, key, where))
         else:
-            print("equal: %s" % key)
+            print("%s: equal: %s" % (flavor, key))
     return failures
 
 
@@ -123,9 +131,12 @@ def main():
 
     with open(TRACKED_CACHE) as handle:
         tracked = json.load(handle)
+    failures = []
     with tempfile.TemporaryDirectory() as scratch:
-        fresh = cold_cache(FLAVORS, os.path.join(scratch, "cold.json"))
-    failures = compare(fresh, tracked, VERSION)
+        for flavor in FLAVORS:
+            fresh = cold_cache(flavor,
+                               os.path.join(scratch, "%s.json" % flavor))
+            failures += compare(fresh, tracked, VERSION, flavor)
     for failure in failures:
         print("MISMATCH " + failure)
     print("cold-identity gate: %s" % ("FAIL" if failures else "PASS"))

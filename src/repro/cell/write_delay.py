@@ -70,12 +70,13 @@ def cell_write_event(cell, v_wl=None, vdd=None, v_bl_low=0.0,
         stop_condition=lambda _t, v: v["q"] < v["qb"] - 0.2 * vdd,
         stop_margin=5,
     )
-    return _measure_write_event(result, vdd, v_bl_low)
+    return _measure_write_event(result, bias)
 
 
-def _measure_write_event(result, vdd, v_bl_low):
-    """Extract a :class:`WriteEvent` from one write transient."""
-    t_wl = result.node("wl").cross(0.5 * vdd, "rise")
+def _measure_write_event(result, bias):
+    """Extract a :class:`WriteEvent` from one write transient run under
+    the scalar write ``bias``."""
+    t_wl = result.node("wl").cross(0.5 * bias.vdd, "rise")
     diff = Waveform(
         result.times,
         np.asarray(result.node("q").values)
@@ -92,7 +93,9 @@ def _measure_write_event(result, vdd, v_bl_low):
     if t_flip <= t_wl:
         raise CharacterizationError(
             "cell flipped before the wordline asserted; the write bias "
-            "alone is destabilizing (v_bl_low=%.3f)" % v_bl_low
+            "alone is destabilizing (V_WL=%.3f V, V_BL=%.3f V)"
+            % (bias.v_wl, bias.v_bl),
+            bias=bias,
         )
     return WriteEvent(delay=t_flip - t_wl, energy=energy, completed=True)
 
@@ -128,12 +131,12 @@ def cell_write_event_batch(cell, v_wl, vdd=None, v_bl_low=0.0,
         stop_condition=lambda _t, v: v["q"] < v["qb"] - 0.2 * vdd,
         stop_margin=5,
     )
+    lane_v_wl = np.broadcast_to(v_wl.reshape(-1), (lanes,))
+    lane_v_bl = np.broadcast_to(np.reshape(v_bl_low, -1), (lanes,))
     return [
-        _measure_write_event(
-            result, vdd,
-            float(np.asarray(v_bl_low).reshape(-1)[k])
-            if np.ndim(v_bl_low) else v_bl_low,
-        )
+        _measure_write_event(result, CellBias.write(
+            vdd=vdd, v_wl=float(lane_v_wl[k]),
+            v_bl_low=float(lane_v_bl[k])))
         for k, result in enumerate(results)
     ]
 

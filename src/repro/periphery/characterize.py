@@ -15,13 +15,16 @@ the 6T-HVT no-assist point to the paper's 1.5 ps; the V_WL dependence
 simulations.  See EXPERIMENTS.md.
 
 A cold characterization has one dependency between its simulating
-stages: the negative-BL flip sweep fixes the V_WL axis of the
-wordline-overdrive write batch.  That chain runs in the caller while a
-process pool runs every other stage (the gate fits, the negative-BL
-write batch, the write-delay anchor, the TG drive, the sense amplifier
-and the I_read grid); see :func:`_run_stages`.  Every stage is a pure
-function of its arguments, so the pooled and the inline run give the
-same bits.
+stages: the negative-BL flip sweep fixes the V_WL axis of the write
+batch, which carries the wordline-overdrive (WLOD) lanes and the
+negative-BL lanes in one transient; for HVT its no-assist lane at Vdd
+is also the write-delay anchor.  That chain runs in the caller while a
+process pool runs the other stages (each gate fit's two load points,
+LVT's anchor, the TG drive, the sense amplifier and the I_read grid),
+submitted longest first; once the chain is done the caller takes back
+the stages no worker has started and runs them itself, shortest first.
+See :func:`_run_stages`.  Every stage is a pure function of its
+arguments, so the pooled and the inline run give the same bits.
 """
 
 from __future__ import annotations
@@ -43,10 +46,17 @@ from ..cell.sram6t import SRAM6TCell
 from ..cell.write import flip_wordline_voltage_batch
 from ..cell.write_delay import cell_write_event, cell_write_event_batch
 from ..devices.model import FinFET
+from ..errors import CharacterizationError
 from ..lut.table import LUT1D, LUT2D
 from .decoder import DecoderModel, build_decoder_model
 from .driver import SuperbufferModel
-from .gates import GateCharacterization, characterize_inverter, characterize_nand
+from .gates import (
+    GateCharacterization,
+    fit_gate,
+    gate_loads,
+    gate_point,
+    gate_window,
+)
 from .precharge import i_on_pfet
 from .senseamp import SenseAmpCharacterization, characterize_senseamp
 from .writebuffer import characterize_i_on_tg
@@ -59,6 +69,13 @@ PAPER_WRITE_DELAY_NO_ASSIST = 1.5e-12
 
 #: Default sensing voltage (paper Section 5).
 DELTA_V_SENSE = 0.120
+
+#: Serial seconds of the cold stages on a 2-vCPU x86-64 VM, which only
+#: order the pool's queue: the stages of fixed size, and a gate point
+#: per picosecond of its testbench window (0.3 s for the inverter at
+#: the small load to 2.5-3.3 s for the NAND5 at the large one).
+_STAGE_SECONDS = {"scale": 0.7, "tg": 0.45, "sense": 0.3, "i_read": 0.1}
+_GATE_POINT_SECONDS_PER_PS = 0.01
 
 
 @dataclass(frozen=True)
@@ -140,11 +157,19 @@ def characterize_write_delay_scale(library):
     """Global write-delay anchoring factor (HVT no-assist -> 1.5 ps)."""
     cell = SRAM6TCell.from_library(library, "hvt")
     event = cell_write_event(cell, v_wl=library.vdd, vdd=library.vdd)
-    if not event.completed:
-        raise RuntimeError(
-            "HVT no-assist write did not complete; cannot anchor"
-        )
+    _check_write(event, CellBias.write(vdd=library.vdd),
+                 "HVT no-assist write; cannot anchor")
     return PAPER_WRITE_DELAY_NO_ASSIST / event.delay
+
+
+def _check_write(event, bias, what):
+    """Raise unless the write ``event`` run under ``bias`` completed."""
+    if not event.completed:
+        raise CharacterizationError(
+            "%s did not complete at V_WL=%.3f V, V_BL=%.3f V"
+            % (what, bias.v_wl, bias.v_bl),
+            bias=bias,
+        )
 
 
 def characterize(library, flavor, cache=None, grids=None):
@@ -172,7 +197,9 @@ def _characterize_cold(library, flavor, cache, grids, key):
 
     # Only the caller touches the cache.  The unit gates and the
     # write-delay anchor are shared by both flavors: simulate them only
-    # when the cache does not hold them yet.
+    # when the cache does not hold them yet.  HVT's anchor is a lane of
+    # the chain's write batch; LVT's needs the HVT cell, so it is a
+    # stage of its own.
     gates_key = "%s:gates" % VERSION
     scale_key = "%s:write_delay_scale" % VERSION
     # Membership before get, as in characterize(): the membership test
@@ -181,32 +208,27 @@ def _characterize_cold(library, flavor, cache, grids, key):
         key: cache.get(key) for key in (gates_key, scale_key)
         if key in cache}
     gates, scale = cached.get(gates_key), cached.get(scale_key)
-    stages = []
-    if gates is None:
-        stages.append(("inv", characterize_inverter, (library,)))
-        stages += [("nand%d" % fan_in, characterize_nand, (library, fan_in))
-                   for fan_in in grids.nand_fan_ins]
-    stages += [
-        ("sense", characterize_senseamp, (library, DELTA_V_SENSE)),
-        ("tg", characterize_i_on_tg, (library,)),
-    ]
-    if scale is None:
-        stages.append(("scale", characterize_write_delay_scale, (library,)))
-    stages += [
-        ("i_read", _read_current_stage, (cell, grids, vdd)),
-        ("chain", _flip_write_chain, (cell, grids, vdd)),
-        ("negbl", _negative_bl_write_stage, (cell, grids, vdd)),
-    ]
-    done = _run_stages(stages, caller="chain")
+    fan_ins = (1,) + tuple(grids.nand_fan_ins)
+    stages = _pool_stages(library, cell, grids,
+                          fan_ins=fan_ins if gates is None else (),
+                          scale=scale is None and flavor != "hvt")
+    done = _run_stages(("chain", _flip_write_chain, (cell, grids, vdd)),
+                       stages)
 
     if gates is None:
-        gates = _gates_to_dict(done["inv"], {
-            fan_in: done["nand%d" % fan_in] for fan_in in grids.nand_fan_ins
+        fits = {fan_in: fit_gate(library, fan_in,
+                                 [done[_gate_stage(fan_in, k)]
+                                  for k in (0, 1)])
+                for fan_in in fan_ins}
+        gates = _gates_to_dict(fits[1], {
+            fan_in: fits[fan_in] for fan_in in grids.nand_fan_ins
         })
         if cache is not None:
             cache.put(gates_key, gates)
+    flips, v_wl_axis, wlod, negbl = done["chain"]
     if scale is None:
-        scale = done["scale"]
+        scale = (PAPER_WRITE_DELAY_NO_ASSIST / negbl[-1].delay
+                 if flavor == "hvt" else done["scale"])
         if cache is not None:
             cache.put(scale_key, scale)
     inv, nands = _gates_from_dict(gates)
@@ -239,16 +261,17 @@ def _characterize_cold(library, flavor, cache, grids, key):
     i_read = LUT2D(v_ddc_axis, v_ssc_axis, done["i_read"], name="i_read")
     p_leak = cell_leakage_power(cell, vdd)
 
-    flips, v_wl_axis, d_write_raw, e_write = done["chain"]
-    d_write = LUT1D(v_wl_axis, [d * scale for d in d_write_raw],
+    d_write = LUT1D(v_wl_axis, [event.delay * scale for event in wlod],
                     name="d_write_sram")
-    e_write_lut = LUT1D(v_wl_axis, e_write, name="e_write_sram")
+    e_write_lut = LUT1D(v_wl_axis, [event.energy for event in wlod],
+                        name="e_write_sram")
     v_bl_axis = np.asarray(grids.v_bl)
-    d_negbl_raw, e_negbl = done["negbl"]
     v_flip_vs_vbl = LUT1D(v_bl_axis, flips, name="v_wl_flip_vs_vbl")
-    d_write_negbl = LUT1D(v_bl_axis, [d * scale for d in d_negbl_raw],
+    d_write_negbl = LUT1D(v_bl_axis, [event.delay * scale
+                                      for event in negbl],
                           name="d_write_negbl")
-    e_write_negbl = LUT1D(v_bl_axis, e_negbl, name="e_write_negbl")
+    e_write_negbl = LUT1D(v_bl_axis, [event.energy for event in negbl],
+                          name="e_write_negbl")
 
     result = ArrayCharacterization(
         flavor=flavor,
@@ -290,13 +313,44 @@ def _read_current_stage(cell, grids, vdd):
                                  np.asarray(grids.v_ssc), vdd=vdd)
 
 
+def _pool_stages(library, cell, grids, fan_ins, scale):
+    """The ``(name, function, args)`` stages besides the chain, longest
+    first: both load points of each gate in ``fan_ins`` (1: the
+    inverter), the scalar anchor write when ``scale``, the TG drive,
+    the sense amp and the I_read grid."""
+    seconds = dict(_STAGE_SECONDS)
+    stages = []
+    for fan_in in fan_ins:
+        for k, load in enumerate(gate_loads(library)):
+            name = _gate_stage(fan_in, k)
+            seconds[name] = (_GATE_POINT_SECONDS_PER_PS * 1e12
+                             * gate_window(fan_in, load))
+            stages.append((name, gate_point, (library, fan_in, load)))
+    if scale:
+        stages.append(("scale", characterize_write_delay_scale, (library,)))
+    stages += [
+        ("tg", characterize_i_on_tg, (library,)),
+        ("sense", characterize_senseamp, (library, DELTA_V_SENSE)),
+        ("i_read", _read_current_stage, (cell, grids, library.vdd)),
+    ]
+    return sorted(stages, key=lambda stage: seconds[stage[0]], reverse=True)
+
+
+def _gate_stage(fan_in, k):
+    """Stage name of load point ``k`` of the ``fan_in``-input gate."""
+    return "gate%d.%d" % (fan_in, k)
+
+
 def _flip_write_chain(cell, grids, vdd):
-    """The negative-BL flip sweep, then the wordline-overdrive write
-    batch over the V_WL axis that sweep fixes.
+    """The negative-BL flip sweep, then one write batch over the
+    wordline-overdrive (WLOD) lanes, the V_WL axis that sweep fixes at
+    V_BL 0, and the negative-BL lanes, the V_BL axis at V_WL = Vdd.
 
     The V_BL axis ends at 0.0, so the sweep's last lane is the no-assist
-    flip voltage (bit-equal to a scalar bisection at v_bl_low = 0).
-    Returns ``(flips, v_wl_axis, raw write delays, write energies)``.
+    flip voltage (bit-equal to a scalar bisection at v_bl_low = 0) and
+    the batch's last lane the no-assist write at Vdd (bit-equal to the
+    scalar write of :func:`characterize_write_delay_scale`).  Returns
+    ``(flips, v_wl_axis, WLOD write events, negative-BL write events)``.
     """
     v_bl_axis = np.asarray(grids.v_bl)
     with perf.timed("characterize.v_flip"):
@@ -304,37 +358,18 @@ def _flip_write_chain(cell, grids, vdd):
             cell, len(v_bl_axis), vdd=vdd,
             v_bl_low=v_bl_axis.reshape(-1, 1), resolution=0.002,
         ))
-    v_flip = float(flips[-1])
-    v_wl_lo = min(v_flip + 0.03, vdd)
+    v_wl_lo = min(float(flips[-1]) + 0.03, vdd)
     v_wl_axis = np.linspace(v_wl_lo, grids.v_wl_max, grids.v_wl_points)
+    v_wl = np.concatenate([v_wl_axis, np.full(len(v_bl_axis), float(vdd))])
+    v_bl = np.concatenate([np.zeros(len(v_wl_axis)), v_bl_axis])
     with perf.timed("characterize.d_write"):
-        events = cell_write_event_batch(cell, v_wl_axis, vdd=vdd)
-    for v_wl, event in zip(v_wl_axis, events):
-        if not event.completed:
-            raise RuntimeError(
-                "write did not complete at V_WL=%.3f (flip at %.3f)"
-                % (v_wl, v_flip)
-            )
-    return (flips, v_wl_axis, [event.delay for event in events],
-            [event.energy for event in events])
-
-
-def _negative_bl_write_stage(cell, grids, vdd):
-    """Raw write delay and energy at nominal WL across the negative-BL
-    levels; returns ``(raw delays, energies)``."""
-    v_bl_axis = np.asarray(grids.v_bl)
-    with perf.timed("characterize.negbl"):
-        events = cell_write_event_batch(
-            cell, np.full(len(v_bl_axis), float(vdd)), vdd=vdd,
-            v_bl_low=v_bl_axis,
-        )
-    for v_bl, event in zip(v_bl_axis, events):
-        if not event.completed:
-            raise RuntimeError(
-                "negative-BL write did not complete at V_BL=%.3f" % v_bl
-            )
-    return ([event.delay for event in events],
-            [event.energy for event in events])
+        events = cell_write_event_batch(cell, v_wl, vdd=vdd, v_bl_low=v_bl)
+    for lane_v_wl, lane_v_bl, event in zip(v_wl, v_bl, events):
+        _check_write(event, CellBias.write(vdd=vdd, v_wl=float(lane_v_wl),
+                                           v_bl_low=float(lane_v_bl)),
+                     "write")
+    n = len(v_wl_axis)
+    return flips, v_wl_axis, events[:n], events[n:]
 
 
 def _pool_workers(n_stages):
@@ -348,31 +383,44 @@ def _pool_workers(n_stages):
     return max(0, min((os.cpu_count() or 1) - 1, n_stages))
 
 
-def _run_stages(stages, caller):
+def _run_stages(chain, stages):
     """Run ``(name, function, args)`` stages; returns ``{name: result}``.
 
-    The stage named ``caller`` runs in the calling process while a
-    process pool runs the rest, and the workers' telemetry is merged
-    into the caller's.  With no worker to spare every stage runs inline,
-    in list order.  A stage that raises re-raises here, with its own
-    type, after the pending stages are cancelled.
+    The ``chain`` stage runs in the calling process while a process pool
+    runs ``stages``, which are listed longest first; the workers'
+    telemetry is merged into the caller's.  Every stage is submitted up
+    front, from this thread, before the chain starts (a fork-started
+    pool forks its workers on the first submit).  After the chain the
+    caller takes back the stages no worker has started, shortest first:
+    a stage a worker has started, or holds in its call queue, cannot be
+    cancelled, and neither can any stage listed before it.  With no
+    worker to spare every stage runs inline, the chain first.  A stage
+    that raises re-raises here, with its own type, after the pending
+    stages are cancelled.
     """
-    workers = _pool_workers(len(stages) - 1)
+    workers = _pool_workers(len(stages))
     if workers == 0:
-        return {name: function(*args) for name, function, args in stages}
+        return {name: function(*args)
+                for name, function, args in [chain, *stages]}
     # Imported here, not at module level, so a warm start never pays
     # for the process-pool machinery.
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        futures = {name: pool.submit(perf.snapshot_call, function, *args)
-                   for name, function, args in stages if name != caller}
-        done = {name: function(*args) for name, function, args in stages
-                if name == caller}
-        for name, future in futures.items():
-            done[name], snapshot = future.result()
-            perf.get_registry().merge(snapshot)
+        futures = [pool.submit(perf.snapshot_call, function, *args)
+                   for _name, function, args in stages]
+        name, function, args = chain
+        done = {name: function(*args)}
+        for (name, function, args), future in zip(stages[::-1],
+                                                  futures[::-1]):
+            if not future.cancel():
+                break
+            done[name] = function(*args)
+        for (name, _function, _args), future in zip(stages, futures):
+            if name not in done:
+                done[name], snapshot = future.result()
+                perf.get_registry().merge(snapshot)
     except BaseException:
         pool.shutdown(wait=True, cancel_futures=True)
         raise

@@ -5,7 +5,9 @@ gates, mirroring the paper's "derived analytically and verified by SPICE
 simulations" methodology: each gate's propagation delay is fitted to the
 linear model ``d(C_load) = d0 + r * C_load`` from two transient
 simulations, and its switching energy to ``e(C_load) = e0 + C_load *
-Vdd**2`` (internal energy plus load energy).
+Vdd**2`` (internal energy plus load energy).  Each simulation is one
+:func:`gate_point` and :func:`fit_gate` fits the two, so a cold
+characterization can run the two load points as separate stages.
 
 All periphery gates use LVT devices, as in the paper.
 """
@@ -109,6 +111,13 @@ class GateCharacterization:
         return self.e0 + load_cap * self.v_supply ** 2
 
 
+def gate_window(slowness, load_cap):
+    """When a testbench's input pulse falls [s]: the gate's expected RC
+    (``slowness`` is the NFET stack height) with margin.  The run ends
+    soon after, so a :func:`gate_point`'s cost grows with it."""
+    return _T_START + 8.0 * slowness * _R_GUESS * load_cap + 5e-12
+
+
 def _measure(circuit_builder, v_supply, load_cap, slowness=1):
     """One transient: returns (propagation delay, supply energy).
 
@@ -117,7 +126,7 @@ def _measure(circuit_builder, v_supply, load_cap, slowness=1):
     cycle, which includes exactly one full recharge of the load.
     ``slowness`` (the NFET stack height) scales the testbench window.
     """
-    t_fallback = _T_START + 8.0 * slowness * _R_GUESS * load_cap + 5e-12
+    t_fallback = gate_window(slowness, load_cap)
     t_stop = 2.5 * t_fallback
     stimulus = pulse(0.0, v_supply, _T_START,
                      t_fallback - _T_START, _T_RISE)
@@ -138,44 +147,63 @@ def _measure(circuit_builder, v_supply, load_cap, slowness=1):
 
 def characterize_inverter(library, nfin=1, v_supply=None, loads=None):
     """Fit the linear gate model for an ``nfin``-fin inverter."""
-    v_supply = library.vdd if v_supply is None else v_supply
-    return _characterize(
-        "inv_x%d" % nfin,
-        lambda load, stim: inverter_circuit(library, nfin, v_supply, load, stim),
-        library, nfin, v_supply, loads, slowness=1,
-    )
+    return _characterize(library, 1, nfin, v_supply, loads)
 
 
 def characterize_nand(library, fan_in, nfin=1, v_supply=None, loads=None):
     """Fit the linear gate model for a ``fan_in``-input NAND."""
+    return _characterize(library, fan_in, nfin, v_supply, loads)
+
+
+def _characterize(library, fan_in, nfin, v_supply, loads):
+    loads = gate_loads(library, nfin) if loads is None else loads
+    points = [gate_point(library, fan_in, load, nfin, v_supply)
+              for load in loads]
+    return fit_gate(library, fan_in, points, nfin, v_supply, loads)
+
+
+def gate_loads(library, nfin=1):
+    """The two default fit loads: 1.5x and 5x the gate's input
+    capacitance [F]."""
+    c_in = _input_capacitance(library, nfin)
+    return (1.5 * c_in, 5.0 * c_in)
+
+
+def _input_capacitance(library, nfin):
+    return (library.nfet_lvt.c_gate + library.pfet_lvt.c_gate) * nfin
+
+
+def gate_point(library, fan_in, load_cap, nfin=1, v_supply=None):
+    """One load point of a gate fit: ``(delay, supply energy)`` of the
+    ``fan_in``-input NAND (``fan_in`` 1: the inverter) driving
+    ``load_cap``."""
     v_supply = library.vdd if v_supply is None else v_supply
-    model = _characterize(
-        "nand%d_x%d" % (fan_in, nfin),
-        lambda load, stim: nand_circuit(
-            library, fan_in, nfin, v_supply, load, stim
-        ),
-        library, nfin, v_supply, loads, slowness=fan_in,
-    )
-    return model
+    if fan_in == 1:
+        def builder(load, stim):
+            return inverter_circuit(library, nfin, v_supply, load, stim)
+    else:
+        def builder(load, stim):
+            return nand_circuit(library, fan_in, nfin, v_supply, load, stim)
+    return _measure(builder, v_supply, load_cap, slowness=fan_in)
 
 
-def _characterize(name, builder, library, nfin, v_supply, loads, slowness):
-    c_in = (library.nfet_lvt.c_gate + library.pfet_lvt.c_gate) * nfin
-    if loads is None:
-        loads = (1.5 * c_in, 5.0 * c_in)
-    (load_a, load_b) = loads
-    d_a, e_a = _measure(builder, v_supply, load_a, slowness)
-    d_b, e_b = _measure(builder, v_supply, load_b, slowness)
+def fit_gate(library, fan_in, points, nfin=1, v_supply=None, loads=None):
+    """The linear gate model from the :func:`gate_point` results
+    ``points`` at ``loads`` (default :func:`gate_loads`)."""
+    v_supply = library.vdd if v_supply is None else v_supply
+    (load_a, load_b) = gate_loads(library, nfin) if loads is None else loads
+    (d_a, e_a), (d_b, e_b) = points
     resistance = (d_b - d_a) / (load_b - load_a)
     d0 = d_a - resistance * load_a
     # Internal energy: subtract the load's own CV^2 from the measured
     # supply energy at the smaller load.
     e0 = max(e_a - load_a * v_supply ** 2, 0.0)
     return GateCharacterization(
-        name=name,
+        name=("inv_x%d" % nfin if fan_in == 1
+              else "nand%d_x%d" % (fan_in, nfin)),
         d0=max(d0, 0.0),
         drive_resistance=resistance,
         e0=e0,
         v_supply=v_supply,
-        c_input=c_in,
+        c_input=_input_capacitance(library, nfin),
     )

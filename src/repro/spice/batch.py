@@ -25,6 +25,11 @@ bit), maintained by:
   transient step halving) drops out of the batch and re-runs the exact
   scalar path via :func:`lane_circuit`, which substitutes that lane's
   source values as scalars.
+
+A transient lane that has run its stop margin leaves the batch: its
+column drops out of the unknown matrix and the array-valued source
+values are narrowed to the lanes still marching, so the later steps
+solve only those (a lane's Newton never reads another lane's column).
 """
 
 from __future__ import annotations
@@ -56,24 +61,33 @@ __all__ = [
 
 
 def _lane_value(value, lane):
-    """One lane's scalar from a possibly array-valued source value."""
+    """One lane's scalar (``lane`` an index) or several lanes' row
+    (``lane`` an index array) from a possibly array-valued source value."""
     if np.ndim(value) == 0:
         return value
     return value[lane]
 
 
 def _lane_callable(stimulus, lane):
-    """Wrap an array-valued stimulus so it yields one lane's level.
+    """Wrap an array-valued stimulus so it yields only ``lane``'s levels.
 
     The wrapped callable evaluates the original elementwise expression
-    and selects the lane, so it is bitwise equal to a scalar stimulus
-    built from that lane's parameters.
+    and selects the lane(s), so it is bitwise equal to a stimulus built
+    from those lanes' parameters alone.
     """
 
     def value(t):
         return _lane_value(stimulus(t), lane)
 
     return value
+
+
+def _select_lanes(value, lane):
+    """A source value (constant or stimulus) cut to one lane (``lane`` an
+    index) or to several (``lane`` an index array)."""
+    if callable(value):
+        return _lane_callable(value, lane)
+    return _lane_value(np.asarray(value), lane) if np.ndim(value) else value
 
 
 @contextmanager
@@ -87,10 +101,7 @@ def lane_circuit(circuit, lane):
     originals = [(src, src.value) for src in circuit.vsources]
     try:
         for src, value in originals:
-            if callable(value):
-                src.value = _lane_callable(value, lane)
-            elif np.ndim(value) != 0:
-                src.value = float(np.asarray(value)[lane])
+            src.value = _select_lanes(value, lane)
         yield circuit
     finally:
         for src, value in originals:
@@ -207,13 +218,15 @@ def transient_batch(circuit, lanes, t_stop, dt, initial_guess=None,
 
     Marches the shared uniform time grid for all lanes at once.
     ``stop_condition`` is evaluated with **array-valued** node voltages
-    (shape ``(lanes,)``) and must return a per-lane boolean array (an
-    elementwise expression such as ``v["q"] < v["qb"] - 0.1`` works for
-    both the scalar and batched solvers); each lane then runs
-    ``stop_margin`` further steps and freezes, exactly like the scalar
-    early-stop bookkeeping.  The march ends when every lane has stopped
-    or ``t_stop`` is reached, and each lane's waveforms are cut at its
-    own stop point, so per-lane results equal scalar runs bitwise.
+    (one entry per lane still marching) and must return a per-lane
+    boolean array (an elementwise expression such as
+    ``v["q"] < v["qb"] - 0.1`` works for both the scalar and batched
+    solvers); each lane then runs ``stop_margin`` further steps and
+    leaves the batch, exactly like the scalar early-stop bookkeeping.
+    The march ends when every lane has stopped or ``t_stop`` is reached,
+    and each lane's waveforms end at its own stop point, so per-lane
+    results equal scalar runs bitwise.  Source values are the caller's
+    objects again when this returns or raises.
 
     If any lane would need transient step halving (its Newton fails even
     through the gmin ladder), the whole batch falls back to per-lane
@@ -245,54 +258,76 @@ def _march_batch(circuit, lanes, t_stop, dt, initial_guess, stop_condition,
                  stop_margin):
     x = operating_point_batch(circuit, lanes, initial_guess)
     times = [0.0]
+    # ``live`` holds the lane of each column of ``x``.  The states of a
+    # run of steps with the same live lanes form one segment.
+    live = np.arange(lanes)
     states = [x.copy()]
-    alive = np.ones(lanes, dtype=bool)
+    segments = []
     triggered = np.zeros(lanes, dtype=bool)
     remaining = np.zeros(lanes, dtype=int)
-    # Final recorded step index per lane; -1 = ran to t_stop.
-    end_index = np.full(lanes, -1, dtype=int)
+    originals = [(src, src.value) for src in circuit.vsources]
     t = 0.0
-    index = 0
-    while t < t_stop - 1e-21 and alive.any():
-        step = min(dt, t_stop - t)
-        x = solve_from_batch(circuit, x, time=t + step, dt=step, x_prev=x)
-        t += step
-        index += 1
-        times.append(t)
-        states.append(x.copy())
-        if stop_condition is not None:
+    try:
+        while t < t_stop - 1e-21 and live.size:
+            step = min(dt, t_stop - t)
+            x = solve_from_batch(circuit, x, time=t + step, dt=step,
+                                 x_prev=x)
+            t += step
+            times.append(t)
+            states.append(x.copy())
+            if stop_condition is None:
+                continue
             voltages = {
                 name: x[idx]
                 for idx, name in enumerate(circuit.node_names)
             }
             flags = np.broadcast_to(
-                np.asarray(stop_condition(t, voltages), dtype=bool), (lanes,)
+                np.asarray(stop_condition(t, voltages), dtype=bool),
+                live.shape,
             )
-            newly = ~triggered & alive & flags
+            newly = ~triggered & flags
             remaining = np.where(newly, stop_margin, remaining)
             triggered |= newly
-            done = alive & triggered & (remaining <= 0)
-            end_index[done] = index
-            alive &= ~done
-            remaining = np.where(alive & triggered, remaining - 1, remaining)
-    return _package_batch(circuit, times, states, end_index)
+            done = triggered & (remaining <= 0)
+            remaining = np.where(triggered & ~done, remaining - 1, remaining)
+            if done.any():
+                # The stopped lanes leave the batch after this step.
+                segments.append((live, np.stack(states)))
+                states = []
+                keep = ~done
+                live, x = live[keep], x[:, keep]
+                triggered, remaining = triggered[keep], remaining[keep]
+                for src, value in originals:
+                    src.value = _select_lanes(value, live)
+    finally:
+        for src, value in originals:
+            src.value = value
+    if states:
+        segments.append((live, np.stack(states)))
+    return _package_batch(circuit, np.asarray(times), segments, lanes)
 
 
-def _package_batch(circuit, times, states, end_index):
-    times = np.asarray(times)
-    stacked = np.stack(states)  # (points, n_unknowns, lanes)
+def _package_batch(circuit, times, segments, lanes):
+    """One :class:`TransientResult` per lane from the recorded segments
+    (``(live lanes, (points, n_unknowns, live) states)`` in time order):
+    a lane's states are its columns of the segments it was live in, and
+    its times the grid's first as many points."""
+    columns = [[] for _ in range(lanes)]
+    for live, block in segments:
+        for position, k in enumerate(live):
+            columns[k].append(block[:, :, position])
     results = []
-    for k, end in enumerate(end_index):
-        points = len(times) if end < 0 else int(end) + 1
-        lane_times = times[:points]
+    for k in range(lanes):
+        lane_states = np.concatenate(columns[k])
+        lane_times = times[:len(lane_states)]
         node_values = {
-            name: stacked[:points, idx, k]
+            name: lane_states[:, idx]
             for idx, name in enumerate(circuit.node_names)
         }
         branch_values = {}
         source_voltages = {}
         for src in circuit.vsources:
-            branch_values[src.name] = stacked[:points, src.branch_index, k]
+            branch_values[src.name] = lane_states[:, src.branch_index]
             source_voltages[src.name] = np.array(
                 [_lane_value(src.voltage_at(t), k) for t in lane_times]
             )

@@ -1,8 +1,13 @@
 """Transient cell write delay (a few real transient runs; kept lean)."""
 
+import numpy as np
 import pytest
 
 from repro.cell import cell_write_event
+from repro.cell.bias import CellBias
+from repro.cell.write_delay import _measure_write_event
+from repro.errors import CharacterizationError
+from repro.spice.waveform import TransientResult
 
 VDD = 0.45
 
@@ -39,3 +44,23 @@ def test_write_delay_scale_is_picoseconds(events):
 
 def test_energy_scale_is_femtojoules(events):
     assert 1e-18 < events["nominal"].energy < 1e-12
+
+
+def test_flip_before_the_wordline_names_its_bias():
+    """A cell that flips before WL reaches Vdd/2 raises with the write
+    bias it ran under."""
+    times = np.array([0.0, 1e-12, 2e-12, 3e-12])
+    zeros = np.zeros_like(times)
+    result = TransientResult(
+        times,
+        {"wl": np.array([0.0, 0.0, 0.0, VDD]),
+         "q": np.array([VDD, 0.0, 0.0, 0.0]),
+         "qb": np.array([0.0, VDD, VDD, VDD])},
+        dict.fromkeys(("vddc", "vssc", "vwl", "vbl", "vblb"), zeros),
+        dict.fromkeys(("vddc", "vssc", "vwl", "vbl", "vblb"), zeros),
+    )
+    bias = CellBias.write(vdd=VDD, v_wl=0.5, v_bl_low=-0.3)
+    with pytest.raises(CharacterizationError,
+                       match="V_WL=0.500 V, V_BL=-0.300 V") as info:
+        _measure_write_event(result, bias)
+    assert info.value.bias is bias

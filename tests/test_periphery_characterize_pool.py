@@ -1,9 +1,10 @@
 """Cold characterization through the stage pool.
 
 A cold :func:`~repro.periphery.characterize` runs the flip→write chain
-in the caller and every other simulating stage in a process pool.  The
-pooled run must leave the same cache bits, the same telemetry names and
-counts, and the same exception types as the inline run, and a warm
+in the caller and every other simulating stage in a process pool; once
+the chain is done the caller takes back the stages no worker started.
+The pooled run must leave the same cache bits, the same telemetry names
+and counts, and the same exception types as the inline run, and a warm
 start must start no process at all.
 """
 
@@ -13,12 +14,14 @@ import json
 import multiprocessing
 import multiprocessing.process
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro import perf
 from repro.analysis import Session
+from repro.cell.write_delay import WriteEvent
 from repro.errors import CharacterizationError
 from repro.lut import CharacterizationCache
 from repro.periphery.characterize import (
@@ -55,15 +58,23 @@ def _spy_pool_sizes(monkeypatch):
     return sizes
 
 
+def _no_anchor_write(library):
+    raise AssertionError("HVT takes its anchor from the chain's batch")
+
+
 def _cold_run(library, path, cpus):
     """One cold HVT run on ``cpus`` CPUs: its cache file's entries, the
-    perf registry it left, and the sizes of the pools it built."""
+    perf registry it left, and the sizes of the pools it built.  The
+    scalar anchor write raises if it runs, in the caller or a worker."""
     registry = perf.get_registry()
     saved = registry.snapshot()
     registry.reset()
     try:
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(characterize_module,
+                                "characterize_write_delay_scale",
+                                _no_anchor_write)
             sizes = _spy_pool_sizes(monkeypatch)
             cache = CharacterizationCache(str(path))
             characterize(library, "hvt", cache=cache, grids=GRIDS)
@@ -112,19 +123,47 @@ def test_pooled_run_merges_worker_telemetry(cold_runs):
     assert counts(pooled) == counts(inline)
     assert set(pooled["timers"]) >= {
         "characterize.i_read", "characterize.v_flip",
-        "characterize.d_write", "characterize.negbl"}
+        "characterize.d_write"}
 
 
-def _cached_gates_and_anchor():
+def _committed(name):
+    with open(CACHE_PATH) as handle:
+        return json.load(handle)["%s:%s" % (VERSION, name)]
+
+
+def _cached_gates_and_anchor(names=("gates", "write_delay_scale")):
     """A memory cache holding the committed gates and anchor entries,
     so a cold run skips the INV/NAND2 fits and the anchor write."""
-    with open(CACHE_PATH) as handle:
-        committed = json.load(handle)
     cache = CharacterizationCache()
-    for name in ("gates", "write_delay_scale"):
-        key = "%s:%s" % (VERSION, name)
-        cache.put(key, committed[key])
+    for name in names:
+        cache.put("%s:%s" % (VERSION, name), _committed(name))
     return cache
+
+
+def test_hvt_anchor_is_the_chains_no_assist_lane(cold_runs):
+    # Neither run called the scalar anchor write (_cold_run makes it
+    # raise), yet both hold the committed anchor.
+    key = "%s:write_delay_scale" % VERSION
+    for entries, _telemetry, _sizes in cold_runs.values():
+        assert entries[key] == _committed("write_delay_scale")
+
+
+def test_lvt_cold_run_writes_the_anchor_once(library, monkeypatch):
+    calls = []
+    scale = characterize_module.characterize_write_delay_scale
+
+    def counted(*args):
+        calls.append(args)
+        return scale(*args)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(characterize_module,
+                        "characterize_write_delay_scale", counted)
+    cache = _cached_gates_and_anchor(names=("gates",))
+    characterize(library, "lvt", cache=cache, grids=GRIDS)
+    assert len(calls) == 1
+    assert (cache.get("%s:write_delay_scale" % VERSION)
+            == _committed("write_delay_scale"))
 
 
 def _raise_characterization_error(*args, **kwargs):
@@ -164,6 +203,119 @@ def test_failing_caller_stage_shuts_the_pool_down(library, monkeypatch):
     with pytest.raises(RuntimeError, match="did not complete"):
         characterize(library, "hvt", cache=_cached_gates_and_anchor(),
                      grids=GRIDS)
+    assert sizes == [1]
+    assert multiprocessing.active_children() == []
+
+
+def _fixed_flips(cell, lanes, vdd, v_bl_low, resolution):
+    return [0.30] * lanes
+
+
+def _writes_failing_at(lane):
+    def writes(cell, v_wl, vdd, v_bl_low):
+        return [WriteEvent(delay=1e-12, energy=1e-16, completed=k != lane)
+                for k in range(len(v_wl))]
+    return writes
+
+
+# GRIDS' write batch: three WLOD lanes at V_BL 0 from 0.33 V (the stubbed
+# flip voltage + 30 mV) to 0.72 V, then the negative-BL lanes at Vdd.
+@pytest.mark.parametrize("lane, v_wl, v_bl", [(1, 0.525, 0.0),
+                                              (3, 0.45, -0.1)])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_incomplete_write_lane_names_its_bias(library, monkeypatch, cpus,
+                                              lane, v_wl, v_bl):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(characterize_module, "flip_wordline_voltage_batch",
+                        _fixed_flips)
+    monkeypatch.setattr(characterize_module, "cell_write_event_batch",
+                        _writes_failing_at(lane))
+    with pytest.raises(CharacterizationError) as info:
+        characterize(library, "hvt", cache=_cached_gates_and_anchor(),
+                     grids=GRIDS)
+    assert "V_WL=%.3f V, V_BL=%.3f V" % (v_wl, v_bl) in str(info.value)
+    bias = info.value.bias
+    assert (bias.v_wl, bias.v_bl, bias.vdd) == pytest.approx(
+        (v_wl, v_bl, library.vdd))
+    assert multiprocessing.active_children() == []
+
+
+def _incomplete_write(cell, v_wl, vdd):
+    return WriteEvent(delay=float("inf"), energy=1e-16, completed=False)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_incomplete_anchor_write_names_its_bias(library, monkeypatch,
+                                                cpus):
+    # LVT's anchor is a stage of its own (in a worker when pooled); the
+    # stubbed chain returns nothing, so the anchor is what fails.
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(characterize_module, "cell_write_event",
+                        _incomplete_write)
+    monkeypatch.setattr(characterize_module, "_flip_write_chain",
+                        _skip_chain)
+    with pytest.raises(CharacterizationError, match="cannot anchor") as info:
+        characterize(library, "lvt",
+                     cache=_cached_gates_and_anchor(names=("gates",)),
+                     grids=GRIDS)
+    bias = info.value.bias
+    assert (bias.v_wl, bias.v_bl) == (library.vdd, 0.0)
+    assert "V_WL=%.3f V, V_BL=0.000 V" % library.vdd in str(info.value)
+    assert multiprocessing.active_children() == []
+
+
+class StageFailed(Exception):
+    """Raised by a stub stage; carries the pid that ran it."""
+
+
+def _stub_stage(seconds, tag):
+    time.sleep(seconds)
+    return tag, os.getpid()
+
+
+def _failing_stub_stage(seconds, tag):
+    raise StageFailed(os.getpid())
+
+
+def _stub_stages(last=_stub_stage):
+    """A chain that outlasts the submits but not the worker's first
+    stage: while the chain runs the worker holds at most three stages
+    (one running, up to two in its call queue), and the rest wait in
+    the executor, where the caller can take them back."""
+    chain = ("chain", _stub_stage, (0.5, "chain"))
+    stages = [("s0", _stub_stage, (2.0, 0))]
+    stages += [("s%d" % k, _stub_stage, (0.0, k)) for k in range(1, 6)]
+    stages.append(("s6", last, (0.0, 6)))
+    return chain, stages
+
+
+def test_caller_runs_the_stages_no_worker_started(monkeypatch):
+    chain, stages = _stub_stages()
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    inline = characterize_module._run_stages(chain, stages)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pooled = characterize_module._run_stages(chain, stages)
+    caller = os.getpid()
+    assert {name: tag for name, (tag, _pid) in pooled.items()} == {
+        name: tag for name, (tag, _pid) in inline.items()}
+    assert all(pid == caller for _tag, pid in inline.values())
+    ran_in = {name: pid for name, (_tag, pid) in pooled.items()}
+    assert ran_in["chain"] == caller
+    # The worker ran the head of the list, the caller the tail.
+    in_caller = [ran_in["s%d" % k] == caller for k in range(7)]
+    assert in_caller == sorted(in_caller)
+    assert in_caller[:2] == [False, False]
+    assert in_caller[3:] == [True] * 4
+    assert multiprocessing.active_children() == []
+
+
+def test_a_stolen_stage_that_raises_reraises_its_own_type(monkeypatch):
+    chain, stages = _stub_stages(last=_failing_stub_stage)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sizes = _spy_pool_sizes(monkeypatch)
+    with pytest.raises(StageFailed) as info:
+        characterize_module._run_stages(chain, stages)
+    assert info.value.args == (os.getpid(),)
     assert sizes == [1]
     assert multiprocessing.active_children() == []
 

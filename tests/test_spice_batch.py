@@ -8,7 +8,8 @@ source levels and per-lane early-stop bookkeeping.
 import numpy as np
 import pytest
 
-from repro.spice import Circuit, operating_point, step, transient
+from repro.errors import ConvergenceError
+from repro.spice import Circuit, batch, operating_point, step, transient
 from repro.spice.batch import (
     lane_circuit,
     operating_point_batch,
@@ -110,3 +111,123 @@ def test_transient_batch_argument_validation():
         transient_batch(rc_circuit(LEVELS), 3, -1.0, 1e-12)
     with pytest.raises(ValueError):
         transient_batch(rc_circuit(LEVELS), 3, 1e-12, 0.0)
+
+
+#: Step levels and constant offsets of three lanes that stop at
+#: staggered times: lane 0 first, then lane 2, lane 1 last, so the lanes
+#: left in the batch are not a prefix of the original ones.
+STAGGERED = np.asarray([0.9, 0.3, 0.6])
+OFFSETS = np.asarray([0.05, 0.0, 0.02])
+
+
+def staggered_circuit(levels, offsets):
+    """An RC node driven by a stepped source and, through a larger
+    resistor, by a constant one; both array-valued in a batch."""
+    circuit = Circuit("rc2")
+    circuit.add_vsource("vs", "a", "0", step(1e-12, 0.0, levels, 1e-15))
+    circuit.add_vsource("vo", "o", "0", offsets)
+    circuit.add_resistor("r", "a", "b", 1e4)
+    circuit.add_resistor("ro", "o", "b", 1e5)
+    circuit.add_capacitor("c", "b", "0", 1e-15)
+    return circuit
+
+
+def _staggered_run(circuit):
+    return transient_batch(
+        circuit, len(STAGGERED), 100e-12, 0.1e-12,
+        stop_condition=lambda _t, v: v["b"] > 0.25, stop_margin=3,
+    )
+
+
+def _assert_equals_scalar_lanes(results):
+    for k, batched in enumerate(results):
+        scalar = transient(
+            staggered_circuit(float(STAGGERED[k]), float(OFFSETS[k])),
+            100e-12, 0.1e-12,
+            stop_condition=lambda _t, v: v["b"] > 0.25, stop_margin=3,
+        )
+        assert batched.times.tobytes() == scalar.times.tobytes()
+        for node in ("a", "o", "b"):
+            assert (batched.node(node).values.tobytes()
+                    == scalar.node(node).values.tobytes())
+        for name in ("vs", "vo"):
+            assert (batched._source_voltages[name].tobytes()
+                    == scalar._source_voltages[name].tobytes())
+            assert (batched.delivered_energy(name)
+                    == scalar.delivered_energy(name))
+
+
+def _assert_sources_restored(circuit, originals):
+    assert all(src.value is value
+               for src, value in zip(circuit.vsources, originals))
+
+
+def _spy_widths(monkeypatch, fail_at_width=None):
+    """Record the lane count of every batched step solve; with
+    ``fail_at_width``, the first solve that narrow raises instead."""
+    widths = []
+    solve = batch.solve_from_batch
+
+    def spy(circuit, x_start, **kwargs):
+        width = x_start.shape[1]
+        first = width not in widths
+        widths.append(width)
+        if width == fail_at_width and first:
+            raise ConvergenceError("injected")
+        return solve(circuit, x_start, **kwargs)
+
+    monkeypatch.setattr(batch, "solve_from_batch", spy)
+    return widths
+
+
+def test_stopped_lanes_leave_the_batch(monkeypatch):
+    widths = _spy_widths(monkeypatch)
+    circuit = staggered_circuit(STAGGERED, OFFSETS)
+    originals = [src.value for src in circuit.vsources]
+    results = _staggered_run(circuit)
+    steps = [len(result.times) - 1 for result in results]
+    assert steps[0] < steps[2] < steps[1]
+    # Each step solves only the lanes that have not run their margin.
+    assert widths == sorted(widths, reverse=True)
+    assert widths == [3] * steps[0] + [2] * (steps[2] - steps[0]) \
+        + [1] * (steps[1] - steps[2])
+    _assert_equals_scalar_lanes(results)
+    _assert_sources_restored(circuit, originals)
+
+
+def test_convergence_failure_after_a_lane_left_falls_back_whole(
+        monkeypatch):
+    widths = _spy_widths(monkeypatch, fail_at_width=2)
+    circuit = staggered_circuit(STAGGERED, OFFSETS)
+    originals = [src.value for src in circuit.vsources]
+    results = _staggered_run(circuit)
+    # The batch raised once lane 0 had left; every lane then re-ran the
+    # scalar transient on the caller's own source values.
+    assert widths[-1] == 2 and 3 in widths
+    _assert_equals_scalar_lanes(results)
+    _assert_sources_restored(circuit, originals)
+
+
+def test_lane_rescue_inside_a_narrowed_batch(monkeypatch):
+    """A lane that fails plain Newton after another lane left re-runs
+    the scalar solve on its own source values, found through the
+    narrowed ones."""
+    rescued = []
+    newton = batch._newton_batch
+
+    def fail_last_lane_once(circuit, x0, **kwargs):
+        x, iterations, failed = newton(circuit, x0, **kwargs)
+        if x0.shape[1] == 2 and not rescued:
+            rescued.append(circuit.vsources[0].value(2e-12))
+            failed = failed.copy()
+            failed[1] = True
+        return x, iterations, failed
+
+    monkeypatch.setattr(batch, "_newton_batch", fail_last_lane_once)
+    circuit = staggered_circuit(STAGGERED, OFFSETS)
+    originals = [src.value for src in circuit.vsources]
+    results = _staggered_run(circuit)
+    # Narrowed column 1 is the third lane (lane 0 left first).
+    assert np.array_equal(rescued[0], STAGGERED[1:])
+    _assert_equals_scalar_lanes(results)
+    _assert_sources_restored(circuit, originals)
