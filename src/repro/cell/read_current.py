@@ -126,7 +126,7 @@ def read_state_batch(cell, bias, lanes):
 
     Returns ``(v_q, v_qb, flipped, i_read)`` as ``(lanes,)`` arrays.
     """
-    from .snm import solve_half_circuit
+    from .snm import HalfCircuit
 
     v_q = np.broadcast_to(
         np.asarray(bias.v_ssc, dtype=float), (lanes, 1)
@@ -136,10 +136,11 @@ def read_state_batch(cell, bias, lanes):
     ).copy()
     active = np.ones((lanes, 1), dtype=bool)
     moved = None
+    left = HalfCircuit(cell, "l", bias, access_on=True)
+    right = HalfCircuit(cell, "r", bias, access_on=True)
     for _ in range(_MAX_ITER):
-        v_q_new = solve_half_circuit(cell, "l", v_qb, bias, access_on=True)
-        v_qb_new = solve_half_circuit(cell, "r", v_q_new, bias,
-                                      access_on=True)
+        v_q_new = left.solve(v_qb)
+        v_qb_new = right.solve(v_q_new)
         v_q_next = (1.0 - _DAMPING) * v_q + _DAMPING * v_q_new
         v_qb_next = (1.0 - _DAMPING) * v_qb + _DAMPING * v_qb_new
         moved = np.maximum(np.abs(v_q_next - v_q), np.abs(v_qb_next - v_qb))

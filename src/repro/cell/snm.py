@@ -75,16 +75,17 @@ def _half_circuit_current(cell, side, v_in, v_out, bias, access_on):
     return out
 
 
-def _stacked_current(devices, v_in, bias, v_wl, v_bl, shape):
-    """Net out-current of one half circuit as a function of ``v_out``,
+def _stacked_current(devices, bias, v_wl, v_bl, shape):
+    """``load(v_in) -> (v_out -> net out-current)`` of one half circuit,
     evaluating its three devices in one kernel call per step.
 
     ``devices`` are the pull-down, pull-up and access FinFETs; their
     terminals are stacked on a leading axis of ``(3,) + shape`` arrays
-    whose fixed rows are written here once, so a step rewrites only the
-    three ``v_out`` rows.  Every element runs the operation sequence of
-    :func:`_half_circuit_current` (``FinFET.current`` per device, then
-    ``(pd + pu) - ax``), so the two return the same bits.
+    whose bias rows are written here once, the input rows once per
+    ``load`` and the three ``v_out`` rows at every step.  Every element
+    runs the operation sequence of :func:`_half_circuit_current`
+    (``FinFET.current`` per device, then ``(pd + pu) - ax``), so the two
+    return the same bits.
     """
     ndim = len(shape)
 
@@ -103,7 +104,6 @@ def _stacked_current(devices, v_in, bias, v_wl, v_bl, shape):
     v_g, v_d, v_s = np.empty(stacked), np.empty(stacked), np.empty(stacked)
     # (gate, drain, source) of pd: (in, out, CVSS); pu: (in, out, CVDD);
     # ax: (WL, BL, out).
-    v_g[0] = v_g[1] = v_in
     v_g[2] = v_wl
     v_d[2] = v_bl
     v_s[0] = bias.v_ssc
@@ -114,11 +114,16 @@ def _stacked_current(devices, v_in, bias, v_wl, v_bl, shape):
         out = terminal_current(v_g, v_d, v_s, params, polarity) * nfin
         return (out[0] + out[1]) - out[2]
 
-    return current
+    def load(v_in):
+        v_g[0] = v_g[1] = v_in
+        return current
+
+    return load
 
 
-def _net_current(cell, side, v_in, bias, access_on, lo_bound, hi_bound):
-    """``v_out -> net current leaving the output node`` for one solve.
+def _net_loader(cell, side, bias, access_on, shape):
+    """``load(v_in) -> (v_out -> net current leaving the output node)``
+    for inputs whose solve broadcasts to ``shape``.
 
     One stacked kernel call per evaluation when the cell's devices are
     FinFETs and one device's block has at most :data:`_STACK_MAX_BLOCK`
@@ -130,13 +135,20 @@ def _net_current(cell, side, v_in, bias, access_on, lo_bound, hi_bound):
         v_bl = bias.v_bl if side == "l" else bias.v_blb
         v_wl = bias.v_wl if access_on else 0.0
         shape = np.broadcast_shapes(
-            v_in.shape, np.shape(lo_bound), np.shape(hi_bound),
-            np.shape(v_wl), np.shape(v_bl),
+            shape, np.shape(v_wl), np.shape(v_bl),
             *(np.shape(device.params.vt) for device in devices))
         if math.prod(shape) <= _STACK_MAX_BLOCK:
-            return _stacked_current(devices, v_in, bias, v_wl, v_bl, shape)
-    return lambda v_out: _half_circuit_current(cell, side, v_in, v_out,
-                                               bias, access_on)
+            return _stacked_current(devices, bias, v_wl, v_bl, shape)
+    return lambda v_in: lambda v_out: _half_circuit_current(
+        cell, side, v_in, v_out, bias, access_on)
+
+
+def _net_current(cell, side, v_in, bias, access_on, lo_bound, hi_bound):
+    """``v_out -> net current leaving the output node`` at ``v_in``
+    (see :func:`_net_loader`)."""
+    shape = np.broadcast_shapes(v_in.shape, np.shape(lo_bound),
+                                np.shape(hi_bound))
+    return _net_loader(cell, side, bias, access_on, shape)(v_in)
 
 
 def _bisection_counts(spans):
@@ -155,6 +167,89 @@ def _bisection_counts(spans):
             math.ceil(math.log2(float(value) / _BISECT_TOL))
         )
     return counts
+
+
+class HalfCircuit:
+    """One half circuit of ``cell`` under ``bias``, set up for repeated
+    solves (see :func:`solve_half_circuit`).
+
+    A settle loop solves each side under one bias at every iteration.
+    What such a solve holds fixed -- the bracket, the devices' stacked
+    parameter block and its bias rows, the bisection counts -- depends
+    on the cell, the side, the bias and the input's shape only, so it is
+    built at the first solve of each input shape and reused after.  An
+    instance belongs to the one cell and bias it was built for.
+    """
+
+    def __init__(self, cell, side, bias, access_on):
+        self._circuit = (cell, side, bias, access_on)
+        # min/max of floats select an input exactly, so np.minimum and
+        # np.maximum reduce to the scalar path's python min()/max()
+        # values when every field is scalar; pairwise calls let
+        # array-valued fields broadcast.
+        self.lo_bound = np.minimum(
+            np.minimum(bias.v_ssc, bias.v_bl), np.minimum(bias.v_blb, 0.0)
+        ) - 0.1
+        self.hi_bound = np.maximum(
+            np.maximum(bias.v_ddc, bias.v_bl), bias.v_blb
+        ) + 0.1
+        self._loads, self._bisections = {}, {}
+
+    def _bisection(self, shape):
+        """Start brackets over ``shape`` and the per-element step counts
+        (None when every element takes all the steps)."""
+        counts = _bisection_counts(
+            np.broadcast_to(self.hi_bound - self.lo_bound, shape))
+        steps = int(counts.max())
+        return (np.broadcast_to(np.asarray(self.lo_bound, dtype=float),
+                                shape),
+                np.broadcast_to(np.asarray(self.hi_bound, dtype=float),
+                                shape),
+                None if counts.min() == steps else counts, steps)
+
+    def solve(self, v_in):
+        """Output voltage(s) for forced input(s) ``v_in`` [V]."""
+        v_in = np.asarray(v_in, dtype=float)
+        scalar = v_in.ndim == 0
+        v_in = np.atleast_1d(v_in)
+        lo_bound, hi_bound = self.lo_bound, self.hi_bound
+        load = self._loads.get(v_in.shape)
+        if load is None:
+            shape = np.broadcast_shapes(v_in.shape, np.shape(lo_bound),
+                                        np.shape(hi_bound))
+            load = self._loads[v_in.shape] = _net_loader(*self._circuit,
+                                                         shape)
+        current = load(v_in)
+        f_lo = current(lo_bound + 0.0 * v_in)
+        f_hi = current(hi_bound + 0.0 * v_in)
+        if np.any(f_lo > 0) or np.any(f_hi < 0):
+            bracket = (float(np.min(lo_bound)), float(np.max(hi_bound)))
+            raise CharacterizationError(
+                "half-circuit current not bracketed within [%.2f, %.2f] V"
+                % bracket, side=self._circuit[1], bias=self._circuit[2],
+                bracket=bracket,
+            )
+        bisection = self._bisections.get(f_lo.shape)
+        if bisection is None:
+            bisection = self._bisections[f_lo.shape] = self._bisection(
+                f_lo.shape)
+        lo, hi, counts, steps = bisection
+        for step in range(steps):
+            mid = 0.5 * (lo + hi)
+            high_side = current(mid) > 0
+            if counts is None:
+                hi = np.where(high_side, mid, hi)
+                lo = np.where(high_side, lo, mid)
+            else:
+                # Lanes past their own count stay frozen.
+                running = step < counts
+                hi = np.where(running & high_side, mid, hi)
+                lo = np.where(running & ~high_side, mid, lo)
+        result = 0.5 * (lo + hi)
+        if scalar and result.ndim == 1:
+            return float(result[0])
+        # A batched cell with a scalar input gives one output per sample.
+        return result
 
 
 def solve_half_circuit(cell, side, v_in, bias, access_on):
@@ -180,48 +275,11 @@ def solve_half_circuit(cell, side, v_in, bias, access_on):
 
     Each bracket check and bisection step evaluates the three devices
     in one stacked kernel call, or one call per device once a device's
-    block exceeds :data:`_STACK_MAX_BLOCK` elements (:func:`_net_current`);
-    the two give the same bits.
+    block exceeds :data:`_STACK_MAX_BLOCK` elements (:func:`_net_loader`);
+    the two give the same bits.  Loops that solve one side under one
+    bias repeatedly build a :class:`HalfCircuit` once instead.
     """
-    v_in = np.asarray(v_in, dtype=float)
-    scalar = v_in.ndim == 0
-    v_in = np.atleast_1d(v_in)
-    # min/max of floats select an input exactly, so np.minimum/np.maximum
-    # reduce to the scalar path's python min()/max() values when every
-    # field is scalar; pairwise calls let array-valued fields broadcast.
-    lo_bound = np.minimum(
-        np.minimum(bias.v_ssc, bias.v_bl), np.minimum(bias.v_blb, 0.0)
-    ) - 0.1
-    hi_bound = np.maximum(
-        np.maximum(bias.v_ddc, bias.v_bl), bias.v_blb
-    ) + 0.1
-    current = _net_current(cell, side, v_in, bias, access_on,
-                           lo_bound, hi_bound)
-    f_lo = current(lo_bound + 0.0 * v_in)
-    f_hi = current(hi_bound + 0.0 * v_in)
-    if np.any(f_lo > 0) or np.any(f_hi < 0):
-        bracket = (float(np.min(lo_bound)), float(np.max(hi_bound)))
-        raise CharacterizationError(
-            "half-circuit current not bracketed within [%.2f, %.2f] V"
-            % bracket, side=side, bias=bias, bracket=bracket,
-        )
-    shape = f_lo.shape
-    lo = np.broadcast_to(np.asarray(lo_bound, dtype=float), shape)
-    hi = np.broadcast_to(np.asarray(hi_bound, dtype=float), shape)
-    counts = _bisection_counts(np.broadcast_to(hi_bound - lo_bound, shape))
-    for step in range(int(counts.max())):
-        running = step < counts
-        mid = 0.5 * (lo + hi)
-        high_side = current(mid) > 0
-        hi = np.where(running & high_side, mid, hi)
-        lo = np.where(running & ~high_side, mid, lo)
-    result = 0.5 * (lo + hi)
-    if scalar:
-        if result.ndim == 1:
-            return float(result[0])
-        # Batched cell with a scalar input: one output per sample.
-        return result
-    return result
+    return HalfCircuit(cell, side, bias, access_on).solve(v_in)
 
 
 def half_circuit_output(cell, side, v_in, bias, access_on):

@@ -85,7 +85,7 @@ def settle_from_one_batch(cell, bias, lanes):
     update-then-break ordering; iterations past a lane's convergence
     cannot touch it.
     """
-    from .snm import solve_half_circuit
+    from .snm import HalfCircuit
 
     v_q = np.full((lanes, 1), float(np.max(bias.v_ddc)))
     v_qb = np.full((lanes, 1), float(np.max(bias.v_ssc)))
@@ -99,10 +99,11 @@ def settle_from_one_batch(cell, bias, lanes):
         ).copy()
     active = np.ones((lanes, 1), dtype=bool)
     moved = None
+    left = HalfCircuit(cell, "l", bias, access_on=True)
+    right = HalfCircuit(cell, "r", bias, access_on=True)
     for _ in range(_MAX_ITER):
-        v_q_new = solve_half_circuit(cell, "l", v_qb, bias, access_on=True)
-        v_qb_new = solve_half_circuit(cell, "r", v_q_new, bias,
-                                      access_on=True)
+        v_q_new = left.solve(v_qb)
+        v_qb_new = right.solve(v_q_new)
         v_q_next = (1.0 - _DAMPING) * v_q + _DAMPING * v_q_new
         v_qb_next = (1.0 - _DAMPING) * v_qb + _DAMPING * v_qb_new
         moved = np.maximum(np.abs(v_q_next - v_q), np.abs(v_qb_next - v_qb))

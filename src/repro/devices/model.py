@@ -14,6 +14,21 @@ differentiable drain-current model with:
 
 Currents scale linearly with the integer fin count ``nfin`` — the FinFET
 width-quantization property the paper highlights.
+
+The kernels sit in the innermost loop of every solve and run on arrays
+of a few to a few hundred elements, where numpy's per-call overhead
+outweighs the arithmetic, so each is one flat chain of ufunc calls.
+The Newton solver needs them smooth and finite over the whole bias
+plane, including deep subthreshold and reverse bias: the softplus and
+its sigmoid slope take ``exp`` of an argument clipped to
+``[-_EXP_CLIP, _EXP_CLIP]`` (``np.minimum(np.maximum(...))``, the values
+``np.clip`` selects at a fraction of its call overhead).  Two guards
+are absent because they cannot change a finite result: the leakage
+floor's ``exp(-vds / PHI_T)`` needs no upper clip, since ``vds >= 0``
+after orientation, and ``Veff ** alpha`` needs no zero guard, since the
+softplus output is at least ``gamma_s * log1p(exp(-_EXP_CLIP))``,
+far above the smallest float.  ``tests/test_devices_kernel.py`` holds
+both kernels bit-equal to the guarded expressions.
 """
 
 from __future__ import annotations
@@ -24,7 +39,6 @@ import numpy as np
 
 from ..units import PHI_T
 from .params import FinFETParams
-from .smooth import power, safe_exp, softplus, softplus_with_slope, tanh_sat
 
 __all__ = [
     "FinFET",
@@ -34,6 +48,9 @@ __all__ = [
     "terminal_current",
     "terminal_current_and_derivatives",
 ]
+
+#: Argument beyond which the softplus and its slope saturate.
+_EXP_CLIP = 40.0
 
 
 def ids_core(vgs, vds, params):
@@ -45,14 +62,18 @@ def ids_core(vgs, vds, params):
     the partials, so the two agree bit for bit.
     """
     p = params
-    veff = softplus(vgs - p.vt, p.gamma_s)
-    pref = p.b * power(veff, p.alpha)
+    z = (vgs - p.vt) / p.gamma_s
+    # Softplus: ~z for large z, ~exp(z) for very negative z.
+    clipped = np.minimum(np.maximum(z, -_EXP_CLIP), _EXP_CLIP)
+    veff = p.gamma_s * np.where(z > _EXP_CLIP, z,
+                                np.log1p(np.exp(clipped)))
+    pref = p.b * np.power(veff, p.alpha)
     vdsat = p.kappa_sat * veff + p.vdsat0
     sat = np.tanh(vds / vdsat)
     clm = 1.0 + p.lambda_ * vds
     i_channel = pref * sat * clm
-    i_floor = p.i_floor * (1.0 - safe_exp(-vds / PHI_T))
-    return i_channel + i_floor
+    decay = np.exp(np.maximum(-vds / PHI_T, -_EXP_CLIP))
+    return i_channel + p.i_floor * (1.0 - decay)
 
 
 def ids_core_with_derivatives(vgs, vds, params):
@@ -63,20 +84,30 @@ def ids_core_with_derivatives(vgs, vds, params):
     """
     p = params
 
-    # Channel branch (covers subthreshold and strong inversion).
-    veff, dveff = softplus_with_slope(vgs - p.vt, p.gamma_s)
-    pref = p.b * power(veff, p.alpha)
-    dpref_dvgs = p.b * p.alpha * power(veff, p.alpha - 1.0) * dveff
+    # Channel branch (covers subthreshold and strong inversion); the
+    # softplus slope is the logistic sigmoid of the same argument.
+    z = (vgs - p.vt) / p.gamma_s
+    clipped = np.minimum(np.maximum(z, -_EXP_CLIP), _EXP_CLIP)
+    veff = p.gamma_s * np.where(z > _EXP_CLIP, z,
+                                np.log1p(np.exp(clipped)))
+    dveff = 1.0 / (1.0 + np.exp(-clipped))
+    pref = p.b * np.power(veff, p.alpha)
+    dpref_dvgs = p.b * p.alpha * np.power(veff, p.alpha - 1.0) * dveff
     vdsat = p.kappa_sat * veff + p.vdsat0
     dvdsat_dvgs = p.kappa_sat * dveff
-    sat, dsat_dvds, dsat_dvdsat = tanh_sat(vds, vdsat)
+    # Saturation shape tanh(vds / vdsat) and its partials.
+    x = vds / vdsat
+    sat = np.tanh(x)
+    sech2 = 1.0 - sat * sat
+    dsat_dvds = sech2 / vdsat
+    dsat_dvdsat = -sech2 * x / vdsat
     clm = 1.0 + p.lambda_ * vds
     i_channel = pref * sat * clm
     di_channel_dvgs = (dpref_dvgs * sat + pref * dsat_dvdsat * dvdsat_dvgs) * clm
     di_channel_dvds = pref * (dsat_dvds * clm + sat * p.lambda_)
 
     # Gate-independent leakage floor (junction/GIDL).
-    decay = safe_exp(-vds / PHI_T)
+    decay = np.exp(np.maximum(-vds / PHI_T, -_EXP_CLIP))
     i_floor = p.i_floor * (1.0 - decay)
     di_floor_dvds = p.i_floor * (decay / PHI_T)
 
@@ -95,9 +126,9 @@ def _mirror_and_orient(vg, vd, vs, polarity):
     acts as the drain (``fwd`` marks the forward orientation and
     ``sign`` is +1.0 there, -1.0 reversed).
     """
-    vg = polarity * np.asarray(vg, dtype=float)
-    vd = polarity * np.asarray(vd, dtype=float)
-    vs = polarity * np.asarray(vs, dtype=float)
+    vg = np.multiply(polarity, vg)
+    vd = np.multiply(polarity, vd)
+    vs = np.multiply(polarity, vs)
     fwd = vd >= vs
     # Forward: (vgs, vds) = (vg-vs, vd-vs); reverse swaps d and s.
     low = np.where(fwd, vs, vd)

@@ -21,16 +21,19 @@ negative-BL lanes in one transient; for HVT its no-assist lane at Vdd
 is also the write-delay anchor.  That chain runs in the caller while a
 process pool runs the other stages (each gate fit's two load points,
 LVT's anchor, the TG drive, the sense amplifier and the I_read grid),
-submitted longest first; once the chain is done the caller takes back
-the stages no worker has started and runs them itself, shortest first.
-See :func:`_run_stages`.  Every stage is a pure function of its
-arguments, so the pooled and the inline run give the same bits.
+submitted longest first, at most one per worker at a time; once the
+chain is done the caller runs the stages the pool has not been given,
+shortest first.  See :func:`_run_stages`.  Every stage is a pure
+function of its arguments, so the pooled and the inline run give the
+same bits.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -73,9 +76,9 @@ DELTA_V_SENSE = 0.120
 #: Serial seconds of the cold stages on a 2-vCPU x86-64 VM, which only
 #: order the pool's queue: the stages of fixed size, and a gate point
 #: per picosecond of its testbench window (0.3 s for the inverter at
-#: the small load to 2.5-3.3 s for the NAND5 at the large one).
-_STAGE_SECONDS = {"scale": 0.7, "tg": 0.45, "sense": 0.3, "i_read": 0.1}
-_GATE_POINT_SECONDS_PER_PS = 0.01
+#: the small load, 1.7 s for the NAND2 at the large one).
+_STAGE_SECONDS = {"scale": 0.75, "tg": 0.55, "sense": 0.3, "i_read": 0.1}
+_GATE_POINT_SECONDS_PER_PS = 0.013
 
 
 @dataclass(frozen=True)
@@ -388,15 +391,16 @@ def _run_stages(chain, stages):
 
     The ``chain`` stage runs in the calling process while a process pool
     runs ``stages``, which are listed longest first; the workers'
-    telemetry is merged into the caller's.  Every stage is submitted up
-    front, from this thread, before the chain starts (a fork-started
-    pool forks its workers on the first submit).  After the chain the
-    caller takes back the stages no worker has started, shortest first:
-    a stage a worker has started, or holds in its call queue, cannot be
-    cancelled, and neither can any stage listed before it.  With no
-    worker to spare every stage runs inline, the chain first.  A stage
-    that raises re-raises here, with its own type, after the pending
-    stages are cancelled.
+    telemetry is merged into the caller's.  The pool holds at most one
+    stage per worker: the first ones are submitted from this thread
+    before the chain starts (a fork-started pool forks its workers on
+    the first submit), and each time a pooled stage finishes the next
+    one from the head of the list takes its place.  After the chain the
+    caller runs the stages left, from the tail, so no stage waits in a
+    worker's call queue while the caller could run it; then it gathers
+    the pooled ones.  With no worker to spare every stage runs inline,
+    the chain first.  A stage that raises re-raises here, with its own
+    type, once no further stage will start.
     """
     workers = _pool_workers(len(stages))
     if workers == 0:
@@ -407,21 +411,40 @@ def _run_stages(chain, stages):
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=workers)
+    # The pool's result thread submits from the head, this thread takes
+    # from the tail; the lock keeps each stage to one of them.
+    lock = threading.Lock()
+    waiting, pooled = deque(stages), []
+
+    def submit_next(_finished=None):
+        with lock:
+            if not waiting:
+                return
+            # Popped once submitted: a failed submit leaves the stage
+            # to the caller.
+            name, function, args = waiting[0]
+            future = pool.submit(perf.snapshot_call, function, *args)
+            waiting.popleft()
+            pooled.append((name, future))
+        future.add_done_callback(submit_next)
+
     try:
-        futures = [pool.submit(perf.snapshot_call, function, *args)
-                   for _name, function, args in stages]
+        for _ in range(workers):
+            submit_next()
         name, function, args = chain
         done = {name: function(*args)}
-        for (name, function, args), future in zip(stages[::-1],
-                                                  futures[::-1]):
-            if not future.cancel():
-                break
+        while True:
+            with lock:
+                if not waiting:
+                    break
+                name, function, args = waiting.pop()
             done[name] = function(*args)
-        for (name, _function, _args), future in zip(stages, futures):
-            if name not in done:
-                done[name], snapshot = future.result()
-                perf.get_registry().merge(snapshot)
+        for name, future in pooled:
+            done[name], snapshot = future.result()
+            perf.get_registry().merge(snapshot)
     except BaseException:
+        with lock:
+            waiting.clear()
         pool.shutdown(wait=True, cancel_futures=True)
         raise
     pool.shutdown(wait=True)

@@ -4,7 +4,7 @@ Batches *independent operating points of the same topology* — e.g. the
 write-delay characterization's per-wordline transients — through one set
 of numpy solves.  The unknown vector becomes an ``(n_unknowns, lanes)``
 matrix, and the circuit's compiled stamp plan
-(:meth:`repro.spice.plan.StampPlan.assemble`, the same routine the
+(:meth:`repro.spice.plan.StampPlan.prepare`, the same routine the
 scalar solvers run as its one-lane case) assembles the batched residual
 ``(n, lanes)`` and Jacobian ``(n, n, lanes)``.  Lane differences ride
 in through **array-valued source values**: a voltage source whose value
@@ -49,7 +49,7 @@ from .dc import (
     solve_from,
 )
 from .elements import SolverState
-from .transient import check_time_window, transient
+from .transient import check_time_window, source_levels, transient
 from .waveform import TransientResult
 
 __all__ = [
@@ -151,9 +151,10 @@ def _newton_batch(circuit, x0, time=None, dt=None, x_prev=None,
     lanes = x.shape[1]
     active = np.ones(lanes, dtype=bool)
     iterations = np.zeros(lanes, dtype=int)
+    assemble = circuit.plan.prepare(
+        SolverState(x, time=time, dt=dt, x_prev=x_prev))
     for iteration in range(1, max_iterations + 1):
-        state = SolverState(x, time=time, dt=dt, x_prev=x_prev)
-        residual, jacobian = circuit.plan.assemble(state)
+        residual, jacobian = assemble(x)
         res_max = np.max(np.abs(residual), axis=0)
         dx = _solve_lanes(jacobian, residual)
         v_step = dx[:n_nodes]
@@ -310,29 +311,25 @@ def _march_batch(circuit, lanes, t_stop, dt, initial_guess, stop_condition,
 def _package_batch(circuit, times, segments, lanes):
     """One :class:`TransientResult` per lane from the recorded segments
     (``(live lanes, (points, n_unknowns, live) states)`` in time order):
-    a lane's states are its columns of the segments it was live in, and
-    its times the grid's first as many points."""
+    a lane's states are its columns of the segments it was live in, its
+    times the grid's first as many points, and its source levels its
+    column of the full-width levels."""
     columns = [[] for _ in range(lanes)]
     for live, block in segments:
         for position, k in enumerate(live):
             columns[k].append(block[:, :, position])
-    results = []
-    for k in range(lanes):
-        lane_states = np.concatenate(columns[k])
-        lane_times = times[:len(lane_states)]
-        node_values = {
-            name: lane_states[:, idx]
-            for idx, name in enumerate(circuit.node_names)
-        }
-        branch_values = {}
-        source_voltages = {}
-        for src in circuit.vsources:
-            branch_values[src.name] = lane_states[:, src.branch_index]
-            source_voltages[src.name] = np.array(
-                [_lane_value(src.voltage_at(t), k) for t in lane_times]
-            )
-        results.append(
-            TransientResult(lane_times, node_values, branch_values,
-                            source_voltages)
-        )
-    return results
+    states = [np.concatenate(lane_columns) for lane_columns in columns]
+    source_voltages = [{} for _ in range(lanes)]
+    for name, block in source_levels(circuit, times, lanes):
+        for k, lane_states in enumerate(states):
+            source_voltages[k][name] = block[:len(lane_states), k].copy()
+    return [
+        TransientResult(
+            times[:len(lane_states)],
+            {name: lane_states[:, idx]
+             for idx, name in enumerate(circuit.node_names)},
+            {src.name: lane_states[:, src.branch_index]
+             for src in circuit.vsources},
+            lane_voltages)
+        for lane_states, lane_voltages in zip(states, source_voltages)
+    ]

@@ -69,11 +69,11 @@ def _newton(circuit, x0, time=None, dt=None, x_prev=None, gmin=0.0,
     x = np.array(x0, dtype=float)
     n_nodes = circuit.n_nodes
     last_residual = np.inf
+    assemble = circuit.plan.prepare(SolverState(
+        x, time=time, dt=dt, x_prev=x_prev, gmin=gmin,
+        integrator=integrator, cap_currents=cap_currents))
     for iteration in range(1, max_iterations + 1):
-        state = SolverState(x, time=time, dt=dt, x_prev=x_prev, gmin=gmin,
-                            integrator=integrator,
-                            cap_currents=cap_currents)
-        residual, jacobian = circuit.plan.assemble(state)
+        residual, jacobian = assemble(x)
         last_residual = float(np.max(np.abs(residual)))
         try:
             dx = np.linalg.solve(jacobian, -residual)

@@ -30,7 +30,10 @@ GROUND_INDEX = -1
 
 
 class SolverState:
-    """Shared view of the unknown vector during one Newton iteration.
+    """One Newton solve's unknown vector and what the solve holds fixed.
+
+    The solvers build one per solve (the unknowns it starts from); the
+    ``Element.stamp`` reference reads one per iterate.
 
     Attributes
     ----------

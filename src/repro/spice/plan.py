@@ -2,9 +2,13 @@
 
 :meth:`repro.spice.netlist.Circuit.compile` turns the element list into a
 :class:`StampPlan` -- per-element parameter columns plus gather/scatter
-index arrays -- and :meth:`StampPlan.assemble` then builds the whole
-nodal residual and its Jacobian with a fixed handful of numpy calls per
-Newton iteration.  All transistors, NFETs and PFETs together, are
+index arrays -- and the nodal residual and its Jacobian are then built
+in two parts.  :meth:`StampPlan.prepare` does the per-solve part once
+per Newton solve: the source levels at the step's time, the capacitor
+companion terms, the fixed Jacobian blocks and the buffers.  The
+function it returns is the per-iteration part, a fixed handful of numpy
+calls: gather the terminal voltages, evaluate the device kernel,
+scatter the terms.  All transistors, NFETs and PFETs together, are
 evaluated in one call of the device kernel
 :func:`repro.devices.model.terminal_current_and_derivatives`, where
 stamping element by element (:meth:`repro.spice.elements.Element.stamp`,
@@ -33,9 +37,12 @@ that way:
    starting from the same 0.0.  A matrix product would reassociate the
    sums.
 
-Source values are read at every assembly (sweeps, source stepping and
-:func:`repro.spice.batch.lane_circuit` reassign them); everything else
-an element holds is frozen at compile time, as is the netlist itself.
+Hoisting a term out of the iteration computes it once with the same
+operations, so it keeps its bits.  Source values are read at every
+:meth:`~StampPlan.prepare` (sweeps, source stepping and
+:func:`repro.spice.batch.lane_circuit` reassign them between solves);
+everything else an element holds is frozen at compile time, as is the
+netlist itself.
 """
 
 from __future__ import annotations
@@ -58,18 +65,13 @@ def _column(values):
     return np.asarray(values, dtype=float).reshape(-1, 1)
 
 
-def _per_lane(column, lanes):
-    """A lane-independent ``(k, 1)`` column repeated to ``(k, lanes)``."""
-    return column if lanes == 1 else np.repeat(column, lanes, axis=1)
-
-
 class _Scatter:
     """Contributions of a term matrix into a flat output, in order.
 
     ``slots[j]`` is the flat output position of contribution ``j`` and
-    ``terms[j]`` the row of the per-assembly term matrix that supplies
-    its value.  Contributions to ground are dropped at compile time,
-    exactly as the stamps skip them.
+    ``terms[j]`` the row of the term matrix that supplies its value.
+    Contributions to ground are dropped at compile time, exactly as the
+    stamps skip them.
     """
 
     def __init__(self, contributions, size):
@@ -77,26 +79,40 @@ class _Scatter:
         self.slots = pairs[:, 0]
         self.terms = pairs[:, 1]
         self.size = size
+        self._bins = {1: self.slots}
 
-    def apply(self, term_matrix, lanes):
-        """Accumulate ``term_matrix`` (rows = terms) into ``(size, lanes)``."""
-        bins = self.slots
-        if lanes > 1:
+    def bins(self, lanes):
+        """Flat ``(size, lanes)`` position of each contribution's lanes,
+        in contribution order (built once per lane count)."""
+        bins = self._bins.get(lanes)
+        if bins is None:
             # One bin per (slot, lane); each still adds its contributions
             # in element order.
-            bins = (bins[:, None] * lanes + np.arange(lanes)).ravel()
-        flat = np.bincount(bins, weights=term_matrix[self.terms].ravel(),
-                           minlength=self.size * lanes)
-        return flat.reshape(self.size, lanes)
+            bins = (self.slots[:, None] * lanes + np.arange(lanes)).ravel()
+            self._bins[lanes] = bins
+        return bins
 
 
-def _layout(blocks):
-    """Row offsets of named blocks stacked in order, and the total."""
-    offsets, total = {}, 0
-    for name, count in blocks:
-        offsets[name] = total
-        total += count
-    return offsets, total
+def _term_rows(varying, fixed):
+    """Row layout of a term matrix: the ``varying`` blocks (recomputed
+    every Newton iteration), their negations, then the ``fixed`` blocks
+    (computed once per solve) and their negations.
+
+    Returns ``({name: (rows, negated rows)}, parts, total)`` with the
+    rows as slices; ``parts`` holds the ``(positive, negated)`` slices
+    of the varying and of the fixed group.
+    """
+    rows, parts, start = {}, [], 0
+    for group in (varying, fixed):
+        size = sum(count for _name, count in group)
+        for name, count in group:
+            rows[name] = (slice(start, start + count),
+                          slice(start + size, start + size + count))
+            start += count
+        parts.append((slice(start - size, start),
+                      slice(start, start + size)))
+        start += size
+    return rows, parts, start
 
 
 class StampPlan:
@@ -153,32 +169,31 @@ class StampPlan:
         #: then the 1.0 of every voltage-source incidence.
         self._fixed = np.vstack([self._r_g, [[1.0]]])
 
-        # Term matrices: the positive terms P, then -P, then (residual
-        # only) the source constraint rows:
-        #   residual  P = [i_r | j | i_s | i_d | i_c]       + [v_eq]
-        #   Jacobian  P = [g, 1 | d_vg | d_vd | d_vs | geq]
-        # The capacitor blocks come last; DC assembly leaves them out.
+        # Term matrices (see _term_rows), with the positive terms
+        #   residual  [i_r | j | i_d | i_c], fixed [i_s]; then the
+        #             source constraint rows [v_eq]
+        #   Jacobian  [d_vg | d_vd | d_vs],  fixed [g, 1 | geq]
+        # The capacitor blocks are empty in a DC layout.
         nr, nv, ni, nf, nc = map(len, (res, vsrc, isrc, fets, caps))
-        plans = {}
+        self._layouts = {}
         for transient in (False, True):
             ncap = nc if transient else 0
-            r_off, r_total = _layout([("r", nr), ("v", nv), ("i", ni),
-                                      ("f", nf), ("c", ncap)])
-            j_off, j_total = _layout([("g", nr + 1), ("dg", nf),
-                                      ("dd", nf), ("ds", nf),
-                                      ("geq", ncap)])
+            r_rows, r_parts, r_total = _term_rows(
+                [("r", nr), ("v", nv), ("f", nf), ("c", ncap)],
+                [("i", ni)])
+            j_rows, j_parts, j_total = _term_rows(
+                [("dg", nf), ("dd", nf), ("ds", nf)],
+                [("g", nr + 1), ("geq", ncap)])
             residual, jacobian = [], []
 
             def res_term(row, block, k, sign=1):
                 if row != GROUND_INDEX:
-                    neg = r_total if sign < 0 else 0
-                    residual.append((row, neg + r_off[block] + k))
+                    residual.append((row, r_rows[block][sign < 0].start + k))
 
             def jac_term(row, col, block, k, sign=1):
                 if row != GROUND_INDEX and col != GROUND_INDEX:
-                    neg = j_total if sign < 0 else 0
                     jacobian.append((row * n + col,
-                                     neg + j_off[block] + k))
+                                     j_rows[block][sign < 0].start + k))
 
             def conductance(a, b, block, k):
                 jac_term(a, a, block, k)
@@ -202,7 +217,7 @@ class StampPlan:
                     res_term(element.minus, "v", k, -1)
                     jac_term(element.plus, br, "g", nr)
                     jac_term(element.minus, br, "g", nr, -1)
-                    residual.append((br, 2 * r_total + k))  # v_eq row
+                    residual.append((br, r_total + k))  # v_eq row
                     jac_term(br, element.plus, "g", nr)
                     jac_term(br, element.minus, "g", nr, -1)
                 elif kind is CurrentSource:
@@ -216,67 +231,107 @@ class StampPlan:
                                        ("ds", s)):
                         jac_term(d, col, block, k)
                         jac_term(s, col, block, k, -1)
-            plans[transient] = (_Scatter(residual, n),
-                                _Scatter(jacobian, n * n))
-        self._scatters = plans
+            self._layouts[transient] = (
+                (_Scatter(residual, n), r_rows, r_parts, r_total + nv),
+                (_Scatter(jacobian, n * n), j_rows, j_parts, j_total))
 
-    def assemble(self, state):
-        """Residual and Jacobian at ``state`` (a ``SolverState``)."""
-        x = np.asarray(state.x, dtype=float)
+    def prepare(self, state):
+        """The per-solve part of the assembly at ``state`` (a
+        ``SolverState``).
+
+        Reads what one Newton solve holds fixed -- the source levels at
+        ``state.time``, the capacitor companion terms of ``state.x_prev``,
+        ``state.dt`` and the trapezoidal history, the fixed Jacobian
+        blocks -- and returns the per-iteration part: ``assemble(x)``,
+        the residual and Jacobian at unknowns ``x`` of ``state.x``'s
+        shape (gather, device kernel, scatter).
+        """
         n = self.n
-        lanes = 1 if x.ndim == 1 else x.shape[1]
-        xg = np.zeros((n + 1, lanes))
-        xg[:n] = x.reshape(n, lanes)
-        v = xg[self._gather]
-        ra, rb, vp, vm, j, vg, vd, vs = (v[view] for view in self._views[:8])
-
+        lanes = 1 if np.ndim(state.x) == 1 else np.shape(state.x)[1]
+        (res_scatter, r_rows, r_parts, r_size), \
+            (jac_scatter, j_rows, j_parts, j_size) = \
+            self._layouts[state.transient]
+        terms_r, terms_j = np.empty((r_size, lanes)), np.empty((j_size, lanes))
+        i_src = terms_r[r_rows["i"][0]]
+        for k, src in enumerate(self._isources):
+            i_src[k] = src.current_at(state.time)
         v_src = np.empty((len(self._vsources), lanes))
         for k, src in enumerate(self._vsources):
             v_src[k] = src.voltage_at(state.time)
-        i_src = np.empty((len(self._isources), lanes))
-        for k, src in enumerate(self._isources):
-            i_src[k] = src.current_at(state.time)
-        i_d, d_vg, d_vd, d_vs = (
-            term * self._f_nfin for term in terminal_current_and_derivatives(
-                vg, vd, vs, self._f_params, self._f_polarity))
-        if state.gmin:
-            i_d += state.gmin * (vd - vs)
-            d_vd += state.gmin
-            d_vs -= state.gmin
+        terms_j[j_rows["g"][0]] = self._fixed
+        companion = state.transient and bool(self._capacitors)
+        if companion:
+            geq, prev_dv, history = self._companion_terms(state, lanes)
+            terms_j[j_rows["geq"][0]] = geq
+            out_c = terms_r[r_rows["c"][0]]
+        for terms, (positive, negated) in ((terms_r, r_parts[1]),
+                                           (terms_j, j_parts[1])):
+            np.negative(terms[positive], out=terms[negated])
 
-        res_pos = [self._r_g * (ra - rb), j, i_src, i_d]
-        jac_pos = [_per_lane(self._fixed, lanes), d_vg, d_vd, d_vs]
-        transient = state.transient
-        if transient and self._capacitors:
-            i_c, geq = self._capacitor_terms(state, xg, v, lanes)
-            res_pos.append(i_c)
-            jac_pos.append(_per_lane(geq, lanes))
-        res_pos = np.concatenate(res_pos)
-        jac_pos = np.concatenate(jac_pos)
-        res_scatter, jac_scatter = self._scatters[transient]
-        residual = res_scatter.apply(
-            np.concatenate([res_pos, -res_pos, vp - vm - v_src]), lanes)
-        jacobian = jac_scatter.apply(
-            np.concatenate([jac_pos, -jac_pos]), lanes)
-        if x.ndim == 1:
-            return residual.reshape(n), jacobian.reshape(n, n)
-        return residual, jacobian.reshape(n, n, lanes)
+        out_r, out_v, out_f = (terms_r[r_rows[name][0]] for name in "rvf")
+        out_con = terms_r[r_size - len(self._vsources):]
+        out_dg, out_dd, out_ds = (terms_j[j_rows[name][0]]
+                                  for name in ("dg", "dd", "ds"))
+        varying_r, negated_r = (terms_r[part] for part in r_parts[0])
+        varying_j, negated_j = (terms_j[part] for part in j_parts[0])
+        xg = np.zeros((n + 1, lanes))
+        gather, views, gmin = self._gather, self._views, state.gmin
+        r_g, nfin = self._r_g, self._f_nfin
+        params, polarity = self._f_params, self._f_polarity
+        bins_r, take_r = res_scatter.bins(lanes), res_scatter.terms
+        bins_j, take_j = jac_scatter.bins(lanes), jac_scatter.terms
+        size_r, size_j = res_scatter.size * lanes, jac_scatter.size * lanes
 
-    def _capacitor_terms(self, state, xg, v, lanes):
-        """Companion-model currents and conductances of the capacitors."""
-        va, vb = v[self._views[8]], v[self._views[9]]
-        xpg = np.zeros_like(xg)
+        def assemble(x):
+            xg[:n] = x.reshape(n, lanes)
+            v = xg[gather]
+            ra, rb, vp, vm, j, vg, vd, vs, va, vb = (v[view]
+                                                      for view in views)
+            np.multiply(r_g, ra - rb, out=out_r)
+            out_v[:] = j
+            i_d, d_vg, d_vd, d_vs = terminal_current_and_derivatives(
+                vg, vd, vs, params, polarity)
+            np.multiply(i_d, nfin, out=out_f)
+            np.multiply(d_vg, nfin, out=out_dg)
+            np.multiply(d_vd, nfin, out=out_dd)
+            np.multiply(d_vs, nfin, out=out_ds)
+            if gmin:
+                np.add(out_f, gmin * (vd - vs), out=out_f)
+                np.add(out_dd, gmin, out=out_dd)
+                np.subtract(out_ds, gmin, out=out_ds)
+            if companion:
+                dv = (va - vb) - prev_dv
+                if history is None:
+                    np.multiply(geq, dv, out=out_c)
+                else:
+                    np.subtract(geq * dv, history, out=out_c)
+            np.negative(varying_r, out=negated_r)
+            np.subtract(vp - vm, v_src, out=out_con)
+            np.negative(varying_j, out=negated_j)
+            residual = np.bincount(bins_r, weights=terms_r[take_r].ravel(),
+                                   minlength=size_r)
+            jacobian = np.bincount(bins_j, weights=terms_j[take_j].ravel(),
+                                   minlength=size_j)
+            if x.ndim == 1:
+                return residual, jacobian.reshape(n, n)
+            return residual.reshape(n, lanes), jacobian.reshape(n, n, lanes)
+
+        return assemble
+
+    def _companion_terms(self, state, lanes):
+        """A solve's capacitor companion terms: the conductances, the
+        branch voltages at ``state.x_prev`` and the trapezoidal history
+        currents (None under backward Euler)."""
+        xpg = np.zeros((self.n + 1, lanes))
         if state.x_prev is not None:
             xpg[:self.n] = np.asarray(state.x_prev,
                                       dtype=float).reshape(self.n, lanes)
         prev = xpg[self._c_gather]
-        pa, pb = prev[:len(va)], prev[len(va):]
-        dv = (va - vb) - (pa - pb)
+        nc = len(self._capacitors)
+        prev_dv = prev[:nc] - prev[nc:]
         if state.integrator == "trap":
-            geq = 2.0 * self._c_cap / state.dt
-            history = np.empty((len(self._capacitors), lanes))
+            history = np.empty((nc, lanes))
             for k, cap in enumerate(self._capacitors):
                 history[k] = state.cap_currents.get(cap.name, 0.0)
-            return geq * dv - history, geq
-        geq = self._c_cap / state.dt
-        return geq * dv, geq
+            return 2.0 * self._c_cap / state.dt, prev_dv, history
+        return self._c_cap / state.dt, prev_dv, None

@@ -150,11 +150,21 @@ def _package(circuit, times, states, record_every):
     node_values = {
         name: stacked[:, idx] for idx, name in enumerate(circuit.node_names)
     }
-    branch_values = {}
-    source_voltages = {}
+    branch_values = {
+        src.name: stacked[:, src.branch_index] for src in circuit.vsources
+    }
+    return TransientResult(times, node_values, branch_values,
+                           dict(source_levels(circuit, times)))
+
+
+def source_levels(circuit, times, lanes=None):
+    """Each voltage source's level at every time point, evaluated once
+    per point: ``(name, levels)`` pairs, one source at a time, with
+    ``(points,)`` levels, or ``(points, lanes)`` for a lane batch (a
+    scalar level fills its row)."""
+    shape = (len(times),) if lanes is None else (len(times), lanes)
     for src in circuit.vsources:
-        branch_values[src.name] = stacked[:, src.branch_index]
-        source_voltages[src.name] = np.array(
-            [src.voltage_at(t) for t in times]
-        )
-    return TransientResult(times, node_values, branch_values, source_voltages)
+        block = np.empty(shape)
+        for k, t in enumerate(times):
+            block[k] = src.voltage_at(t)
+        yield src.name, block

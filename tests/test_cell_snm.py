@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cell import CellBias, butterfly, hold_snm, read_snm, vtc
+from repro.cell.montecarlo import batched_cell, sample_shift_matrix
 from repro.cell.snm import (
+    HalfCircuit,
     _largest_squares,
     half_circuit_output,
     solve_half_circuit,
 )
+from repro.cell.write import settle_from_one_batch
 from repro.errors import CharacterizationError
 from repro.spice import Circuit, operating_point
 
@@ -155,3 +160,62 @@ def test_unbracketed_bisection_error_says_where():
 def test_characterization_error_context_defaults_to_none():
     err = CharacterizationError("monostable")
     assert (err.side, err.bias, err.bracket) == (None, None, None)
+
+
+def _bits(value):
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+def _half_circuit_solves(cell, lanes):
+    """A settle loop (both sides under one write bias, per-lane wordline
+    levels), a read VTC sweep and a scalar hold solve of ``cell``."""
+    write = CellBias.write(vdd=VDD, v_wl=np.linspace(0.2, 0.7, lanes)
+                           .reshape(-1, 1))
+    return [
+        *settle_from_one_batch(cell, write, lanes),
+        solve_half_circuit(cell, "l", np.linspace(0.0, VDD, 9),
+                           CellBias.read(), access_on=True),
+        solve_half_circuit(cell, "r", 0.2, CellBias.hold(),
+                           access_on=False),
+    ]
+
+
+@pytest.fixture(scope="module")
+def three_cells(lvt_cell, hvt_cell):
+    """An HVT cell, an LVT cell and a 4-sample Monte Carlo HVT cell (with
+    their lane counts), each with the bits of its solves run alone."""
+    cells = {
+        "hvt": (hvt_cell, 3),
+        "lvt": (lvt_cell, 3),
+        "mc": (batched_cell(hvt_cell, sample_shift_matrix(4, seed=7)), 4),
+    }
+    return {name: (case, [_bits(v) for v in _half_circuit_solves(*case)])
+            for name, case in cells.items()}
+
+
+@settings(max_examples=4, deadline=None)
+@given(order=st.lists(st.sampled_from(("hvt", "lvt", "mc")), min_size=2,
+                      max_size=4))
+def test_half_circuit_solves_never_serve_another_cells_block(three_cells,
+                                                             order):
+    """Solves of the three cells, alternating in any order in one
+    process, each read the bits of the same cell solved alone."""
+    for name in order:
+        case, alone = three_cells[name]
+        assert [_bits(v) for v in _half_circuit_solves(*case)] == alone, \
+            name
+
+
+def test_half_circuit_reuses_its_setup_across_input_shapes(hvt_cell):
+    """One :class:`HalfCircuit` solving inputs of changing shapes (its
+    setup is kept per shape) returns what a fresh solve of each input
+    returns."""
+    bias = CellBias.read(vdd=VDD, v_ddc=np.array([[0.45], [0.6]]),
+                         v_ssc=np.array([[0.0], [-0.2]]))
+    half = HalfCircuit(hvt_cell, "r", bias, access_on=True)
+    inputs = [np.array([[0.1], [0.3]]), 0.25,
+              np.array([[0.0, 0.2, 0.4], [0.1, 0.3, 0.5]]),
+              np.array([[0.2], [0.05]]), 0.4]
+    for v_in in inputs:
+        assert _bits(half.solve(v_in)) == _bits(
+            solve_half_circuit(hvt_cell, "r", v_in, bias, access_on=True))

@@ -18,6 +18,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import perf
 from repro.analysis import Session
@@ -279,9 +281,9 @@ def _failing_stub_stage(seconds, tag):
 
 def _stub_stages(last=_stub_stage):
     """A chain that outlasts the submits but not the worker's first
-    stage: while the chain runs the worker holds at most three stages
-    (one running, up to two in its call queue), and the rest wait in
-    the executor, where the caller can take them back."""
+    stage: while the chain runs the pool holds that one stage, and the
+    rest wait for whichever side is free first -- the caller, once its
+    chain is done."""
     chain = ("chain", _stub_stage, (0.5, "chain"))
     stages = [("s0", _stub_stage, (2.0, 0))]
     stages += [("s%d" % k, _stub_stage, (0.0, k)) for k in range(1, 6)]
@@ -301,11 +303,60 @@ def test_caller_runs_the_stages_no_worker_started(monkeypatch):
     assert all(pid == caller for _tag, pid in inline.values())
     ran_in = {name: pid for name, (_tag, pid) in pooled.items()}
     assert ran_in["chain"] == caller
-    # The worker ran the head of the list, the caller the tail.
+    # The worker ran only the stage it started during the chain; no
+    # stage waited in its call queue, so the caller ran all the others.
     in_caller = [ran_in["s%d" % k] == caller for k in range(7)]
-    assert in_caller == sorted(in_caller)
-    assert in_caller[:2] == [False, False]
-    assert in_caller[3:] == [True] * 4
+    assert in_caller == [False] + [True] * 6
+    assert multiprocessing.active_children() == []
+
+
+def _logged_stage(path, seconds, tag):
+    """Sleep, append ``tag`` to the file at ``path`` (one line per run,
+    from whichever process runs it) and return ``(tag, pid)``."""
+    time.sleep(seconds)
+    with open(path, "a") as handle:
+        handle.write("%s\n" % tag)
+    return tag, os.getpid()
+
+
+def _spy_pool_load(monkeypatch):
+    """Record, at every submit, how many earlier submits are unfinished."""
+    loads, futures = [], []
+    submit = concurrent.futures.process.ProcessPoolExecutor.submit
+
+    def spy(self, *args, **kwargs):
+        loads.append(sum(not future.done() for future in futures))
+        future = submit(self, *args, **kwargs)
+        futures.append(future)
+        return future
+
+    monkeypatch.setattr(concurrent.futures.process.ProcessPoolExecutor,
+                        "submit", spy)
+    return loads
+
+
+@settings(max_examples=6, deadline=None)
+@given(cpus=st.integers(2, 3), chain_s=st.sampled_from((0.0, 0.05, 0.2)),
+       stage_s=st.lists(st.sampled_from((0.0, 0.02, 0.1)), min_size=1,
+                        max_size=7))
+def test_each_stage_runs_once_and_the_pool_holds_one_per_worker(
+        tmp_path_factory, cpus, chain_s, stage_s):
+    path = str(tmp_path_factory.mktemp("stages") / "ran.log")
+    chain = ("chain", _logged_stage, (path, chain_s, "chain"))
+    stages = [("s%d" % k, _logged_stage, (path, seconds, "s%d" % k))
+              for k, seconds in enumerate(stage_s)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        loads = _spy_pool_load(monkeypatch)
+        workers = characterize_module._pool_workers(len(stages))
+        done = characterize_module._run_stages(chain, stages)
+    names = ["chain"] + [name for name, _function, _args in stages]
+    assert {name: tag for name, (tag, _pid) in done.items()} == {
+        name: name for name in names}
+    with open(path) as handle:
+        assert sorted(handle.read().split()) == sorted(names)
+    assert 1 <= len(loads) <= len(stages)
+    assert max(loads) < workers
     assert multiprocessing.active_children() == []
 
 

@@ -2,19 +2,24 @@
 
 ``Circuit.compile()`` builds a :class:`repro.spice.plan.StampPlan` that
 assembles the residual and Jacobian of the whole circuit in a few numpy
-calls.  Every solver runs it, and the characterization caches depend on
-its bits, so it must equal the reference loop over ``Element.stamp``
+calls: ``prepare(state)`` does the per-solve part once, and the function
+it returns does the per-iteration part at each Newton iterate.  Every
+solver runs it, and the characterization caches depend on its bits, so
+at every iterate it must equal the reference loop over ``Element.stamp``
 exactly -- compared here through ``tobytes()``, with no tolerance --
 for every element kind, analysis and lane layout.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices import DeviceLibrary, FinFET
 from repro.errors import NetlistError
 from repro.spice import Circuit, operating_point, step
-from repro.spice.elements import SolverState
+from repro.spice.batch import _select_lanes
+from repro.spice.elements import CurrentSource, SolverState, VoltageSource
 
 LIB = DeviceLibrary.default_7nm()
 VDD = LIB.vdd
@@ -72,6 +77,9 @@ STATES = {
                 "gmin": 1e-9},
     "trap": {"time": 3e-12, "dt": 1e-13, "x_prev": "random",
              "integrator": "trap", "cap_currents": {"cl": 2e-6}},
+    "trap_gmin": {"time": 2.5e-12, "dt": 1e-13, "x_prev": "random",
+                  "integrator": "trap", "cap_currents": {"cl": -1e-6},
+                  "gmin": 1e-7},
 }
 
 
@@ -85,13 +93,29 @@ def make_state(circuit, kind, rng, lanes=None):
     return SolverState(rng.uniform(-0.2, 0.9, shape), **kwargs)
 
 
-def assert_bitwise_equal(circuit, state):
-    ref_residual, ref_jacobian = stamp_reference(circuit, state)
-    residual, jacobian = circuit.plan.assemble(state)
-    assert residual.shape == ref_residual.shape
-    assert jacobian.shape == ref_jacobian.shape
-    assert residual.tobytes() == ref_residual.tobytes()
-    assert jacobian.tobytes() == ref_jacobian.tobytes()
+def at_iterate(state, x):
+    """``state`` with the unknowns ``x`` (the same solve's next iterate)."""
+    return SolverState(x, time=state.time, dt=state.dt,
+                       x_prev=state.x_prev, gmin=state.gmin,
+                       integrator=state.integrator,
+                       cap_currents=state.cap_currents)
+
+
+def assert_bitwise_equal(circuit, state, rng=None, iterates=0):
+    """One per-solve part at ``state``; its per-iteration part at
+    ``state.x`` and at ``iterates`` further random iterates must equal
+    the stamp loop there."""
+    assemble = circuit.plan.prepare(state)
+    xs = [state.x] + [rng.uniform(-0.2, 0.9, np.shape(state.x))
+                      for _ in range(iterates)]
+    for x in xs:
+        ref_residual, ref_jacobian = stamp_reference(circuit,
+                                                     at_iterate(state, x))
+        residual, jacobian = assemble(x)
+        assert residual.shape == ref_residual.shape
+        assert jacobian.shape == ref_jacobian.shape
+        assert residual.tobytes() == ref_residual.tobytes()
+        assert jacobian.tobytes() == ref_jacobian.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(STATES))
@@ -99,7 +123,8 @@ def test_scalar_assembly_matches_stamps(kind):
     circuit = scalar_circuit()
     rng = np.random.default_rng(11)
     for _ in range(20):
-        assert_bitwise_equal(circuit, make_state(circuit, kind, rng))
+        assert_bitwise_equal(circuit, make_state(circuit, kind, rng), rng,
+                             iterates=2)
 
 
 @pytest.mark.parametrize("kind", sorted(STATES))
@@ -108,7 +133,39 @@ def test_lane_assembly_matches_stamps(kind):
     rng = np.random.default_rng(12)
     for _ in range(10):
         assert_bitwise_equal(circuit,
-                             make_state(circuit, kind, rng, lanes=LANES))
+                             make_state(circuit, kind, rng, lanes=LANES),
+                             rng, iterates=2)
+
+
+#: Live-lane subsets of a 4-lane batch, as a march narrows it.
+live_lanes = st.lists(st.integers(0, LANES - 1), min_size=1,
+                      max_size=LANES, unique=True).map(sorted)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(STATES)),
+       widths=st.lists(live_lanes, min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_assembly_after_lanes_are_narrowed(kind, widths, seed):
+    """A transient batch narrows its array-valued sources to the lanes
+    still marching (``_select_lanes``): the per-solve part at each
+    width, with the scatter bins cached per lane count, must still
+    equal the stamp loop, and again once the full width is back."""
+    circuit = batched_circuit()
+    rng = np.random.default_rng(seed)
+    sources = [e for e in circuit.elements
+               if isinstance(e, (VoltageSource, CurrentSource))]
+    originals = [(src, src.value) for src in sources]
+    try:
+        for live in widths + [list(range(LANES))]:
+            for src, value in originals:
+                src.value = _select_lanes(value, np.array(live))
+            assert_bitwise_equal(
+                circuit, make_state(circuit, kind, rng, lanes=len(live)),
+                rng, iterates=2)
+    finally:
+        for src, value in originals:
+            src.value = value
 
 
 def test_source_values_are_read_at_every_assembly():
