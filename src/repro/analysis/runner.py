@@ -28,13 +28,14 @@ so ``--profile`` accounts for every millisecond even across processes.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .. import perf
-from ..errors import StudyTaskError
+from ..errors import DesignSpaceError, StudyTaskError
 from ..opt import DesignSpace, ExhaustiveOptimizer, make_policy
 from .experiments import (
     CAPACITIES_BYTES,
@@ -45,7 +46,7 @@ from .experiments import (
     SweepResult,
 )
 from .tables import render_dict_table
-from ..units import capacity_label
+from ..units import capacity_label, is_power_of_two
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,33 @@ def study_matrix(capacities=CAPACITIES_BYTES, flavors=FLAVORS,
         for method in methods
         for capacity in capacities
     )
+
+
+def check_study_matrix(capacities, flavors, methods):
+    """Reject a study matrix no search can run, naming the bad value.
+
+    Capacities must be positive powers of two (bytes), flavors a subset
+    of :data:`FLAVORS` and methods of :data:`METHODS`, each a non-empty
+    list or tuple.  Raises :class:`~repro.errors.DesignSpaceError`.
+    """
+    for name, values in (("capacities", capacities), ("flavors", flavors),
+                         ("methods", methods)):
+        if not isinstance(values, (list, tuple)) or not values:
+            raise DesignSpaceError("%s must be a non-empty list, got %r"
+                                   % (name, values))
+    for capacity in capacities:
+        if (isinstance(capacity, bool)
+                or not isinstance(capacity, numbers.Integral)
+                or not is_power_of_two(capacity)):
+            raise DesignSpaceError(
+                "capacities must be positive powers of two (bytes), got %r"
+                % (capacity,))
+    for name, values, domain in (("flavors", flavors, FLAVORS),
+                                 ("methods", methods, METHODS)):
+        for value in values:
+            if value not in domain:
+                raise DesignSpaceError("%s must be a subset of %s, got %r"
+                                       % (name, "/".join(domain), value))
 
 
 @dataclass
@@ -350,7 +378,11 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
     ``"gaussian"`` closed form, or ``"shifted"`` importance sampling
     with its adaptive budget).  ``code``, ``y_target`` and the sampler
     knobs are ignored by the other objectives.
+
+    A matrix that :func:`check_study_matrix` rejects raises
+    :class:`~repro.errors.DesignSpaceError` before any work starts.
     """
+    check_study_matrix(capacities, flavors, methods)
     if objective not in ("edp", "pareto", "yield"):
         raise ValueError(
             "unknown objective %r (expected 'edp', 'pareto', or "

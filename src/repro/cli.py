@@ -168,7 +168,6 @@ def run_pareto(argv):
     prints each cell's ``E^a * D^b`` minimizer for the requested
     exponents ((1, 1) = the EDP optimum).
     """
-    from .analysis.experiments import CAPACITIES_BYTES, FLAVORS, METHODS
     from .opt.pareto import best_weighted
 
     parser = argparse.ArgumentParser(
@@ -199,10 +198,7 @@ def run_pareto(argv):
                         help="print the perf telemetry report at the end")
     args = parser.parse_args(argv)
 
-    capacities = (_parse_csv(args.capacities, int) if args.capacities
-                  else CAPACITIES_BYTES)
-    flavors = _parse_csv(args.flavors) if args.flavors else FLAVORS
-    methods = _parse_csv(args.methods) if args.methods else METHODS
+    capacities, flavors, methods = _study_matrix(parser, args)
     run = run_study(
         capacities=capacities, flavors=flavors, methods=methods,
         workers=args.workers, cache_path=args.cache,
@@ -241,7 +237,6 @@ def run_yield(argv):
     the relaxed sensing window, and the EDP gain with every check-bit
     column and ECC logic term charged.
     """
-    from .analysis.experiments import CAPACITIES_BYTES, FLAVORS, METHODS
     from .opt.constraints import YIELD_SAMPLERS
 
     parser = argparse.ArgumentParser(
@@ -287,10 +282,7 @@ def run_yield(argv):
                         help="print the perf telemetry report at the end")
     args = parser.parse_args(argv)
 
-    capacities = (_parse_csv(args.capacities, int) if args.capacities
-                  else CAPACITIES_BYTES)
-    flavors = _parse_csv(args.flavors) if args.flavors else FLAVORS
-    methods = _parse_csv(args.methods) if args.methods else METHODS
+    capacities, flavors, methods = _study_matrix(parser, args)
     run = run_study(
         capacities=capacities, flavors=flavors, methods=methods,
         workers=args.workers, cache_path=args.cache,
@@ -394,6 +386,33 @@ def _parse_csv(text, cast=str):
     return [cast(part.strip()) for part in text.split(",") if part.strip()]
 
 
+def _parse_capacities(parser, text):
+    """``--capacities`` as integers; anything else is a usage error."""
+    try:
+        return _parse_csv(text, int)
+    except ValueError:
+        parser.error("--capacities takes comma-separated integers "
+                     "(bytes), got %r" % text)
+
+
+def _study_matrix(parser, args):
+    """The ``--capacities/--flavors/--methods`` matrix, checked before
+    any work: a value no search can run is a usage error (exit 2)."""
+    from .analysis.experiments import CAPACITIES_BYTES, FLAVORS, METHODS
+    from .analysis.runner import check_study_matrix
+    from .errors import DesignSpaceError
+
+    capacities = (_parse_capacities(parser, args.capacities)
+                  if args.capacities else CAPACITIES_BYTES)
+    flavors = _parse_csv(args.flavors) if args.flavors else FLAVORS
+    methods = _parse_csv(args.methods) if args.methods else METHODS
+    try:
+        check_study_matrix(capacities, flavors, methods)
+    except DesignSpaceError as exc:
+        parser.error(str(exc))
+    return capacities, flavors, methods
+
+
 def run_jobs(argv):
     """The ``jobs`` subcommand: drive the durable queue from the shell."""
     import json as json_module
@@ -457,14 +476,18 @@ def run_jobs(argv):
         spec = {"voltage_mode": args.voltage_mode,
                 "cache_path": args.cache or None}
         if args.capacities:
-            spec["capacities"] = _parse_csv(args.capacities, int)
+            spec["capacities"] = _parse_capacities(parser, args.capacities)
         if args.flavors:
             spec["flavors"] = _parse_csv(args.flavors)
         if args.methods:
             spec["methods"] = _parse_csv(args.methods)
+        from .errors import JobError
         from .jobs.worker import normalize_study_spec
 
-        spec = normalize_study_spec(spec)
+        try:
+            spec = normalize_study_spec(spec)
+        except JobError as exc:
+            parser.error(str(exc))
         job_id = queue.submit("study", spec, priority=args.priority,
                               max_attempts=args.max_attempts)
         print("submitted %s: %d-cell study sweep"

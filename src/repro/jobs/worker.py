@@ -50,8 +50,12 @@ from ..analysis.experiments import (
     Session,
     SweepResult,
 )
-from ..analysis.runner import execute_study_task, study_matrix
-from ..errors import JobError
+from ..analysis.runner import (
+    check_study_matrix,
+    execute_study_task,
+    study_matrix,
+)
+from ..errors import DesignSpaceError, JobError
 from ..opt import DesignSpace
 from ..store import (
     ExperimentStore,
@@ -61,7 +65,6 @@ from ..store import (
     study_cell_key,
     sweep_key,
 )
-from ..units import is_power_of_two
 from .queue import JobQueue
 
 #: Spec defaults / validation domains.
@@ -98,22 +101,12 @@ def normalize_study_spec(raw):
         raise JobError("unknown study spec field(s): %s"
                        % ", ".join(sorted(unknown)))
     capacities = raw.get("capacities") or list(CAPACITIES_BYTES)
-    if (not isinstance(capacities, (list, tuple)) or not capacities
-            or not all(isinstance(c, int) and not isinstance(c, bool)
-                       and c > 0 and is_power_of_two(c)
-                       for c in capacities)):
-        raise JobError("capacities must be positive powers of two "
-                       "(bytes), got %r" % (capacities,))
     flavors = raw.get("flavors") or list(FLAVORS)
-    if (not isinstance(flavors, (list, tuple)) or not flavors
-            or any(f not in FLAVORS for f in flavors)):
-        raise JobError("flavors must be a non-empty subset of %s"
-                       % "/".join(FLAVORS))
     methods = raw.get("methods") or list(METHODS)
-    if (not isinstance(methods, (list, tuple)) or not methods
-            or any(m not in METHODS for m in methods)):
-        raise JobError("methods must be a non-empty subset of %s"
-                       % "/".join(METHODS))
+    try:
+        check_study_matrix(capacities, flavors, methods)
+    except DesignSpaceError as exc:
+        raise JobError(str(exc)) from exc
     voltage_mode = raw.get("voltage_mode", "paper")
     if voltage_mode not in VOLTAGE_MODES:
         raise JobError("voltage_mode must be one of %s, got %r"

@@ -8,7 +8,7 @@ optimization engines:
 * :mod:`~repro.service.api` — request schemas, cache keys, batch groups
 * :mod:`~repro.service.batching` — backlog batcher (Monte Carlo
   coalesces behind its in-flight solve; nothing waits for a timer)
-* :mod:`~repro.service.cache` — LRU+TTL result cache and singleflight
+* :mod:`~repro.service.cache` — LRU result cache and singleflight
 * :mod:`~repro.service.engines` — batch-job execution on worker pools
 * :mod:`~repro.service.metrics` — counters and latency/batch histograms
 * :mod:`~repro.service.client` — synchronous convenience client

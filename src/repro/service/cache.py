@@ -2,10 +2,12 @@
 
 Two layers keep repeated work off the engines:
 
-* :class:`ResultCache` — an LRU with optional TTL holding *finished*
-  response payloads, keyed by the canonical request key
+* :class:`ResultCache` — an LRU holding *finished* response payloads,
+  keyed by the canonical request key
   (:meth:`repro.service.api.OptimizeRequest.key` and friends).  Hit,
-  miss, eviction, and expiration counters feed ``GET /metrics``.
+  miss and eviction counters feed ``GET /metrics``.  Entries never
+  expire: each is a deterministic function of its key and the server's
+  session, which does not change while the server runs.
 * :class:`Singleflight` — a table of *in-flight* computations.  The
   first arrival of a key becomes the leader and computes; every
   concurrent identical request awaits the leader's future, so N
@@ -18,44 +20,34 @@ them.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 
 
 class ResultCache:
-    """LRU + TTL cache of response payloads with hit/miss counters."""
+    """LRU cache of response payloads with hit/miss counters."""
 
-    def __init__(self, max_entries=256, ttl=None, clock=time.monotonic):
+    def __init__(self, max_entries=256):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = int(max_entries)
-        self.ttl = ttl
-        self._clock = clock
-        self._entries = OrderedDict()   # key -> (stored_at, value)
+        self._entries = OrderedDict()   # key -> value
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.expirations = 0
 
     def get(self, key):
         """``(hit, value)``; refreshes LRU order on a hit."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            stored_at, value = entry
-            if self.ttl is not None and self._clock() - stored_at > self.ttl:
-                del self._entries[key]
-                self.expirations += 1
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return True, value
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return True, self._entries[key]
         self.misses += 1
         return False, None
 
     def put(self, key, value):
         if key in self._entries:
             self._entries.move_to_end(key)
-        self._entries[key] = (self._clock(), value)
+        self._entries[key] = value
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
@@ -78,11 +70,9 @@ class ResultCache:
         return {
             "size": len(self._entries),
             "max_entries": self.max_entries,
-            "ttl_seconds": self.ttl,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "hit_rate": round(self.hit_rate, 6),
         }
 

@@ -108,8 +108,6 @@ class ServiceConfig:
     workers: int = 0              # 0 = os.cpu_count()
     max_batch: int = 8            # largest coalesced Monte Carlo batch
     max_pending: int = 64         # queued+executing bound (429 beyond)
-    cache_entries: int = 256      # result-cache LRU capacity
-    cache_ttl: float = 300.0      # result-cache TTL [s]; None = no expiry
     cache_path: str = DEFAULT_CACHE_PATH
     voltage_mode: str = "paper"
     jobs_path: str = None         # durable queue SQLite; None = no jobs API
@@ -197,10 +195,7 @@ class OptimizationServer:
         self.config = config or ServiceConfig()
         self.session = session      # may be pre-built (tests/bench)
         self.metrics = ServiceMetrics()
-        self._cache = ResultCache(
-            max_entries=self.config.cache_entries,
-            ttl=self.config.cache_ttl,
-        )
+        self._cache = ResultCache()
         self._flight = Singleflight()
         self._batcher = None
         self._pool = None

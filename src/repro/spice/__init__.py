@@ -12,7 +12,6 @@ Public API:
 """
 
 from .dc import Solution, dc_sweep, operating_point
-from .io import parse_netlist, parse_value, write_netlist
 from .netlist import Circuit
 from .stimuli import piecewise_linear, pulse, step
 from .transient import transient
@@ -25,11 +24,8 @@ __all__ = [
     "Waveform",
     "dc_sweep",
     "operating_point",
-    "parse_netlist",
-    "parse_value",
     "piecewise_linear",
     "pulse",
     "step",
     "transient",
-    "write_netlist",
 ]

@@ -9,7 +9,8 @@ strategies:
 * **gmin stepping** — a shunt conductance from every transistor's
   drain-source pair is swept from 1e-3 S down to (effectively) zero,
   warm-starting each stage from the previous solution;
-* **source stepping** — all sources are ramped from 0 to 100%.
+* **source stepping** — every independent source (all are voltage
+  sources) is ramped from 0 to 100%.
 
 Operating points of bistable circuits (an SRAM cell!) depend on the
 initial guess; callers control which stable state they land in by
@@ -63,15 +64,13 @@ class Solution:
 
 
 def _newton(circuit, x0, time=None, dt=None, x_prev=None, gmin=0.0,
-            max_iterations=MAX_ITERATIONS, integrator="be",
-            cap_currents=None):
+            max_iterations=MAX_ITERATIONS):
     """Raw Newton loop; returns (x, iterations) or raises ConvergenceError."""
     x = np.array(x0, dtype=float)
     n_nodes = circuit.n_nodes
     last_residual = np.inf
     assemble = circuit.plan.prepare(SolverState(
-        x, time=time, dt=dt, x_prev=x_prev, gmin=gmin,
-        integrator=integrator, cap_currents=cap_currents))
+        x, time=time, dt=dt, x_prev=x_prev, gmin=gmin))
     for iteration in range(1, max_iterations + 1):
         residual, jacobian = assemble(x)
         last_residual = float(np.max(np.abs(residual)))
@@ -176,8 +175,7 @@ def operating_point(circuit, initial_guess=None):
             src.value = value
 
 
-def solve_from(circuit, x_start, time=None, dt=None, x_prev=None,
-               integrator="be", cap_currents=None):
+def solve_from(circuit, x_start, time=None, dt=None, x_prev=None):
     """Newton solve warm-started from an explicit unknown vector.
 
     Used by sweeps and the transient integrator.  Retries once with a
@@ -185,21 +183,18 @@ def solve_from(circuit, x_start, time=None, dt=None, x_prev=None,
     """
     if not circuit.compiled:
         circuit.compile()
-    extras = dict(integrator=integrator, cap_currents=cap_currents)
     try:
-        return _newton(circuit, x_start, time=time, dt=dt, x_prev=x_prev,
-                       **extras)
+        return _newton(circuit, x_start, time=time, dt=dt, x_prev=x_prev)
     except ConvergenceError:
         x = np.array(x_start, dtype=float)
         iterations = 0
         for exponent in (6, 9, 12):
             x, iters = _newton(
                 circuit, x, time=time, dt=dt, x_prev=x_prev,
-                gmin=10.0 ** (-exponent), **extras,
+                gmin=10.0 ** (-exponent),
             )
             iterations += iters
-        x, iters = _newton(circuit, x, time=time, dt=dt, x_prev=x_prev,
-                           **extras)
+        x, iters = _newton(circuit, x, time=time, dt=dt, x_prev=x_prev)
         return x, iterations + iters
 
 

@@ -6,11 +6,11 @@ Every element defines its contribution to the Newton-Raphson system of
 ``stamp(state, residual, jacobian)``
 
 where ``state`` is a :class:`SolverState` carrying the current unknown
-vector, node-index resolution, and (during transient analysis) the
-companion-model history.  The residual convention is nodal KCL: for each
-non-ground node, the sum of currents flowing *out of the node into
-elements* must be zero.  Voltage sources add one branch-current unknown
-and one constraint row each (modified nodal analysis).
+vector and (during transient analysis) the previous time point's.  The
+residual convention is nodal KCL: for each non-ground node, the sum of
+currents flowing *out of the node into elements* must be zero.  Voltage
+sources add one branch-current unknown and one constraint row each
+(modified nodal analysis).
 
 The solvers do not call ``stamp``: they run the compiled
 :class:`repro.spice.plan.StampPlan`, which evaluates every element of a
@@ -50,18 +50,12 @@ class SolverState:
         high-impedance nodes (convergence aid; 0 when not stepping).
     """
 
-    def __init__(self, x, time=None, dt=None, x_prev=None, gmin=0.0,
-                 integrator="be", cap_currents=None):
+    def __init__(self, x, time=None, dt=None, x_prev=None, gmin=0.0):
         self.x = x
         self.time = time
         self.dt = dt
         self.x_prev = x_prev
         self.gmin = gmin
-        #: "be" (backward Euler) or "trap" (trapezoidal).
-        self.integrator = integrator
-        #: Capacitor name -> accepted current at the previous time point
-        #: (trapezoidal companion history).
-        self.cap_currents = cap_currents or {}
 
     def voltage(self, index):
         """Voltage of a node index (ground reads as 0)."""
@@ -132,8 +126,7 @@ class Resistor(Element):
 
 class Capacitor(Element):
     """Linear capacitor; open in DC.  In transient it stamps the
-    backward-Euler companion model by default, or the trapezoidal one
-    (``i = (2C/h)(v - v_prev) - i_prev``) when the integrator asks."""
+    backward-Euler companion model ``i = (C/h)(v - v_prev)``."""
 
     def __init__(self, name, a, b, capacitance):
         if capacitance <= 0:
@@ -146,30 +139,13 @@ class Capacitor(Element):
     def node_indices(self):
         return (self.a, self.b)
 
-    def branch_voltage(self, state, previous=False):
-        if previous:
-            return (state.voltage_prev(self.a)
-                    - state.voltage_prev(self.b))
-        return state.voltage(self.a) - state.voltage(self.b)
-
-    def companion_current(self, state):
-        """The companion-model current at the present iterate [A]."""
-        dv = self.branch_voltage(state) - self.branch_voltage(
-            state, previous=True
-        )
-        if state.integrator == "trap":
-            geq = 2.0 * self.capacitance / state.dt
-            return geq * dv - state.cap_currents.get(self.name, 0.0)
-        return (self.capacitance / state.dt) * dv
-
     def stamp(self, state, residual, jacobian):
         if not state.transient:
             return
-        if state.integrator == "trap":
-            geq = 2.0 * self.capacitance / state.dt
-        else:
-            geq = self.capacitance / state.dt
-        current = self.companion_current(state)
+        geq = self.capacitance / state.dt
+        dv = (state.voltage(self.a) - state.voltage(self.b)) - (
+            state.voltage_prev(self.a) - state.voltage_prev(self.b))
+        current = geq * dv
         _add(residual, self.a, current)
         _add(residual, self.b, -current)
         _add_jac(jacobian, self.a, self.a, geq)
@@ -227,35 +203,6 @@ class VoltageSource(Element):
         residual[self.branch_index] += vp - vm - self.voltage_at(state.time)
         _add_jac(jacobian, self.branch_index, self.plus, 1.0)
         _add_jac(jacobian, self.branch_index, self.minus, -1.0)
-
-
-class CurrentSource(Element):
-    """Independent current source; current flows from ``a`` to ``b``
-    through the element.  ``value`` may be a constant or ``f(t)``.
-    """
-
-    def __init__(self, name, a, b, value):
-        self.name = name
-        self.a = a
-        self.b = b
-        self.value = value
-
-    def node_indices(self):
-        return (self.a, self.b)
-
-    def current_at(self, time):
-        if callable(self.value):
-            value = self.value(0.0 if time is None else time)
-        else:
-            value = self.value
-        if np.ndim(value) == 0:
-            return float(value)
-        return np.asarray(value, dtype=float)
-
-    def stamp(self, state, residual, jacobian):
-        current = self.current_at(state.time)
-        _add(residual, self.a, current)
-        _add(residual, self.b, -current)
 
 
 class Transistor(Element):

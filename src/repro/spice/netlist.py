@@ -17,8 +17,6 @@ from ..errors import NetlistError
 from .elements import (
     GROUND_INDEX,
     Capacitor,
-    CurrentSource,
-    Element,
     Resistor,
     Transistor,
     VoltageSource,
@@ -107,12 +105,6 @@ class Circuit:
         element = VoltageSource(name, self.node(plus), self.node(minus), value)
         self._vsources.append(element)
         return self._register(element)
-
-    def add_isource(self, name, a, b, value):
-        """Current source from ``a`` to ``b``; constant amps or ``f(t)``."""
-        return self._register(
-            CurrentSource(name, self.node(a), self.node(b), value)
-        )
 
     def add_fet(self, name, device, gate, drain, source):
         """A FinFET wired (gate, drain, source)."""

@@ -54,7 +54,6 @@ from ..errors import NetlistError
 from .elements import (
     GROUND_INDEX,
     Capacitor,
-    CurrentSource,
     Resistor,
     Transistor,
     VoltageSource,
@@ -120,8 +119,7 @@ class StampPlan:
 
     def __init__(self, circuit):
         n = self.n = circuit.n_unknowns
-        kinds = (Resistor, VoltageSource, CurrentSource, Transistor,
-                 Capacitor)
+        kinds = (Resistor, VoltageSource, Transistor, Capacitor)
         groups = {kind: [] for kind in kinds}
         kind_of = []
         for element in circuit.elements:
@@ -133,8 +131,8 @@ class StampPlan:
                 )
             kind_of.append((kind, len(groups[kind])))
             groups[kind].append(element)
-        res, vsrc, isrc, fets, caps = (groups[k] for k in kinds)
-        self._vsources, self._isources, self._capacitors = vsrc, isrc, caps
+        res, vsrc, fets, caps = (groups[k] for k in kinds)
+        self._vsources = vsrc
         for fet in fets:
             if fet.device.params.is_batched:
                 raise NetlistError(
@@ -170,17 +168,16 @@ class StampPlan:
         self._fixed = np.vstack([self._r_g, [[1.0]]])
 
         # Term matrices (see _term_rows), with the positive terms
-        #   residual  [i_r | j | i_d | i_c], fixed [i_s]; then the
-        #             source constraint rows [v_eq]
+        #   residual  [i_r | j | i_d | i_c]; then the source
+        #             constraint rows [v_eq]
         #   Jacobian  [d_vg | d_vd | d_vs],  fixed [g, 1 | geq]
         # The capacitor blocks are empty in a DC layout.
-        nr, nv, ni, nf, nc = map(len, (res, vsrc, isrc, fets, caps))
+        nr, nv, nf, nc = map(len, (res, vsrc, fets, caps))
         self._layouts = {}
         for transient in (False, True):
             ncap = nc if transient else 0
             r_rows, r_parts, r_total = _term_rows(
-                [("r", nr), ("v", nv), ("f", nf), ("c", ncap)],
-                [("i", ni)])
+                [("r", nr), ("v", nv), ("f", nf), ("c", ncap)], [])
             j_rows, j_parts, j_total = _term_rows(
                 [("dg", nf), ("dd", nf), ("ds", nf)],
                 [("g", nr + 1), ("geq", ncap)])
@@ -220,9 +217,6 @@ class StampPlan:
                     residual.append((br, r_total + k))  # v_eq row
                     jac_term(br, element.plus, "g", nr)
                     jac_term(br, element.minus, "g", nr, -1)
-                elif kind is CurrentSource:
-                    res_term(element.a, "i", k)
-                    res_term(element.b, "i", k, -1)
                 else:
                     d, s = element.drain, element.source
                     res_term(d, "f", k)
@@ -240,8 +234,8 @@ class StampPlan:
         ``SolverState``).
 
         Reads what one Newton solve holds fixed -- the source levels at
-        ``state.time``, the capacitor companion terms of ``state.x_prev``,
-        ``state.dt`` and the trapezoidal history, the fixed Jacobian
+        ``state.time``, the capacitor companion conductances ``C/dt``
+        and branch voltages at ``state.x_prev``, the fixed Jacobian
         blocks -- and returns the per-iteration part: ``assemble(x)``,
         the residual and Jacobian at unknowns ``x`` of ``state.x``'s
         shape (gather, device kernel, scatter).
@@ -252,21 +246,24 @@ class StampPlan:
             (jac_scatter, j_rows, j_parts, j_size) = \
             self._layouts[state.transient]
         terms_r, terms_j = np.empty((r_size, lanes)), np.empty((j_size, lanes))
-        i_src = terms_r[r_rows["i"][0]]
-        for k, src in enumerate(self._isources):
-            i_src[k] = src.current_at(state.time)
         v_src = np.empty((len(self._vsources), lanes))
         for k, src in enumerate(self._vsources):
             v_src[k] = src.voltage_at(state.time)
         terms_j[j_rows["g"][0]] = self._fixed
-        companion = state.transient and bool(self._capacitors)
+        companion = state.transient and len(self._c_cap) > 0
         if companion:
-            geq, prev_dv, history = self._companion_terms(state, lanes)
+            xpg = np.zeros((n + 1, lanes))
+            if state.x_prev is not None:
+                xpg[:n] = np.asarray(state.x_prev,
+                                     dtype=float).reshape(n, lanes)
+            prev = xpg[self._c_gather]
+            nc = len(self._c_cap)
+            prev_dv = prev[:nc] - prev[nc:]
+            geq = self._c_cap / state.dt
             terms_j[j_rows["geq"][0]] = geq
             out_c = terms_r[r_rows["c"][0]]
-        for terms, (positive, negated) in ((terms_r, r_parts[1]),
-                                           (terms_j, j_parts[1])):
-            np.negative(terms[positive], out=terms[negated])
+        positive, negated = j_parts[1]
+        np.negative(terms_j[positive], out=terms_j[negated])
 
         out_r, out_v, out_f = (terms_r[r_rows[name][0]] for name in "rvf")
         out_con = terms_r[r_size - len(self._vsources):]
@@ -300,11 +297,7 @@ class StampPlan:
                 np.add(out_dd, gmin, out=out_dd)
                 np.subtract(out_ds, gmin, out=out_ds)
             if companion:
-                dv = (va - vb) - prev_dv
-                if history is None:
-                    np.multiply(geq, dv, out=out_c)
-                else:
-                    np.subtract(geq * dv, history, out=out_c)
+                np.multiply(geq, (va - vb) - prev_dv, out=out_c)
             np.negative(varying_r, out=negated_r)
             np.subtract(vp - vm, v_src, out=out_con)
             np.negative(varying_j, out=negated_j)
@@ -317,21 +310,3 @@ class StampPlan:
             return residual.reshape(n, lanes), jacobian.reshape(n, n, lanes)
 
         return assemble
-
-    def _companion_terms(self, state, lanes):
-        """A solve's capacitor companion terms: the conductances, the
-        branch voltages at ``state.x_prev`` and the trapezoidal history
-        currents (None under backward Euler)."""
-        xpg = np.zeros((self.n + 1, lanes))
-        if state.x_prev is not None:
-            xpg[:self.n] = np.asarray(state.x_prev,
-                                      dtype=float).reshape(self.n, lanes)
-        prev = xpg[self._c_gather]
-        nc = len(self._capacitors)
-        prev_dv = prev[:nc] - prev[nc:]
-        if state.integrator == "trap":
-            history = np.empty((nc, lanes))
-            for k, cap in enumerate(self._capacitors):
-                history[k] = state.cap_currents.get(cap.name, 0.0)
-            return 2.0 * self._c_cap / state.dt, prev_dv, history
-        return self._c_cap / state.dt, prev_dv, None

@@ -1,15 +1,13 @@
-"""Transient analysis (backward-Euler or trapezoidal, with automatic
-step refinement).
+"""Transient analysis (backward Euler, with automatic step refinement).
 
 The integrator starts from a DC operating point (sources evaluated at
 t = 0), then marches fixed steps of ``dt``, halving the step locally when
-Newton fails at a time point.  Backward Euler (the default) is
-unconditionally stable and — for the delay/energy characterization this
-library needs — its numerical damping is harmless, because measurements
-compare crossing times of strongly driven nodes.  The trapezoidal
-method (``method="trap"``) is second-order accurate and preserves
-energy much better at coarse steps, at the cost of possible ringing on
-discontinuous stimuli.
+Newton fails at a time point.  Backward Euler is unconditionally stable
+and — for the delay/energy characterization this library needs — its
+numerical damping is harmless, because measurements compare crossing
+times of strongly driven nodes.  On a network of resistors and grounded
+capacitors it also never overshoots: each step is a convex combination
+of the previous state and the sources (the discrete maximum principle).
 """
 
 from __future__ import annotations
@@ -20,22 +18,18 @@ import numpy as np
 
 from ..errors import ConvergenceError
 from .dc import operating_point, solve_from
-from .elements import Capacitor, SolverState
 from .waveform import TransientResult
 
 #: How many times a failing step may be halved before giving up.
 MAX_STEP_HALVINGS = 8
 
-_METHODS = ("be", "trap")
 
-
-def transient(circuit, t_stop, dt, initial_guess=None, record_every=1,
-              stop_condition=None, stop_margin=0, method="be"):
+def transient(circuit, t_stop, dt, initial_guess=None, stop_condition=None,
+              stop_margin=0):
     """Integrate the circuit from 0 to ``t_stop`` with base step ``dt``.
 
     ``initial_guess`` seeds the t=0 operating point (it selects the
     initial state of bistable circuits such as an SRAM cell).
-    ``record_every`` subsamples stored points for long runs.
 
     ``stop_condition``, if given, is called after each accepted step as
     ``f(t, voltages)`` with a dict of node voltages; once it returns
@@ -44,13 +38,9 @@ def transient(circuit, t_stop, dt, initial_guess=None, record_every=1,
     measurement can end right after the crossover instead of integrating
     the full window.
 
-    ``method`` selects the integrator: ``"be"`` or ``"trap"``.
-
     Returns a :class:`repro.spice.waveform.TransientResult`.
     """
     check_time_window(t_stop, dt)
-    if method not in _METHODS:
-        raise ValueError("method must be one of %r" % (_METHODS,))
     if not circuit.compiled:
         circuit.compile()
 
@@ -59,29 +49,13 @@ def transient(circuit, t_stop, dt, initial_guess=None, record_every=1,
 
     times = [0.0]
     states = [x.copy()]
-    capacitors = [el for el in circuit.elements
-                  if isinstance(el, Capacitor)]
-    # At the DC operating point every capacitor current is zero.
-    cap_currents = {el.name: 0.0 for el in capacitors}
-
     t = 0.0
     step = dt
     remaining_after_stop = None
     while t < t_stop - 1e-21:
         step = min(step, t_stop - t)
-        x_next, accepted_step = _advance(circuit, x, t, step, method,
-                                         cap_currents)
-        if method == "trap":
-            accepted_state = SolverState(
-                x_next, time=t + accepted_step, dt=accepted_step,
-                x_prev=x, integrator="trap", cap_currents=cap_currents,
-            )
-            cap_currents = {
-                el.name: el.companion_current(accepted_state)
-                for el in capacitors
-            }
+        x, accepted_step = _advance(circuit, x, t, step)
         t += accepted_step
-        x = x_next
         times.append(t)
         states.append(x.copy())
         if stop_condition is not None and remaining_after_stop is None:
@@ -98,7 +72,7 @@ def transient(circuit, t_stop, dt, initial_guess=None, record_every=1,
         # Grow the step back toward the base dt after a halving.
         step = min(dt, step * 2.0)
 
-    return _package(circuit, times, states, record_every)
+    return _package(circuit, times, states)
 
 
 def check_time_window(t_stop, dt):
@@ -110,7 +84,7 @@ def check_time_window(t_stop, dt):
         )
 
 
-def _advance(circuit, x, t, step, method="be", cap_currents=None):
+def _advance(circuit, x, t, step):
     """One accepted time step, halving on Newton failure.
 
     When even the smallest step fails, the raised error carries the
@@ -120,10 +94,8 @@ def _advance(circuit, x, t, step, method="be", cap_currents=None):
     for _attempt in range(MAX_STEP_HALVINGS + 1):
         time = t + step
         try:
-            x_next, _iters = solve_from(
-                circuit, x, time=time, dt=step, x_prev=x,
-                integrator=method, cap_currents=cap_currents,
-            )
+            x_next, _iters = solve_from(circuit, x, time=time, dt=step,
+                                        x_prev=x)
             return x_next, step
         except ConvergenceError as err:
             last = err
@@ -138,15 +110,9 @@ def _advance(circuit, x, t, step, method="be", cap_currents=None):
     ) from last
 
 
-def _package(circuit, times, states, record_every):
+def _package(circuit, times, states):
     times = np.asarray(times)
     stacked = np.vstack(states)
-    if record_every > 1:
-        keep = np.zeros(len(times), dtype=bool)
-        keep[::record_every] = True
-        keep[-1] = True
-        times = times[keep]
-        stacked = stacked[keep]
     node_values = {
         name: stacked[:, idx] for idx, name in enumerate(circuit.node_names)
     }

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import perf
 from repro.analysis import Session, experiments, optimize_all
 from repro.analysis.runner import (
     StudyTask,
@@ -218,6 +219,35 @@ def test_bad_arguments_rejected(paper_session, arguments, error):
     with pytest.raises(error):
         run_study(session=paper_session, capacities=CAPACITIES,
                   **arguments)
+
+
+@pytest.mark.parametrize("matrix,named", [
+    ({"capacities": (96,)}, "powers of two .*, got 96$"),
+    ({"capacities": (0,)}, "powers of two .*, got 0$"),
+    ({"capacities": ("abc",)}, "powers of two .*, got 'abc'$"),
+    ({"capacities": ()}, "capacities must be a non-empty list"),
+    ({"flavors": ("xvt",)}, "flavors .*, got 'xvt'$"),
+    ({"methods": ("M3",)}, "methods .*, got 'M3'$"),
+], ids=["capacity-96", "capacity-0", "capacity-abc", "no-capacities",
+        "flavor-xvt", "method-M3"])
+@pytest.mark.parametrize("objective", ["edp", "pareto", "yield"])
+def test_bad_matrix_fails_before_any_search(paper_session, matrix, named,
+                                            objective):
+    """A matrix value no search can run raises one DesignSpaceError that
+    names it, before the first search (the 96 B cell once failed ~20
+    frames deep in the array organization, a 0 B cell with a
+    ZeroDivisionError inside StudyTaskError, a bad flavor with a
+    KeyError)."""
+    def evaluations():
+        return perf.get_registry().snapshot()["counters"].get(
+            "optimizer.evaluations", 0)
+
+    cells = dict({"capacities": (128,), "flavors": ("hvt",),
+                  "methods": ("M2",)}, **matrix)
+    before = evaluations()
+    with pytest.raises(DesignSpaceError, match=named):
+        run_study(session=paper_session, objective=objective, **cells)
+    assert evaluations() == before
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["serial-1", "process-2"])

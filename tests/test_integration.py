@@ -119,6 +119,38 @@ def test_cli_yield_accepts_only_gaussian_or_shifted(sampler):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["pareto", "--capacities", "96", "--flavors", "hvt", "--methods",
+      "M2"], "got 96"),
+    (["yield", "--capacities", "0", "--flavors", "hvt", "--methods", "M2"],
+     "got 0"),
+    (["pareto", "--flavors", "xvt"], "got 'xvt'"),
+    (["yield", "--methods", "M3"], "got 'M3'"),
+    (["pareto", "--capacities", "abc"], "got 'abc'"),
+    (["yield", "--capacities", "128,abc"], "got '128,abc'"),
+    (["jobs", "submit", "--capacities", "100"], "got 100"),
+    (["jobs", "submit", "--capacities", "abc"], "got 'abc'"),
+    (["jobs", "submit", "--flavors", "xvt"], "got 'xvt'"),
+], ids=["pareto-96", "yield-0", "pareto-xvt", "yield-M3", "pareto-abc",
+        "yield-abc", "jobs-100", "jobs-abc", "jobs-xvt"])
+def test_cli_bad_study_matrix_is_a_usage_error(argv, named, tmp_path,
+                                               capsys):
+    """A bad --capacities/--flavors/--methods value exits 2 with one
+    argparse error line naming it, not a traceback from deep inside the
+    study, and nothing is characterized, searched or queued."""
+    queue = tmp_path / "jobs.db"
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(argv + (["--queue", str(queue)] if argv[0] == "jobs"
+                         else ["--cache", str(tmp_path / "cache.json")]))
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("repro %s: error: " % argv[0])
+    assert last.endswith(named)
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("command", ["pareto", "yield"])
 def test_cli_empty_cache_path_disables_the_cache(
         command, paper_session, tmp_path, monkeypatch, capsys):

@@ -9,17 +9,6 @@ import pytest
 from repro.service.cache import ResultCache, Singleflight
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
 class TestResultCache:
     def test_miss_then_hit(self):
         cache = ResultCache(max_entries=4)
@@ -43,18 +32,6 @@ class TestResultCache:
         assert cache.evictions == 1
         assert len(cache) == 2
 
-    def test_ttl_expiration(self):
-        clock = FakeClock()
-        cache = ResultCache(max_entries=4, ttl=10.0, clock=clock)
-        cache.put("k", "v")
-        clock.advance(9.0)
-        assert cache.get("k") == (True, "v")
-        clock.advance(2.0)
-        hit, _ = cache.get("k")
-        assert not hit
-        assert cache.expirations == 1
-        assert len(cache) == 0
-
     def test_put_overwrites(self):
         cache = ResultCache(max_entries=2)
         cache.put("k", 1)
@@ -72,15 +49,16 @@ class TestResultCache:
         assert len(cache) == 0
 
     def test_stats_payload(self):
-        cache = ResultCache(max_entries=8, ttl=5.0)
+        cache = ResultCache(max_entries=8)
         cache.put("a", 1)
         cache.get("a")
         cache.get("zzz")
         stats = cache.stats()
         assert stats["size"] == 1
         assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["ttl_seconds"] == 5.0
         assert stats["max_entries"] == 8
+        assert set(stats) == {"size", "max_entries", "hits", "misses",
+                              "evictions", "hit_rate"}
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):

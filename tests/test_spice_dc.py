@@ -39,14 +39,6 @@ def test_source_current_sign_convention():
     assert sol.source_power("vs", 1.0) == pytest.approx(0.5e-3)
 
 
-def test_current_source_into_resistor():
-    c = Circuit()
-    c.add_isource("i1", "0", "a", 1e-3)  # pushes current into node a
-    c.add_resistor("r1", "a", "0", 2000.0)
-    sol = operating_point(c)
-    assert sol["a"] == pytest.approx(2.0)
-
-
 def test_two_sources_superposition():
     c = Circuit()
     c.add_vsource("v1", "a", "0", 1.0)

@@ -19,7 +19,7 @@ from repro.devices import DeviceLibrary, FinFET
 from repro.errors import NetlistError
 from repro.spice import Circuit, operating_point, step
 from repro.spice.batch import _select_lanes
-from repro.spice.elements import CurrentSource, SolverState, VoltageSource
+from repro.spice.elements import SolverState
 
 LIB = DeviceLibrary.default_7nm()
 VDD = LIB.vdd
@@ -36,7 +36,7 @@ def stamp_reference(circuit, state):
     return residual, jacobian
 
 
-def mixed_circuit(v_in, i_leak, v_supply=VDD):
+def mixed_circuit(v_in, v_supply=VDD):
     """Every element kind; grounded gates, drains and sources; NFETs and
     PFETs of both flavors with 1-3 fins; a source between two
     non-ground nodes."""
@@ -50,21 +50,19 @@ def mixed_circuit(v_in, i_leak, v_supply=VDD):
     c.add_fet("mk", FinFET(LIB.pfet_hvt, 3), "0", "0", "mid")
     c.add_capacitor("cl", "out", "0", 1e-15)
     c.add_capacitor("cm", "mid", "out", 0.4e-15)
-    c.add_isource("il", "mid", "0", i_leak)
     c.add_vsource("vsh", "mid", "tap", 0.05)
     c.add_resistor("rt", "tap", "0", 1e5)
     return c.compile()
 
 
 def scalar_circuit():
-    return mixed_circuit(step(1e-12, 0.0, VDD, 2e-12), 1e-7)
+    return mixed_circuit(step(1e-12, 0.0, VDD, 2e-12))
 
 
 def batched_circuit():
-    # Array-valued constant supply, array-valued stimulus callable and
-    # a callable current source, one level per lane.
+    # Array-valued constant supply and array-valued stimulus callable,
+    # one level per lane.
     return mixed_circuit(step(1e-12, 0.0, LEVELS, 2e-12),
-                         lambda t: 1e-7 * (1.0 + LEVELS * t / 1e-12),
                          v_supply=LEVELS[::-1].copy())
 
 
@@ -75,11 +73,6 @@ STATES = {
     "be_no_history": {"time": 2e-12, "dt": 1e-13, "x_prev": None},
     "be_gmin": {"time": 1.5e-12, "dt": 5e-14, "x_prev": "random",
                 "gmin": 1e-9},
-    "trap": {"time": 3e-12, "dt": 1e-13, "x_prev": "random",
-             "integrator": "trap", "cap_currents": {"cl": 2e-6}},
-    "trap_gmin": {"time": 2.5e-12, "dt": 1e-13, "x_prev": "random",
-                  "integrator": "trap", "cap_currents": {"cl": -1e-6},
-                  "gmin": 1e-7},
 }
 
 
@@ -88,17 +81,13 @@ def make_state(circuit, kind, rng, lanes=None):
     kwargs = dict(STATES[kind])
     if kwargs.get("x_prev") == "random":
         kwargs["x_prev"] = rng.uniform(-0.2, 0.9, shape)
-    if lanes is not None and "cap_currents" in kwargs:
-        kwargs["cap_currents"] = {"cl": np.linspace(-1e-6, 1e-6, lanes)}
     return SolverState(rng.uniform(-0.2, 0.9, shape), **kwargs)
 
 
 def at_iterate(state, x):
     """``state`` with the unknowns ``x`` (the same solve's next iterate)."""
     return SolverState(x, time=state.time, dt=state.dt,
-                       x_prev=state.x_prev, gmin=state.gmin,
-                       integrator=state.integrator,
-                       cap_currents=state.cap_currents)
+                       x_prev=state.x_prev, gmin=state.gmin)
 
 
 def assert_bitwise_equal(circuit, state, rng=None, iterates=0):
@@ -153,9 +142,7 @@ def test_assembly_after_lanes_are_narrowed(kind, widths, seed):
     equal the stamp loop, and again once the full width is back."""
     circuit = batched_circuit()
     rng = np.random.default_rng(seed)
-    sources = [e for e in circuit.elements
-               if isinstance(e, (VoltageSource, CurrentSource))]
-    originals = [(src, src.value) for src in sources]
+    originals = [(src, src.value) for src in circuit.vsources]
     try:
         for live in widths + [list(range(LANES))]:
             for src, value in originals:
@@ -173,7 +160,6 @@ def test_source_values_are_read_at_every_assembly():
     circuit = scalar_circuit()
     state = make_state(circuit, "dc", np.random.default_rng(13))
     circuit.element("vdd").value = 0.55
-    circuit.element("il").value = -3e-8
     assert_bitwise_equal(circuit, state)
 
 

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spice import (
-    Circuit,
-    operating_point,
-    parse_netlist,
-    step,
-    transient,
-    write_netlist,
-)
+from repro.spice import Circuit, operating_point, step, transient
 
 
 @settings(max_examples=25, deadline=None)
@@ -54,25 +47,44 @@ def test_total_charge_delivered_to_parallel_caps(caps, v_step):
     )
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    r_values=st.lists(st.floats(min_value=10.0, max_value=9.9e5),
-                      min_size=1, max_size=6),
-    v_value=st.floats(min_value=0.1, max_value=9.0),
-)
-def test_netlist_round_trip_preserves_solution(r_values, v_value):
-    """Property: write_netlist(parse) round-trips arbitrary ladders."""
-    circuit = Circuit("ladder")
-    circuit.add_vsource("VS", "n0", "0", v_value)
-    for k, r in enumerate(r_values):
-        circuit.add_resistor("R%d" % k, "n%d" % k, "n%d" % (k + 1), r)
-    circuit.add_resistor("RL", "n%d" % len(r_values), "0", 1e3)
-    text = write_netlist(circuit)
-    again = parse_netlist(text)
-    a = operating_point(circuit)
-    b = operating_point(again)
+@st.composite
+def rc_trees(draw):
+    """A step-driven RC tree: 1-5 nodes, each hung from the source node
+    or an earlier node through 100 ohm - 100 kohm, each with a grounded
+    0.1-10 fF capacitor; a 0 -> V step at t = 0, and a step dt."""
+    n = draw(st.integers(1, 5))
+    parents = [draw(st.integers(0, k)) for k in range(n)]
+    resistances = draw(st.lists(st.floats(100.0, 1e5), min_size=n,
+                                max_size=n))
+    caps = draw(st.lists(st.floats(0.1e-15, 10e-15), min_size=n,
+                         max_size=n))
+    v_step = draw(st.floats(0.1, 2.0))
+    dt = draw(st.floats(0.01e-12, 1e-12))
+    circuit = Circuit("rc_tree")
+    circuit.add_vsource("vs", "n0", "0", step(0.0, 0.0, v_step))
+    for k in range(n):
+        node = "n%d" % (k + 1)
+        circuit.add_resistor("r%d" % k, "n%d" % parents[k], node,
+                             resistances[k])
+        circuit.add_capacitor("c%d" % k, node, "0", caps[k])
+    return circuit, v_step, dt
+
+
+@settings(max_examples=40, deadline=None)
+@given(rc_trees())
+def test_backward_euler_step_response_is_bounded_and_monotone(tree):
+    """Property: backward Euler's discrete maximum principle.  On an RC
+    tree with grounded capacitors, each step's node voltages are a
+    convex combination of the previous step's and the source level, so
+    a 0 -> V step response stays within [0, V] and never decreases at
+    any node, however stiff the step (the trapezoidal rule rings here)."""
+    circuit, v_step, dt = tree
+    result = transient(circuit, 40.0 * dt, dt)
     for node in circuit.node_names:
-        assert a[node] == pytest.approx(b[node], rel=1e-6, abs=1e-12)
+        values = result.node(node).values
+        assert values.min() >= -1e-9
+        assert values.max() <= v_step + 1e-9
+        assert np.diff(values).min() >= -1e-9
 
 
 def test_transistor_circuit_kcl_residual(library):

@@ -108,14 +108,6 @@ def test_stop_condition_ends_run_early():
     assert result.node("b").final > 0.45
 
 
-def test_record_every_subsamples():
-    dense = transient(rc_circuit(), 20e-12, 0.05e-12)
-    sparse = transient(rc_circuit(), 20e-12, 0.05e-12, record_every=5)
-    assert len(sparse.times) < len(dense.times)
-    # The final point is always kept.
-    assert sparse.times[-1] == pytest.approx(dense.times[-1])
-
-
 def test_two_capacitor_charge_sharing():
     """A charged cap sharing onto an equal uncharged cap halves the
     voltage (charge conservation through a resistor)."""
@@ -144,45 +136,3 @@ def test_branch_current_waveform_available():
     assert float(np.max(np.abs(current.values))) == pytest.approx(
         1.0 / 1e4, rel=0.2
     )
-
-
-def test_trapezoidal_more_accurate_at_coarse_steps():
-    """Second-order trap beats first-order BE on a coarse-step RC."""
-    import math
-
-    r, c, v = 1e4, 1e-15, 1.0
-    tau = r * c
-    dt = tau / 4.0  # deliberately coarse
-    t_probe = 1e-12 + 2.0 * tau
-    exact = v * (1.0 - math.exp(-2.0))
-    be = transient(rc_circuit(r, c, v), 40e-12, dt, method="be")
-    trap = transient(rc_circuit(r, c, v), 40e-12, dt, method="trap")
-    err_be = abs(be.node("b").value_at(t_probe) - exact)
-    err_trap = abs(trap.node("b").value_at(t_probe) - exact)
-    assert err_trap < 0.5 * err_be
-
-
-def test_trapezoidal_matches_be_at_fine_steps():
-    be = transient(rc_circuit(), 30e-12, 0.02e-12, method="be")
-    trap = transient(rc_circuit(), 30e-12, 0.02e-12, method="trap")
-    assert trap.node("b").final == pytest.approx(
-        be.node("b").final, abs=1e-3
-    )
-
-
-def test_trapezoidal_energy_accuracy():
-    """At a coarse step, trap's delivered source energy stays closer to
-    the exact C*V^2 than BE's."""
-    r, c, v = 1e4, 1e-15, 1.0
-    dt = r * c / 4.0
-    be = transient(rc_circuit(r, c, v), 200e-12, dt, method="be")
-    trap = transient(rc_circuit(r, c, v), 200e-12, dt, method="trap")
-    exact = c * v * v
-    err_be = abs(be.delivered_energy("vs") - exact)
-    err_trap = abs(trap.delivered_energy("vs") - exact)
-    assert err_trap <= err_be + 1e-18
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        transient(rc_circuit(), 1e-12, 1e-13, method="gear")
