@@ -95,7 +95,7 @@ MARGIN_REPEATS = {
 STEP_CALLS = 50
 
 #: Sample counts of the ``crossover`` table's 121-point snm_samples.
-CROSSOVER_SAMPLES = (1, 4, 8, 12, 14, 16, 24, 40)
+CROSSOVER_SAMPLES = (1, 4, 5, 6, 7, 8, 12, 16, 24, 40)
 
 
 @contextmanager

@@ -107,6 +107,22 @@ def check_study_matrix(capacities, flavors, methods):
                                        % (name, "/".join(domain), value))
 
 
+def check_yield_options(code, y_target, sampler, ci_target):
+    """``ValueError`` for a ``y_target`` or ``ci_target`` outside (0, 1)
+    or an unknown sampler, ``DesignSpaceError`` for an unknown code."""
+    from ..opt.constraints import check_yield_sampler
+    from ..yields.ecc import make_code
+
+    if not 0.0 < y_target < 1.0:
+        raise ValueError("y_target must be in (0, 1), got %r"
+                         % (y_target,))
+    make_code(code, 64)
+    check_yield_sampler(sampler)
+    if not 0.0 < ci_target < 1.0:
+        raise ValueError("ci_target must be in (0, 1), got %r"
+                         % (ci_target,))
+
+
 @dataclass
 class TaskTiming:
     """Per-task telemetry: where the study's milliseconds went."""
@@ -380,7 +396,8 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
     knobs are ignored by the other objectives.
 
     A matrix that :func:`check_study_matrix` rejects raises
-    :class:`~repro.errors.DesignSpaceError` before any work starts.
+    :class:`~repro.errors.DesignSpaceError`, and yield settings raise
+    :func:`check_yield_options`'s errors, before any work starts.
     """
     check_study_matrix(capacities, flavors, methods)
     if objective not in ("edp", "pareto", "yield"):
@@ -389,17 +406,7 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
             "'yield')" % (objective,)
         )
     if objective == "yield":
-        from ..opt.constraints import check_yield_sampler
-        from ..yields.ecc import make_code
-
-        if not 0.0 < y_target < 1.0:
-            raise ValueError("y_target must be in (0, 1), got %r"
-                             % (y_target,))
-        make_code(code, 64)   # fail fast on an unknown code name
-        check_yield_sampler(sampler)
-        if not 0.0 < ci_target < 1.0:
-            raise ValueError("ci_target must be in (0, 1), got %r"
-                             % (ci_target,))
+        check_yield_options(code, y_target, sampler, ci_target)
         objective = ("yield", code, float(y_target), sampler,
                      float(ci_target), int(max_samples))
     if session is None:

@@ -26,7 +26,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..devices.model import FinFET, parameter_columns, terminal_current
+from ..devices.model import (
+    FinFET,
+    drain_current,
+    gate_drive,
+    parameter_columns,
+    terminal_current,
+)
 from ..errors import CharacterizationError
 from .bias import CellBias
 
@@ -42,9 +48,11 @@ _BISECT_TOL = 1e-7
 #: half-circuit solve evaluates as one stacked device-kernel call; larger
 #: blocks call the kernel once per device.  Stacking pays at small blocks,
 #: where numpy's per-call overhead dominates, and loses once the stacked
-#: temporaries outgrow the cache: the ``margins`` leg of
-#: ``benchmarks/bench_montecarlo.py`` times both sides (docs/PERF.md §9).
-_STACK_MAX_BLOCK = 1536
+#: temporaries outgrow the cache and the per-device path's gate drive,
+#: computed once per solve, saves more than its extra calls cost: the
+#: ``crossover`` table of ``benchmarks/bench_montecarlo.py`` times both
+#: sides (docs/PERF.md §9-§10).
+_STACK_MAX_BLOCK = 768
 
 #: The half circuit's devices in stack order; the net current leaving
 #: the output node is ``(pd + pu) - ax``.
@@ -55,9 +63,9 @@ def _half_circuit_current(cell, side, v_in, v_out, bias, access_on):
     """Net current leaving the output node of one half circuit [A].
 
     ``side`` is "l" (output Q, input QB) or "r" (output QB, input Q).
-    One device-kernel call per device: the path for blocks above
-    :data:`_STACK_MAX_BLOCK`, and the reference whose bits
-    :func:`_stacked_current` reproduces.
+    One ``FinFET.current`` call per device: the path for cells whose
+    devices are not FinFETs, and the reference whose bits
+    :func:`_stacked_current` and :func:`_per_device_current` reproduce.
     """
     pu = cell.device("pu_" + side)
     pd = cell.device("pd_" + side)
@@ -121,14 +129,54 @@ def _stacked_current(devices, bias, v_wl, v_bl, shape):
     return load
 
 
+def _per_device_current(devices, bias, v_wl, v_bl):
+    """``load(v_in) -> (v_out -> net out-current)`` of one half circuit,
+    one device-kernel call per device and step.
+
+    The pull-down and pull-up have their gate at the input and their
+    source at a rail, so their mirrored-frame ``vgs = pol*v_in -
+    pol*rail`` and :func:`~repro.devices.model.gate_drive` are fixed per
+    ``load``.  A step evaluates only
+    :func:`~repro.devices.model.drain_current` on ``vds = pol*v_out -
+    pol*rail`` while every element is forward (``vds >= 0``, the kernel's
+    ``vd >= vs``), and ``FinFET.current`` otherwise (the bracket ends, a
+    write's node below V_SSC), as always for the access device, whose
+    ``vgs`` moves with ``v_out``.  The ``pol * nfin`` scale rounds as
+    ``FinFET``'s sign flip and fin multiply do, so the sum has the bits
+    of :func:`_half_circuit_current`.
+    """
+    pd, pu, ax = devices
+
+    def load(v_in):
+        drives = []
+        for device, rail in ((pd, bias.v_ssc), (pu, bias.v_ddc)):
+            pol = device.polarity_sign
+            drives.append((device, rail, pol, pol * rail, pol * device.nfin,
+                           gate_drive(pol * v_in - pol * rail,
+                                      device.params)))
+
+        def current(v_out):
+            out = []
+            for device, rail, pol, pol_rail, scale, drive in drives:
+                vds = pol * v_out - pol_rail
+                out.append(drain_current(vds, drive, device.params) * scale
+                           if np.all(vds >= 0.0)
+                           else device.current(v_in, v_out, rail))
+            return (out[0] + out[1]) - ax.current(v_wl, v_bl, v_out)
+
+        return current
+
+    return load
+
+
 def _net_loader(cell, side, bias, access_on, shape):
     """``load(v_in) -> (v_out -> net current leaving the output node)``
     for inputs whose solve broadcasts to ``shape``.
 
-    One stacked kernel call per evaluation when the cell's devices are
-    FinFETs and one device's block has at most :data:`_STACK_MAX_BLOCK`
-    elements, else :func:`_half_circuit_current` (one call per device).
-    Both give the same bits.
+    For FinFET cells, one stacked kernel call per evaluation while one
+    device's block has at most :data:`_STACK_MAX_BLOCK` elements, else
+    :func:`_per_device_current`; other cells take
+    :func:`_half_circuit_current`.  All three give the same bits.
     """
     devices = [cell.device(role + "_" + side) for role in _STACK_ROLES]
     if all(isinstance(device, FinFET) for device in devices):
@@ -139,6 +187,7 @@ def _net_loader(cell, side, bias, access_on, shape):
             *(np.shape(device.params.vt) for device in devices))
         if math.prod(shape) <= _STACK_MAX_BLOCK:
             return _stacked_current(devices, bias, v_wl, v_bl, shape)
+        return _per_device_current(devices, bias, v_wl, v_bl)
     return lambda v_in: lambda v_out: _half_circuit_current(
         cell, side, v_in, v_out, bias, access_on)
 

@@ -43,6 +43,7 @@ run.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -197,6 +198,11 @@ def run_pareto(argv):
     parser.add_argument("--profile", action="store_true",
                         help="print the perf telemetry report at the end")
     args = parser.parse_args(argv)
+    for flag, value in (("--energy-exponent", args.energy_exponent),
+                        ("--delay-exponent", args.delay_exponent)):
+        if not 0.0 < value < math.inf:
+            parser.error("%s must be a finite positive number, got %r"
+                         % (flag, value))
 
     capacities, flavors, methods = _study_matrix(parser, args)
     run = run_study(
@@ -237,6 +243,8 @@ def run_yield(argv):
     the relaxed sensing window, and the EDP gain with every check-bit
     column and ECC logic term charged.
     """
+    from .analysis.runner import check_yield_options
+    from .errors import DesignSpaceError
     from .opt.constraints import YIELD_SAMPLERS
 
     parser = argparse.ArgumentParser(
@@ -283,6 +291,11 @@ def run_yield(argv):
     args = parser.parse_args(argv)
 
     capacities, flavors, methods = _study_matrix(parser, args)
+    try:
+        check_yield_options(args.code, args.y_target, args.sampler,
+                            args.ci_target)
+    except (DesignSpaceError, ValueError) as exc:
+        parser.error(str(exc))
     run = run_study(
         capacities=capacities, flavors=flavors, methods=methods,
         workers=args.workers, cache_path=args.cache,

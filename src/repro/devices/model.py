@@ -17,7 +17,10 @@ width-quantization property the paper highlights.
 
 The kernels sit in the innermost loop of every solve and run on arrays
 of a few to a few hundred elements, where numpy's per-call overhead
-outweighs the arithmetic, so each is one flat chain of ufunc calls.
+outweighs the arithmetic, so each is a flat chain of ufunc calls; the
+current-only one in two halves, :func:`gate_drive` (with the ``exp``,
+``log1p`` and ``power`` calls) and :func:`drain_current`, so that a
+solve whose gate bias stays put computes the first half once.
 The Newton solver needs them smooth and finite over the whole bias
 plane, including deep subthreshold and reverse bias: the softplus and
 its sigmoid slope take ``exp`` of an argument clipped to
@@ -42,6 +45,8 @@ from .params import FinFETParams
 
 __all__ = [
     "FinFET",
+    "drain_current",
+    "gate_drive",
     "ids_core",
     "ids_core_with_derivatives",
     "parameter_columns",
@@ -53,13 +58,10 @@ __all__ = [
 _EXP_CLIP = 40.0
 
 
-def ids_core(vgs, vds, params):
-    """Forward-mode drain current per fin for ``vds >= 0`` [A].
-
-    See :class:`repro.devices.params.FinFETParams` for the equations.
-    Accepts scalars or numpy arrays.  The expressions are exactly those
-    :func:`ids_core_with_derivatives` evaluates for its current, minus
-    the partials, so the two agree bit for bit.
+def gate_drive(vgs, params):
+    """The gate half of :func:`ids_core`: the channel prefactor ``b *
+    Veff ** alpha`` of the softplus overdrive ``Veff`` and the
+    saturation voltage, ``(pref, vdsat)``; neither depends on ``vds``.
     """
     p = params
     z = (vgs - p.vt) / p.gamma_s
@@ -69,11 +71,30 @@ def ids_core(vgs, vds, params):
                                 np.log1p(np.exp(clipped)))
     pref = p.b * np.power(veff, p.alpha)
     vdsat = p.kappa_sat * veff + p.vdsat0
+    return pref, vdsat
+
+
+def drain_current(vds, drive, params):
+    """The drain half of :func:`ids_core` for ``vds >= 0`` [A per fin],
+    given the :func:`gate_drive` ``drive`` of the gate bias."""
+    p = params
+    pref, vdsat = drive
     sat = np.tanh(vds / vdsat)
     clm = 1.0 + p.lambda_ * vds
     i_channel = pref * sat * clm
     decay = np.exp(np.maximum(-vds / PHI_T, -_EXP_CLIP))
     return i_channel + p.i_floor * (1.0 - decay)
+
+
+def ids_core(vgs, vds, params):
+    """Forward-mode drain current per fin for ``vds >= 0`` [A].
+
+    See :class:`repro.devices.params.FinFETParams` for the equations.
+    Accepts scalars or numpy arrays.  The expressions are exactly those
+    :func:`ids_core_with_derivatives` evaluates for its current, minus
+    the partials, so the two agree bit for bit.
+    """
+    return drain_current(vds, gate_drive(vgs, params), params)
 
 
 def ids_core_with_derivatives(vgs, vds, params):

@@ -38,6 +38,14 @@ def check_yield_sampler(sampler):
                          % (sampler, " or ".join(YIELD_SAMPLERS)))
 
 
+def check_yield_samples(n_samples):
+    """Raise ``ValueError`` unless ``n_samples`` is at least 2, the
+    fewest Monte Carlo samples whose ddof=1 margin sigma is finite."""
+    if not n_samples >= 2:
+        raise ValueError("n_samples must be at least 2 (the margin sigma "
+                         "is a ddof=1 deviation), got %r" % (n_samples,))
+
+
 @dataclass
 class YieldConstraint:
     """Fixed-delta yield constraint for one flavor/policy.
@@ -289,6 +297,7 @@ class YieldTargetConstraint:
         if isinstance(self.code, str):
             self.code = make_code(self.code, self.word_bits)
         check_yield_sampler(self.sampler)
+        check_yield_samples(self.n_samples)
         if self.base is None:
             self.base = YieldConstraint(
                 library=self.library, flavor=self.flavor,
@@ -498,19 +507,35 @@ class YieldTargetConstraint:
         return self.base.margins_grid(v_ddc, v_ssc_values, v_wl, v_bl)
 
     def satisfied_grid(self, v_ddc, v_ssc_values, v_wl, v_bl=0.0):
+        """:meth:`satisfied` over a V_SSC candidate axis.
+
+        The relaxation is never negative, so :meth:`requirement` never
+        exceeds ``max(delta, 0)``: a level whose nominal margin reaches
+        that bound is feasible and runs no Monte Carlo.  Every other
+        level is compared with ``requirement`` at its own float, in
+        axis order.
+        """
         hsnm, rsnm, wm = self.base.margins_grid(
             v_ddc, v_ssc_values, v_wl, v_bl
         )
+        nominal = np.minimum(hsnm, rsnm)
+        if not self.trust_fixed_rails:
+            nominal = np.minimum(nominal, wm)
         if self.delta_z == 0.0:
-            req = self.delta
-        else:
-            req = np.array([
-                self.requirement(v_ddc, float(v))
-                for v in np.asarray(v_ssc_values, dtype=float)
-            ])
-        if self.trust_fixed_rails:
-            return np.minimum(hsnm, rsnm) >= req
-        return np.minimum(np.minimum(hsnm, rsnm), wm) >= req
+            return nominal >= self.delta
+        ceiling = max(self.delta, 0.0)
+        levels = np.asarray(v_ssc_values, dtype=float).tolist()
+        mask = np.empty(len(levels), dtype=bool)
+        for i, (v, margin) in enumerate(zip(levels, nominal.tolist())):
+            # A shifted-sampler tail buffer may set the direction hint
+            # that seeds every later buffer's search, so until it is set
+            # every level is computed, in order, as the eager mask did;
+            # once set it never changes, and a skip moves nothing.
+            settled = margin >= ceiling and (
+                self.sampler == "gaussian"
+                or self._direction_hint is not None)
+            mask[i] = settled or margin >= self.requirement(v_ddc, v)
+        return mask
 
 
 @dataclass

@@ -247,6 +247,12 @@ def coded_p_fail_budget(y_target, code, n_words):
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # The bracket cannot shrink: ``lo`` passed its test (or is
+            # the untested 0.0, within any budget), ``hi`` failed its
+            # test (or is the untested 1.0, which no budget admits), and
+            # re-testing either moves nothing.
+            break
         if q_max <= 0.5:
             within = codeword_fail_probability(mid, n_cw, code.t) <= q_max
         else:

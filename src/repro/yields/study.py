@@ -44,7 +44,11 @@ from dataclasses import dataclass, replace
 
 from ..assist.study import minimum_vdd_boost
 from ..errors import CharacterizationError, DesignSpaceError
-from ..opt.constraints import YieldTargetConstraint, check_yield_sampler
+from ..opt.constraints import (
+    YieldTargetConstraint,
+    check_yield_sampler,
+    check_yield_samples,
+)
 from ..opt.exhaustive import ExhaustiveOptimizer
 from ..opt.methods import YieldLevels, make_policy
 from ..opt.space import DesignSpace
@@ -221,8 +225,10 @@ def compute_yield_cell(session, capacity_bytes, flavor, method="M2",
     """
     from ..array.model import SRAMArrayModel
 
-    # Before the baseline search, which an unknown sampler would waste.
+    # Before the baseline search, which a bad sampler or sample count
+    # would waste.
     check_yield_sampler(sampler)
+    check_yield_samples(n_samples)
     space = space or DesignSpace()
     capacity_bits = capacity_bytes * 8
     code_obj = make_code(code, session.config.word_bits)

@@ -1,23 +1,31 @@
-"""Noise-margin extraction: VTC solver, butterfly geometry, paper shapes."""
+"""Noise-margin extraction: VTC solver, butterfly geometry, paper shapes,
+and the device-kernel paths of the half-circuit solve."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cell import CellBias, butterfly, hold_snm, read_snm, vtc
-from repro.cell.montecarlo import batched_cell, sample_shift_matrix
+from repro.cell import CellBias, butterfly, hold_snm, read_snm, snm, vtc
+from repro.cell.montecarlo import (
+    batched_cell,
+    sample_cells,
+    sample_shift_matrix,
+)
 from repro.cell.snm import (
     HalfCircuit,
     _largest_squares,
     half_circuit_output,
+    snm_samples,
     solve_half_circuit,
 )
 from repro.cell.write import settle_from_one_batch
 from repro.errors import CharacterizationError
+from repro.periphery.characterize import CharacterizationGrids
 from repro.spice import Circuit, operating_point
 
 VDD = 0.45
+GRIDS = CharacterizationGrids()
 
 
 def test_vtc_endpoints(hvt_cell):
@@ -219,3 +227,80 @@ def test_half_circuit_reuses_its_setup_across_input_shapes(hvt_cell):
     for v_in in inputs:
         assert _bits(half.solve(v_in)) == _bits(
             solve_half_circuit(hvt_cell, "r", v_in, bias, access_on=True))
+
+
+@st.composite
+def half_circuit_biases(draw):
+    """``(bias, access_on)``: hold; a read with rails anywhere in the
+    characterization box, its wordline at Vdd or overdriven up to 1.0 V;
+    or a write with the bitline down to -0.2 V, which pulls the output
+    below V_SSC."""
+    kind = draw(st.sampled_from(("hold", "read", "write")), label="kind")
+    if kind == "hold":
+        return CellBias.hold(VDD), False
+    v_wl = draw(st.one_of(st.just(VDD), st.floats(VDD, 1.0)), label="v_wl")
+    if kind == "write":
+        return CellBias.write(vdd=VDD, v_wl=v_wl, v_bl_low=draw(
+            st.floats(-0.2, 0.0), label="v_bl_low")), True
+    read = CellBias.read(
+        vdd=VDD,
+        v_ddc=draw(st.floats(min(GRIDS.v_ddc), max(GRIDS.v_ddc)),
+                   label="v_ddc"),
+        v_ssc=draw(st.floats(min(GRIDS.v_ssc), max(GRIDS.v_ssc)),
+                   label="v_ssc"))
+    return read.with_wordline(v_wl), True
+
+
+@settings(max_examples=30, deadline=None)
+@given(flavor=st.sampled_from(("lvt", "hvt")), side=st.sampled_from("lr"),
+       samples=st.integers(1, 150), points=st.integers(2, 121),
+       biased=half_circuit_biases(), seed=st.integers(0, 2 ** 16))
+def test_per_device_path_equals_the_reference_current(
+        lvt_cell, hvt_cell, flavor, side, samples, points, biased, seed):
+    """The per-device path (gate drive once per input, drain half per
+    step, ``FinFET.current`` where a device is reversed) returns the
+    bits of ``_half_circuit_current`` at the bracket ends, inside the
+    swing and at outputs scattered over the whole bracket."""
+    bias, access_on = biased
+    cell = batched_cell({"lvt": lvt_cell, "hvt": hvt_cell}[flavor],
+                        sample_shift_matrix(samples, seed=seed))
+    devices = [cell.device(role + "_" + side) for role in snm._STACK_ROLES]
+    current = snm._per_device_current(
+        devices, bias, bias.v_wl if access_on else 0.0,
+        bias.v_bl if side == "l" else bias.v_blb)
+    v_in = np.linspace(bias.v_ssc, bias.v_ddc, points)
+    half = HalfCircuit(cell, side, bias, access_on)
+    rng = np.random.default_rng(seed)
+    outputs = [half.lo_bound + 0.0 * v_in, half.hi_bound + 0.0 * v_in,
+               v_in[::-1].copy(),
+               np.full((samples, points), 0.5 * (bias.v_ssc + bias.v_ddc)),
+               rng.uniform(half.lo_bound, half.hi_bound, (samples, points))]
+    net = current(v_in)
+    for v_out in outputs:
+        expected = snm._half_circuit_current(cell, side, v_in, v_out, bias,
+                                             access_on)
+        value = net(v_out)
+        assert value.shape == expected.shape
+        assert value.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("flavor", ["lvt", "hvt"])
+@pytest.mark.parametrize("bias, access_on", [
+    (CellBias.hold(VDD), False),
+    (CellBias.read(vdd=VDD, v_ddc=0.55, v_ssc=-0.1), True),
+], ids=["hold", "read"])
+def test_snm_samples_above_the_stacking_threshold_equal_butterflies(
+        lvt_cell, hvt_cell, flavor, bias, access_on):
+    """A Monte Carlo block above ``_STACK_MAX_BLOCK`` (the per-device
+    path) reads, lane by lane, the bits of each sample's own butterfly
+    (41 elements, the stacked path)."""
+    points = 41
+    samples = snm._STACK_MAX_BLOCK // points + 2
+    assert samples * points > snm._STACK_MAX_BLOCK
+    cell = {"lvt": lvt_cell, "hvt": hvt_cell}[flavor]
+    lanes = snm_samples(batched_cell(cell, sample_shift_matrix(samples,
+                                                                seed=5)),
+                        bias, access_on, points=points)
+    alone = [butterfly(sample, bias, access_on, points=points).snm
+             for sample in sample_cells(cell, samples, seed=5)]
+    assert lanes.tobytes() == np.array(alone).tobytes()

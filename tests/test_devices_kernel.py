@@ -9,7 +9,10 @@ result (see :mod:`repro.devices.model`).  Both kernels must return the
 reference's bits -- compared through ``tobytes()``, with NaN exactly
 where the reference gives NaN -- for scalar devices, ``parameter_columns``
 blocks and batched per-sample ``vt``, both polarities and both flavors,
-including signed zeros and equal drain and source voltages.
+including signed zeros and equal drain and source voltages.  The
+current-only core's two halves, ``gate_drive`` then ``drain_current``,
+must return the reference's bits too, also with one gate drive reused
+across drain biases as the half-circuit bisection reuses it.
 """
 
 from types import SimpleNamespace
@@ -20,6 +23,8 @@ from hypothesis import strategies as st
 
 from repro.devices import DeviceLibrary, FinFET
 from repro.devices.model import (
+    drain_current,
+    gate_drive,
     ids_core,
     ids_core_with_derivatives,
     parameter_columns,
@@ -226,3 +231,36 @@ def test_core_models_match_the_reference_for_oriented_biases(flavor, vgs,
             ids_core_with_derivatives(vgs, vds, params),
             reference_ids_core_with_derivatives(vgs, vds, params)):
         assert_same_bits(value, reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flavor=st.sampled_from(FLAVORS),
+       vgs=st.floats(-2.0, 4.0, allow_nan=False),
+       vds=st.one_of(st.sampled_from((0.0, -0.0)), st.floats(0.0, 4.0)))
+def test_gate_and_drain_halves_compose_to_the_reference(flavor, vgs, vds):
+    params = getattr(LIB, flavor)
+    assert_same_bits(drain_current(vds, gate_drive(vgs, params), params),
+                     reference_ids_core(vgs, vds, params))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), flavor=st.sampled_from(FLAVORS),
+       samples=st.integers(1, 6), points=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 16))
+def test_one_gate_drive_serves_every_drain_bias(data, flavor, samples,
+                                                points, seed):
+    """A gate drive over ``(points,)`` gate biases and a batched ``(n,
+    1)`` ``vt``, reused for several ``(n, points)`` drain biases."""
+    shifts = np.random.default_rng(seed).normal(0.0, 0.03, (samples, 1))
+    params = getattr(LIB, flavor).with_vt_shifts(shifts.ravel())
+    floats = st.floats(-2.0, 4.0, allow_nan=False)
+    vgs = np.array(data.draw(st.lists(floats, min_size=points,
+                                      max_size=points), label="vgs"))
+    drive = gate_drive(vgs, params)
+    for label in ("vds_0", "vds_1", "vds_2"):
+        vds = np.abs(np.array(data.draw(
+            st.lists(floats, min_size=samples * points,
+                     max_size=samples * points), label=label))
+        ).reshape(samples, points)
+        assert_same_bits(drain_current(vds, drive, params),
+                         reference_ids_core(vgs, vds, params))

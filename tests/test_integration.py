@@ -151,6 +151,40 @@ def test_cli_bad_study_matrix_is_a_usage_error(argv, named, tmp_path,
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["pareto", "--energy-exponent", "nan"], "--energy-exponent"),
+    (["pareto", "--energy-exponent", "inf"], "--energy-exponent"),
+    (["pareto", "--energy-exponent", "0"], "--energy-exponent"),
+    (["pareto", "--energy-exponent", "-1"], "--energy-exponent"),
+    (["pareto", "--delay-exponent", "nan"], "--delay-exponent"),
+    (["pareto", "--delay-exponent=-inf"], "--delay-exponent"),
+    (["yield", "--code", "parity-x9"], "'parity-x9'"),
+    (["yield", "--code", "secded-x3"], "3-way interleave"),
+    (["yield", "--y-target", "1.5"], "got 1.5"),
+    (["yield", "--y-target", "nan"], "got nan"),
+    (["yield", "--ci-target", "0"], "got 0.0"),
+], ids=["energy-nan", "energy-inf", "energy-0", "energy-neg", "delay-nan",
+        "delay-neg-inf", "code-unknown", "code-bad-interleave",
+        "y-target-1.5", "y-target-nan", "ci-target-0"])
+def test_cli_bad_search_option_is_a_usage_error(argv, named, tmp_path,
+                                                capsys):
+    """A pareto exponent that is not a finite positive number, or a
+    yield code, target or CI target no study can run, exits 2 with one
+    argparse error line naming it, before anything is characterized or
+    searched."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(argv + ["--capacities", "128", "--flavors", "hvt",
+                         "--methods", "M2",
+                         "--cache", str(tmp_path / "cache.json")])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("repro %s: error: " % argv[0])
+    assert named in last
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("command", ["pareto", "yield"])
 def test_cli_empty_cache_path_disables_the_cache(
         command, paper_session, tmp_path, monkeypatch, capsys):

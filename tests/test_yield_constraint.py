@@ -25,6 +25,9 @@ from .conftest import CACHE_PATH
 CAPACITY_BITS = 1024 * 8
 #: The HVT/M2 yield cells the shared-memo tests run on one session.
 YIELD_CELLS = (1024, 16384)
+#: The V_DDC both HVT/M2 yield cells relax to under SECDED at Y = 0.9,
+#: where the nominal read margin crosses delta inside the V_SSC axis.
+RELAXED_V_DDC = 0.52
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +111,34 @@ def _target_constraint(session, code, y_target=0.9, flavor="hvt",
         word_bits=session.config.word_bits,
         trust_fixed_rails=base.trust_fixed_rails,
         flip_lookup=base.flip_lookup, **kwargs)
+
+
+def _eager_mask(constraint, v_ddc, v_ssc_values, v_wl, v_bl=0.0):
+    """``YieldTargetConstraint.satisfied_grid`` as it was before it
+    skipped levels: every level's requirement computed, in axis order,
+    then compared with the nominal margins."""
+    hsnm, rsnm, wm = constraint.base.margins_grid(
+        v_ddc, v_ssc_values, v_wl, v_bl
+    )
+    if constraint.delta_z == 0.0:
+        req = constraint.delta
+    else:
+        req = np.array([
+            constraint.requirement(v_ddc, float(v))
+            for v in np.asarray(v_ssc_values, dtype=float)
+        ])
+    if constraint.trust_fixed_rails:
+        return np.minimum(hsnm, rsnm) >= req
+    return np.minimum(np.minimum(hsnm, rsnm), wm) >= req
+
+
+def _nominal(constraint, v_ddc, v_ssc_values, v_wl):
+    """The per-level nominal margin ``satisfied_grid`` compares."""
+    hsnm, rsnm, wm = constraint.base.margins_grid(v_ddc, v_ssc_values,
+                                                  v_wl)
+    nominal = np.minimum(hsnm, rsnm)
+    return nominal if constraint.trust_fixed_rails else np.minimum(
+        nominal, wm)
 
 
 class TestNoneEquivalence:
@@ -396,6 +427,110 @@ class TestSharedMarginMemo:
             assert all(a is b for a, b in zip(read, stored))
         assert [values.tobytes() for values in stored] == expected
         assert not stored[0].flags.writeable
+
+
+class TestLazyRequirement:
+    """``satisfied_grid`` asks for the relaxed floor only at levels whose
+    nominal margin is below ``max(delta, 0)``, the most that floor can
+    be, and answers exactly as the eager mask did."""
+
+    AXIS = [float(v) for v in DesignSpace().v_ssc_values]
+    ORDERS = {"axis": AXIS, "reversed": AXIS[::-1]}
+
+    def _grid(self, constraint, levels):
+        return constraint.satisfied_grid(RELAXED_V_DDC, levels,
+                                         RELAXED_V_DDC)
+
+    # At Y = 0.9 every level is feasible once relaxed; at Y = 1e-12 the
+    # code buys less and the four levels nearest V_SSC 0 stay infeasible.
+    @pytest.mark.parametrize("order,y_target", [
+        ("axis", 0.9), ("axis", 1e-12), ("reversed", 1e-12)])
+    def test_gaussian_mask_equals_the_eager_mask(self, paper_session,
+                                                 order, y_target):
+        levels = self.ORDERS[order]
+        base = paper_session.constraint("hvt")
+        lazy = _target_constraint(paper_session, "secded", y_target,
+                                  base=base)
+        eager = _target_constraint(paper_session, "secded", y_target,
+                                   base=base)
+        mask = self._grid(lazy, levels)
+        assert mask.tolist() == _eager_mask(
+            eager, RELAXED_V_DDC, levels, RELAXED_V_DDC).tolist()
+        assert mask.any()
+        assert mask.all() == (y_target == 0.9)
+        assert lazy._stat_cache.keys() < eager._stat_cache.keys()
+        for key, stats in lazy._stat_cache.items():
+            assert stats == eager._stat_cache[key]
+
+    def test_memo_solves_rsnm_only_below_delta(self, paper_session):
+        delta = paper_session.delta
+        base = YieldConstraint(
+            paper_session.library, "hvt", delta,
+            trust_fixed_rails=paper_session.constraint(
+                "hvt").trust_fixed_rails)
+        constraint = _target_constraint(paper_session, "secded", base=base)
+        assert self._grid(constraint, self.AXIS).all()
+        nominal = _nominal(constraint, RELAXED_V_DDC, self.AXIS,
+                           RELAXED_V_DDC)
+        below = {(RELAXED_V_DDC, round(v, 4))
+                 for v, margin in zip(self.AXIS, nominal) if margin < delta}
+        # Nominal RSNM rises from 142 mV at V_SSC 0 to 160 mV at -240 mV:
+        # the 12 most negative levels clear delta and solve nothing.
+        assert len(below) == 13
+        assert set(constraint.margin_samples._solved) == {"hsnm"} | below
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_shifted_hint_and_relaxations_equal_the_eager_run(
+            self, paper_session, order):
+        levels = self.ORDERS[order]
+        settings = dict(n_samples=60, sampler="shifted", ci_target=0.5,
+                        max_samples=128,
+                        base=paper_session.constraint("hvt"))
+        lazy = _target_constraint(paper_session, "secded", **settings)
+        eager = _target_constraint(paper_session, "secded", **settings)
+        mask = self._grid(lazy, levels)
+        assert mask.tolist() == _eager_mask(
+            eager, RELAXED_V_DDC, levels, RELAXED_V_DDC).tolist()
+        assert eager._direction_hint is not None
+        assert np.asarray(lazy._direction_hint).tobytes() \
+            == np.asarray(eager._direction_hint).tobytes()
+        for key, (relaxation, _) in lazy._relax_cache.items():
+            assert relaxation == eager._relax_cache[key][0]
+        # Every level up to the one whose buffer set the hint is
+        # computed, whatever its margin; after it, only those below the
+        # ceiling are.
+        keys = [(RELAXED_V_DDC, round(v, 4)) for v in levels]
+        hinted = next(i for i, key in enumerate(keys)
+                      if eager._buffer_cache[key].search.crossed)
+        nominal = _nominal(lazy, RELAXED_V_DDC, levels, RELAXED_V_DDC)
+        ceiling = max(lazy.delta, 0.0)
+        assert set(lazy._relax_cache) == {
+            key for i, (key, margin) in enumerate(zip(keys, nominal))
+            if i <= hinted or margin < ceiling}
+        if order == "reversed":
+            # The first level clears the ceiling, yet runs its buffer.
+            assert nominal[0] >= ceiling
+            assert keys[0] in lazy._relax_cache
+
+
+class TestSampleCount:
+    """A ddof=1 sigma needs two samples; one is refused up front."""
+
+    def test_one_sample_rejected(self, paper_session):
+        with pytest.raises(ValueError, match="n_samples .* got 1$"):
+            _target_constraint(paper_session, "secded", n_samples=1)
+
+    def test_study_rejects_one_sample_before_searching(self,
+                                                       paper_session):
+        def evaluations():
+            return perf.get_registry().snapshot()["counters"].get(
+                "optimizer.evaluations", 0)
+
+        before = evaluations()
+        with pytest.raises(ValueError, match="n_samples .* got 1$"):
+            compute_yield_cell(paper_session, 1024, "hvt", "M2",
+                               n_samples=1)
+        assert evaluations() == before
 
 
 class TestMonteCarloYieldConstraint:

@@ -10,7 +10,11 @@ yield target and shrinks as the target rises; the defensive mixture's
 log-weights stay under ``-log a``, and the Kish effective sample size
 lies in [1, n].  And the two margin-floor relaxations read one margin
 function: the importance sampler's solver answers the Gaussian
-relaxation's Monte Carlo draw with its samples, bit for bit.
+relaxation's Monte Carlo draw with its samples, bit for bit.  A
+relaxed margin floor never exceeds ``max(delta, 0)``, the bound that
+lets the yield constraint skip a level whose nominal margin reaches it,
+and the budget bisection that stops once its bracket cannot shrink
+returns the bits of the full 200 steps.
 """
 
 import math
@@ -30,9 +34,12 @@ from repro.cell.importance import (
 )
 from repro.cell.montecarlo import MarginSampleMemo
 from repro.cell.sram6t import SRAM6TCell
+from repro.opt.constraints import YieldConstraint, YieldTargetConstraint
 from repro.yields.ecc import make_code
 from repro.yields.failure import (
+    _log_codeword_survival,
     array_yield,
+    codeword_fail_probability,
     coded_p_fail_budget,
     uncoded_array_yield,
 )
@@ -112,6 +119,72 @@ def test_budget_meets_its_yield_target(code, words, y, z):
     lo, hi = min(y, z), max(y, z)
     assert (coded_p_fail_budget(hi, code, words)
             <= coded_p_fail_budget(lo, code, words))
+
+
+def full_bisection_budget(y_target, code, n_words):
+    """``coded_p_fail_budget`` as it was before it stopped early: all 200
+    bisection steps, whether or not the bracket can still shrink."""
+    n_codewords = n_words * code.interleave
+    log_survival_min = math.log(y_target) / n_codewords
+    q_max = -math.expm1(log_survival_min)
+    n_cw = code.codeword_bits
+    if code.t <= 0 and q_max <= 0.5:
+        return -math.expm1(math.log1p(-q_max) / n_cw)
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if q_max <= 0.5:
+            within = codeword_fail_probability(mid, n_cw, code.t) <= q_max
+        else:
+            within = (_log_codeword_survival(mid, n_cw, code.t)
+                      >= log_survival_min)
+        if within:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=codes(), words=n_words, y=yield_targets)
+@example(code=make_code("secded", 64), words=1, y=1e-15)
+@example(code=make_code("secded-x8", 64), words=1 << 20, y=0.999)
+def test_budget_bisection_stops_where_the_full_one_ends(code, words, y):
+    assert coded_p_fail_budget(y, code, words).hex() \
+        == full_bisection_budget(y, code, words).hex()
+
+
+#: Samples of the seeded draw behind the requirement bound below: each
+#: example solves a new rail pair, so a small draw keeps it cheap.
+BOUND_SAMPLES = 8
+
+
+@pytest.fixture(scope="module")
+def hvt_base(library):
+    """One HVT margin base whose sample memo every example shares."""
+    return YieldConstraint(library, "hvt", 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=codes(), y=yield_targets,
+       capacity_bytes=st.integers(6, 16).map(lambda k: 1 << k),
+       v_ddc=st.floats(0.45, 0.72), v_ssc=st.floats(-0.25, 0.0),
+       delta=st.floats(-0.2, 0.3), sampler=st.just("gaussian"))
+# The sampled relaxation, once: its tail buffer is costlier than a draw.
+@example(code=make_code("secded", 64), y=0.9, capacity_bytes=16384,
+         v_ddc=0.52, v_ssc=-0.05, delta=0.1575, sampler="shifted")
+def test_requirement_never_exceeds_the_nominal_floor(
+        library, hvt_base, code, y, capacity_bytes, v_ddc, v_ssc, delta,
+        sampler):
+    """The relaxation is never negative, so the relaxed floor stays at
+    or below ``max(delta, 0)``, whatever the code, target, capacity,
+    rails or sign of ``delta``."""
+    constraint = YieldTargetConstraint(
+        library=library, flavor="hvt", delta=delta, y_target=y, code=code,
+        capacity_bits=capacity_bytes * 8, word_bits=code.data_bits,
+        n_samples=BOUND_SAMPLES, sampler=sampler, ci_target=0.5,
+        max_samples=128, base=hvt_base)
+    assert constraint.requirement(v_ddc, v_ssc) <= max(delta, 0.0)
 
 
 @settings(max_examples=200, deadline=None)
